@@ -18,7 +18,7 @@ from . import __version__
 from ._checks import resolve_seed
 from .dataset import BENIGN, CsvFormat, RawTable, parse_arff, parse_csv, preprocess, write_arff
 from .distances import Metric, pairwise_distances
-from .exceptions import ClusterlabError, InputError
+from .exceptions import AnalysisError, ClusterlabError, InputError
 from .kmeans import INIT_KMEANS_PP, INIT_RANDOM, KMeans
 from .kmedoids import KMedoids
 from .projection import PCA2D
@@ -333,14 +333,36 @@ def cmd_analyze(args) -> int:
     return run_pipeline(args)
 
 
+def _check_analyze(args, n: int, d: int, m: int) -> None:
+    """Every stage precondition of the pipeline, checked before any compute
+    and before the output directory exists, so a bad run writes nothing."""
+    problems = []
+    if not 2 <= args.k <= n:
+        problems.append(f"--k {args.k} must lie within [2, {n}] "
+                        "(the silhouette needs at least 2 clusters)")
+    if not 2 <= args.k_min < args.k_max <= n - 1:
+        problems.append(f"sweep k range [{args.k_min}, {args.k_max}] must hold at "
+                        f"least 2 values within [2, {n - 1}] (the sweep plot needs 2)")
+    if not 1 <= m <= n - 1:
+        problems.append(f"hopkins sample size {m} must lie within [1, {n - 1}]")
+    if args.trials < 1:
+        problems.append("--trials must be at least 1")
+    if args.restarts < 1 or args.max_iter < 1:
+        problems.append("--restarts and --max-iter must be at least 1")
+    if args.tol < 0:
+        problems.append("--tol must be non-negative")
+    if d < 2:
+        problems.append(f"the 2-D projection needs at least 2 features, got {d}")
+    if problems:
+        raise AnalysisError("; ".join(problems))
+
+
 def run_pipeline(args) -> int:
     table, data, prep, id_col, label_col = _prepare(args)
     seed = resolve_seed(args.seed)
     metric = Metric.coerce(args.metric)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     m = args.m if args.m is not None else default_sample_size(data.n)
+    _check_analyze(args, data.n, data.d, m)
     hopkins = hopkins_statistic(data.features, m=m, trials=args.trials,
                                 seed=seed, power=args.hopkins_power)
 
@@ -403,6 +425,8 @@ def run_pipeline(args) -> int:
     )
 
     report_json = emit_report(report, "json")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_bytes(report_json)
     (out_dir / "report.md").write_bytes(emit_report(report, "markdown"))
 

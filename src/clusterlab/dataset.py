@@ -23,7 +23,9 @@ import numpy as np
 from .exceptions import (
     ArffSyntaxError,
     InvalidClassValueError,
+    InvalidEncodingError,
     MalformedRowError,
+    NonFiniteCellError,
     NonNumericCellError,
     UnknownColumnError,
     UnsupportedAttributeTypeError,
@@ -155,14 +157,40 @@ class PreprocessReport:
 # -- CSV --------------------------------------------------------------------
 
 def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
     if isinstance(source, str):
         return source
     if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+        source = source.read_bytes()
+    elif not isinstance(source, bytes):
+        source = source.read()
+        if isinstance(source, str):
+            return source
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidEncodingError(exc.start, exc.reason) from None
+
+
+def _table(names, rows, markers, rescan) -> RawTable:
+    """Stack parsed rows into a table, rejecting cells that read as NaN or
+    infinity without being the missing marker.
+
+    ``markers`` lists one entry per marker cell, so a table is valid exactly
+    when it has that many non-finite cells: one vectorized count checks it
+    at no cost per cell. Only when the count is off does ``rescan`` parse
+    the text again, checking every cell, to raise at the first offending one.
+    """
+    cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+    if np.count_nonzero(~np.isfinite(cells)) != len(markers):
+        rescan()
+    return RawTable(column_names=names, cells=cells)
+
+
+def _check_finite(tokens, values, marker, line_no, names):
+    for col, (token, value) in enumerate(zip(tokens, values)):
+        if not math.isfinite(value) and token != marker:
+            col_name = names[col] if names else f"col{col}"
+            raise NonFiniteCellError(line_no, col_name, token)
 
 
 def parse_csv(source, fmt: CsvFormat = CsvFormat()) -> RawTable:
@@ -170,13 +198,20 @@ def parse_csv(source, fmt: CsvFormat = CsvFormat()) -> RawTable:
 
     ``source`` may be bytes, a string, a ``Path`` or a file-like object.
     Cells equal to ``fmt.missing`` become missing; everything else must
-    parse as a number. Without a header, columns are named col0, col1, ...
+    parse as a finite number. Without a header, columns are named col0,
+    col1, ...
     """
     text = _read_text(source)
-    reader = csv.reader(io.StringIO(text), delimiter=fmt.delimiter)
+    names, rows, markers = _csv_rows(text, fmt, _parse_record)
+    return _table(names, rows, markers,
+                  lambda: _csv_rows(text, fmt, _parse_finite_record))
 
+
+def _csv_rows(text, fmt, parse_record):
+    reader = csv.reader(io.StringIO(text), delimiter=fmt.delimiter)
     names = None
     rows = []
+    markers = []
     n_cols = None
     for line_no, record in enumerate(reader, start=1):
         if not record or (len(record) == 1 and record[0].strip() == ""):
@@ -189,28 +224,34 @@ def parse_csv(source, fmt: CsvFormat = CsvFormat()) -> RawTable:
             n_cols = len(record)
         if len(record) != n_cols:
             raise MalformedRowError(line_no, n_cols, len(record))
-        rows.append(_parse_record(record, line_no, names, fmt.missing))
+        rows.append(parse_record(record, line_no, names, fmt.missing, markers))
 
     if n_cols is None:  # entirely empty input
         n_cols = 0
     if names is None:
         names = tuple(f"col{i}" for i in range(n_cols))
-    cells = np.array(rows, dtype=np.float64).reshape(len(rows), n_cols)
-    return RawTable(column_names=names, cells=cells)
+    return names, rows, markers
 
 
-def _parse_record(record, line_no, names, missing_marker):
+def _parse_record(record, line_no, names, missing_marker, markers):
     values = []
     for col, token in enumerate(record):
         token = token.strip()
         if token == missing_marker:
             values.append(math.nan)
+            markers.append(col)
             continue
         try:
             values.append(float(token))
         except ValueError:
             col_name = names[col] if names else f"col{col}"
             raise NonNumericCellError(line_no, col_name, token) from None
+    return values
+
+
+def _parse_finite_record(record, line_no, names, missing_marker, markers):
+    values = _parse_record(record, line_no, names, missing_marker, markers)
+    _check_finite([t.strip() for t in record], values, missing_marker, line_no, names)
     return values
 
 
@@ -230,12 +271,20 @@ def parse_arff(source) -> RawTable:
     """Parse the numeric/nominal ARFF subset into a :class:`RawTable`.
 
     Nominal values are mapped to their declaration index. String, date and
-    relational attributes are rejected; so are sparse data rows.
+    relational attributes are rejected; so are sparse data rows. ``?``
+    marks a missing cell; every other numeric cell must be finite.
     """
     text = _read_text(source)
+    names, rows, markers = _arff_rows(text, _parse_arff_row)
+    return _table(names, rows, markers,
+                  lambda: _arff_rows(text, _parse_finite_arff_row))
+
+
+def _arff_rows(text, parse_row):
     names: list[str] = []
     nominal: dict[int, dict[str, int]] = {}
     rows: list[list[float]] = []
+    markers: list[int] = []
     saw_relation = False
     in_data = False
 
@@ -266,12 +315,11 @@ def parse_arff(source) -> RawTable:
                 raise ArffSyntaxError(
                     f"line {line_no}: sparse ARFF rows are not supported"
                 )
-            rows.append(_parse_arff_row(line, line_no, names, nominal))
+            rows.append(parse_row(line, line_no, names, nominal, markers))
 
     if not in_data:
         raise ArffSyntaxError("missing @data section")
-    cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    return RawTable(column_names=tuple(names), cells=cells)
+    return tuple(names), rows, markers
 
 
 def _declare_attribute(name, decl, names, nominal, line_no):
@@ -291,7 +339,7 @@ def _declare_attribute(name, decl, names, nominal, line_no):
     names.append(name)
 
 
-def _parse_arff_row(line, line_no, names, nominal):
+def _parse_arff_row(line, line_no, names, nominal, markers):
     tokens = [t.strip() for t in line.split(",")]
     if len(tokens) != len(names):
         raise MalformedRowError(line_no, len(names), len(tokens))
@@ -300,6 +348,7 @@ def _parse_arff_row(line, line_no, names, nominal):
         token = token.strip("'\"")
         if token == "?":
             values.append(math.nan)
+            markers.append(col)
         elif col in nominal:
             try:
                 values.append(float(nominal[col][token]))
@@ -313,6 +362,13 @@ def _parse_arff_row(line, line_no, names, nominal):
                 values.append(float(token))
             except ValueError:
                 raise NonNumericCellError(line_no, names[col], token) from None
+    return values
+
+
+def _parse_finite_arff_row(line, line_no, names, nominal, markers):
+    values = _parse_arff_row(line, line_no, names, nominal, markers)
+    tokens = [t.strip().strip("'\"") for t in line.split(",")]
+    _check_finite(tokens, values, "?", line_no, names)
     return values
 
 

@@ -40,6 +40,25 @@ class NonNumericCellError(InputError):
         )
 
 
+class NonFiniteCellError(InputError):
+    """A cell reads as NaN or infinity without being the missing marker."""
+
+    def __init__(self, line_number, column, token):
+        self.line_number = line_number
+        self.column = column
+        self.token = token
+        super().__init__(
+            f"line {line_number}, column {column!r}: {token!r} is not a finite "
+            "number (mark missing cells with the missing marker)"
+        )
+
+
+class InvalidEncodingError(InputError):
+    def __init__(self, offset, reason):
+        self.offset = offset
+        super().__init__(f"input is not valid UTF-8 at byte offset {offset}: {reason}")
+
+
 class ArffSyntaxError(InputError):
     """ARFF document is missing sections or contains an invalid declaration."""
 

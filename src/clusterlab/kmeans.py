@@ -6,6 +6,7 @@ import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
 from ._checks import as_feature_matrix, as_labels, resolve_seed
+from .distances import Metric, _rows_to_point, _screened_nearest
 from .exceptions import MissingCenterError, TooFewPointsError
 
 INIT_KMEANS_PP = "k-means++"
@@ -24,11 +25,6 @@ def wss(X, labels, centers) -> float:
     return float((diff * diff).sum(axis=1).sum())
 
 
-def _sq_dists(X, centers):
-    diff = X[:, None, :] - centers[None, :, :]
-    return (diff * diff).sum(axis=2)
-
-
 def _init_centers(X, k, init, rng):
     n = X.shape[0]
     if init == INIT_RANDOM:
@@ -38,7 +34,7 @@ def _init_centers(X, k, init, rng):
     # k-means++: first center uniform, then D^2 sampling
     centers = np.empty((k, X.shape[1]), dtype=np.float64)
     centers[0] = X[rng.integers(n)]
-    d2 = _sq_dists(X, centers[:1]).min(axis=1)
+    d2 = _rows_to_point(X, centers[0], Metric.SQEUCLIDEAN)
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -46,7 +42,7 @@ def _init_centers(X, k, init, rng):
         else:
             idx = rng.integers(n)  # all remaining mass at chosen centers
         centers[j] = X[idx]
-        d2 = np.minimum(d2, _sq_dists(X, centers[j : j + 1]).min(axis=1))
+        d2 = np.minimum(d2, _rows_to_point(X, centers[j], Metric.SQEUCLIDEAN))
     return centers
 
 
@@ -67,22 +63,34 @@ def _repair_empty(labels, point_d2, k):
         point_d2[j] = -1.0
 
 
-def _lloyd(X, k, init, rng, max_iter, tol):
-    n = X.shape[0]
+def _center_means(X, labels, k):
+    """Per-cluster coordinate means, bit-identical to
+    ``X[labels == j].mean(axis=0)`` for every j.
+
+    For d >= 2 that mean adds a cluster's rows in row order onto +0.0 (so a
+    coordinate whose members all read -0.0 sums to +0.0), exactly as one
+    ``bincount`` over (label, coordinate) bins does. A single column is
+    summed pairwise instead, so d = 1 keeps the per-cluster mean.
+    """
+    d = X.shape[1]
+    if d == 1:
+        return np.array([X[labels == j].mean(axis=0) for j in range(k)])
+    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=X.ravel(), minlength=k * d).reshape(k, d)
+    return sums / np.bincount(labels, minlength=k)[:, None]
+
+
+def _lloyd(X, x_sq, k, init, rng, max_iter, tol):
     centers = _init_centers(X, k, init, rng)
     path = []
-    labels = np.zeros(n, dtype=np.int64)
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2 = _sq_dists(X, centers)
-        labels = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), labels]
+        labels, point_d2 = _screened_nearest(X, centers, x_sq)
         labels = _repair_empty(labels, point_d2, k)
-        new_centers = np.empty_like(centers)
-        for j in range(k):
-            new_centers[j] = X[labels == j].mean(axis=0)
-        objective = wss(X, labels, new_centers)
+        new_centers = _center_means(X, labels, k)
+        diff = X - new_centers[labels]
+        objective = float((diff * diff).sum(axis=1).sum())  # wss() without re-validation
         # Lloyd steps never increase the objective; seizure only trims it
         assert not path or objective <= path[-1] + 1e-9 * (1.0 + path[-1])
         path.append(objective)
@@ -101,7 +109,11 @@ class KMeans(BaseEstimator):
     random_state + r) and keeps the lowest-objective result, so output is
     reproducible for a fixed seed. Assignment uses squared Euclidean
     distance with ties to the lowest cluster id; empty clusters are repaired
-    by seizing the point farthest from its current center.
+    by seizing the point farthest from its current center. Assignment (in
+    ``fit`` and ``predict``) screens the (point, center) pairs with one GEMM
+    and decides with the exact row kernel on the pairs within a derived
+    rounding slack of each point's best (see ``distances._screened_nearest``),
+    so labels equal those of a full distance table bit for bit.
 
     Attributes after fit: ``labels_``, ``cluster_centers_``, ``inertia_``
     (the within-cluster sum of squares), ``n_iter_``, ``converged_``,
@@ -138,11 +150,12 @@ class KMeans(BaseEstimator):
         if self.tol < 0:
             raise ValueError("tol must be non-negative")
         seed = resolve_seed(self.random_state)
+        x_sq = (X * X).sum(axis=1)
 
         best = None
         for r in range(int(self.n_init)):
             rng = np.random.default_rng(seed + r)
-            result = _lloyd(X, k, self.init, rng, int(self.max_iter), float(self.tol))
+            result = _lloyd(X, x_sq, k, self.init, rng, int(self.max_iter), float(self.tol))
             if best is None or result[2] < best[2]:
                 best = result
                 best_restart = r
@@ -165,7 +178,7 @@ class KMeans(BaseEstimator):
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {self.cluster_centers_.shape[1]}"
             )
-        return _sq_dists(X, self.cluster_centers_).argmin(axis=1)
+        return _screened_nearest(X, self.cluster_centers_, (X * X).sum(axis=1))[0]
 
     def fit_predict(self, X, y=None):
         return self.fit(X).labels_

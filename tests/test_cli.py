@@ -54,6 +54,35 @@ class TestUsageAndErrors:
         assert code == 3
         assert "k range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ("--k-max", "2"),
+        ("--k-min", "5", "--k-max", "5"),
+        ("--k-max", "100000"),
+        ("--k", "1"),
+        ("--m", "100000"),
+        ("--trials", "0"),
+    ])
+    def test_bad_analyze_settings_write_nothing(self, synth_csv_path, tmp_path,
+                                                capsys, flags):
+        out = tmp_path / "results"
+        assert run_cli("analyze", str(synth_csv_path), "--out", str(out), *flags) == 3
+        assert "analysis error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_utf8_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n3,\xff\xfe\n")
+        assert run_cli("inspect", str(bad)) == 2
+        assert "byte offset 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_exit_2(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1,2,3\n4,5,{cell}\n")
+        assert run_cli("inspect", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "'col2'" in err
+
     def test_same_id_and_label_column_rejected(self, tmp_path, capsys):
         f = tmp_path / "one.csv"
         f.write_text("1\n2\n")

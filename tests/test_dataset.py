@@ -20,7 +20,9 @@ from clusterlab import (
 from clusterlab.exceptions import (
     ArffSyntaxError,
     InvalidClassValueError,
+    InvalidEncodingError,
     MalformedRowError,
+    NonFiniteCellError,
     NonNumericCellError,
     UnknownColumnError,
     UnsupportedAttributeTypeError,
@@ -73,6 +75,31 @@ class TestParseCsv:
             parse_csv(b"1,2\n3,abc\n")
         assert exc.value.line_number == 2
         assert exc.value.token == "abc"
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_reports_position(self, token):
+        doc = f"a,b\n1,2\n\n3,?\n4,{token}\n".encode()
+        with pytest.raises(NonFiniteCellError) as exc:
+            parse_csv(doc, CsvFormat(has_header=True))
+        assert exc.value.line_number == 5
+        assert exc.value.column == "b"
+
+    def test_nan_as_the_declared_marker_is_missing(self):
+        table = parse_csv(b"1,nan\n", CsvFormat(missing="nan"))
+        assert table.missing_mask().tolist() == [[False, True]]
+
+    def test_invalid_utf8_reports_offset(self):
+        with pytest.raises(InvalidEncodingError) as exc:
+            parse_csv(b"1,2\n\xc3\x28,4\n")
+        assert exc.value.offset == 4
+
+    def test_invalid_utf8_from_path_and_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe1,2\n")
+        with pytest.raises(InvalidEncodingError):
+            parse_csv(path)
+        with open(path, "rb") as handle, pytest.raises(InvalidEncodingError):
+            parse_csv(handle)
 
     def test_blank_lines_skipped(self):
         table = parse_csv(b"1,2\n\n3,4\n")
@@ -131,6 +158,20 @@ class TestArff:
     def test_unknown_nominal_value(self):
         with pytest.raises(ArffSyntaxError):
             parse_arff(b"@relation r\n@attribute c {a,b}\n@data\nz\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_reports_position(self, token):
+        doc = f"@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n1,?\n% note\n{token},2\n"
+        with pytest.raises(NonFiniteCellError) as exc:
+            parse_arff(doc.encode())
+        assert exc.value.line_number == 7
+        assert exc.value.column == "a"
+
+    def test_invalid_utf8_reports_offset(self):
+        doc = b"@relation r\n@attribute a numeric\n@data\n1\n\xe9\n"
+        with pytest.raises(InvalidEncodingError) as exc:
+            parse_arff(doc)
+        assert exc.value.offset == len(b"@relation r\n@attribute a numeric\n@data\n1\n")
 
     def test_write_empty_table(self):
         table = RawTable(("a", "b"), np.empty((0, 2)))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from clusterlab import hopkins_statistic
+from clusterlab import hopkins_statistic, tendency
+from clusterlab.distances import Metric, _rows_to_point, _screened_nearest, nearest_neighbor
 from clusterlab.exceptions import EmptyDatasetError, SampleTooLargeError
 from clusterlab.tendency import default_sample_size
 
@@ -90,3 +93,88 @@ class TestDefaultSampleSize:
     def test_small_n_clamped(self):
         assert default_sample_size(5) == 1
         assert default_sample_size(2) == 1
+
+
+# -- the screened search against the one-query-at-a-time loop ------------------
+
+def reference_per_trial(X, m, trials, seed, power=1):
+    """Hopkins trials with one full nearest-neighbour pass per query."""
+    n, d = X.shape
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    per_trial = []
+    for t in range(trials):
+        rng = np.random.default_rng(seed + t)
+        synthetic = lo + rng.random((m, d)) * (hi - lo)
+        u = np.array(
+            [_rows_to_point(X, s, Metric.EUCLIDEAN).min() for s in synthetic]
+        )
+        sample = rng.choice(n, size=m, replace=False)
+        w = np.array(
+            [nearest_neighbor(X[i], X, exclude=int(i))[1] for i in sample]
+        )
+        su = float(np.sum(u**power))
+        sw = float(np.sum(w**power))
+        per_trial.append(1.0 if su + sw == 0.0 else su / (su + sw))
+    return tuple(per_trial)
+
+
+def assert_matches_reference(X, m, trials, seed, power=1):
+    got = hopkins_statistic(X, m=m, trials=trials, seed=seed, power=power)
+    assert got.per_trial == reference_per_trial(X, m, trials, seed, power)
+
+
+def grid(n, d, seed, levels=10, scale=1.0 / 9.0, shift=0.0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, levels, size=(n, d)) * scale + shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 40), st.integers(1, 10), st.sampled_from([2, 3, 10]),
+    st.sampled_from([0.0, 1e6]), st.integers(0, 2**16), st.integers(1, 3),
+)
+def test_screened_hopkins_matches_reference(n, d, levels, shift, seed, power):
+    X = grid(n, d, seed, levels, shift=shift)
+    assume(not np.all(X.min(axis=0) == X.max(axis=0)))
+    assert_matches_reference(X, max(1, n // 3), 3, seed, power)
+
+
+class TestScreenedHopkins:
+    def test_synthetic_wbc(self, synth_data):
+        data, _ = synth_data
+        assert_matches_reference(data.features, 68, 5, 42)
+
+    def test_blobs_across_query_blocks(self, monkeypatch):
+        # blocks of 7 queries, so blocks end mid-sample
+        monkeypatch.setattr(tendency, "_SCREEN_ELEMENTS", 7 * 500)
+        assert_matches_reference(blobs(500, 9, seed=4), 50, 3, 8)
+
+    def test_only_neighbour_is_an_exact_duplicate(self):
+        # every point has exactly one duplicate and nothing else nearby, so
+        # each sampled point's nearest neighbour sits at distance 0
+        base = np.arange(10.0)[:, None] * np.array([[3.0, 5.0]])
+        X = np.vstack([base, base])
+        assert_matches_reference(X, 5, 4, 1)
+        result = hopkins_statistic(X, m=5, trials=4, seed=1)
+        assert result.per_trial == (1.0,) * 4  # sum(w) is 0
+
+    def test_shifted_by_a_million(self):
+        assert_matches_reference(grid(300, 9, 2, shift=1e6), 30, 2, 5)
+
+    def test_integer_grid_with_duplicates(self):
+        assert_matches_reference(grid(400, 3, 3, levels=3), 40, 4, 6)
+
+
+@pytest.mark.parametrize("scale", [1.0 / 9.0, 1e154, 1e-310])
+def test_screen_excludes_the_query_row(scale):
+    # 1e154 overflows some squares, so the screen hands every row to the
+    # exact kernel; the excluded row must still stay out
+    X = grid(30, 3, 7, levels=4, scale=scale)
+    sample = np.array([0, 3, 4, 17, 29, 1])
+    x_sq = (X * X).sum(axis=1)
+    idx, d2 = _screened_nearest(X[sample], X, x_sq[sample], x_sq, sample)
+    for i, row in enumerate(sample):
+        ref = _rows_to_point(X, X[row], Metric.SQEUCLIDEAN)
+        ref[row] = np.inf
+        assert idx[i] == np.argmin(ref)
+        assert d2[i] == ref[np.argmin(ref)]
