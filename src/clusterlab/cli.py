@@ -8,35 +8,17 @@ outputs (seeds are explicit or resolved once and echoed in the report).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from ._checks import resolve_seed
+from . import __version__, pipeline
 from .dataset import BENIGN, CsvFormat, RawTable, parse_arff, parse_csv, preprocess, write_arff
-from .distances import Metric, pairwise_distances
-from .exceptions import AnalysisError, ClusterlabError, InputError
-from .kmeans import INIT_KMEANS_PP, INIT_RANDOM, KMeans
-from .kmedoids import KMedoids
-from .projection import PCA2D
-from .report import (
-    AnalysisReport,
-    dataset_section,
-    emit_report,
-    hopkins_section,
-    kmeans_section,
-    name_clusters,
-    pam_section,
-    preprocessing_section,
-    silhouette_section,
-    sweep_section,
-)
-from .svgplot import scatter_svg, silhouette_svg, sweep_svg
-from .tendency import default_sample_size, hopkins_statistic
-from .validation import silhouette_report, sweep_k
+from .distances import Metric
+from .exceptions import ClusterlabError, InputError
+from .kmeans import INIT_KMEANS_PP, INIT_RANDOM
+from .report import canonical_json, preprocessing_section
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,12 +47,36 @@ def _add_io_options(p):
     p.add_argument("--json", action="store_true", help="print JSON to stdout")
 
 
-def _add_common_options(p):
-    p.add_argument("--metric", default="euclidean",
-                   choices=[m.value for m in Metric], help="distance metric")
-    p.add_argument("--seed", type=int, default=None, help="random seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the sweep (never changes results)")
+#: the options of each stage; a subcommand takes those of the stages it runs
+_STAGE_OPTIONS = {
+    "k": (("--k", dict(type=int, default=2)),),
+    "hopkins": (
+        ("--m", dict(type=int, default=None, help="points per trial (default: 10%% of n)")),
+        ("--trials", dict(type=int, default=30)),
+        ("--hopkins-power", dict(type=int, default=1, help="distance exponent (pass "
+                                 "the dimension for the d-power variant)")),
+    ),
+    "restarts": (("--restarts", dict(type=int, default=25)),),
+    "lloyd": (
+        ("--init", dict(choices=[INIT_KMEANS_PP, INIT_RANDOM], default=INIT_KMEANS_PP)),
+        ("--max-iter", dict(type=int, default=100)),
+        ("--tol", dict(type=float, default=1e-9)),
+    ),
+    "swap": (("--max-swap-iters", dict(type=int, default=200)),),
+    "sweep": (("--k-min", dict(type=int, default=2)), ("--k-max", dict(type=int, default=10))),
+}
+
+
+#: subcommand -> (help, option groups, default --algorithm or None)
+_ANALYSES = {
+    "tendency": ("Hopkins clustering-tendency statistic", ("hopkins",), None),
+    "kmeans": ("run kmeans at a fixed k", ("k", "restarts", "lloyd"), None),
+    "pam": ("run pam at a fixed k", ("k", "swap"), None),
+    "silhouette": ("run silhouette at a fixed k", ("k", "restarts", "lloyd", "swap"), "pam"),
+    "sweep": ("k sweep with silhouette and WSS curves", ("sweep", "restarts"), "kmeans"),
+    "analyze": ("full pipeline with report and plots",
+                ("k", "restarts", "lloyd", "swap", "hopkins", "sweep"), None),
+}
 
 
 def build_parser() -> _Parser:
@@ -90,77 +96,37 @@ def build_parser() -> _Parser:
                    help="cleaned-table export format")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("tendency", help="Hopkins clustering-tendency statistic")
-    _add_io_options(p)
-    _add_common_options(p)
-    p.add_argument("--m", type=int, default=None,
-                   help="points per trial (default: 10%% of n)")
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--hopkins-power", type=int, default=1,
-                   help="distance exponent (pass the dimension for the d-power variant)")
-    p.add_argument("--out", default=None,
-                   help="directory to also write tendency.json into")
-    p.set_defaults(func=cmd_tendency)
-
-    for name, fn in (("kmeans", cmd_kmeans), ("pam", cmd_pam),
-                     ("silhouette", cmd_silhouette)):
-        p = sub.add_parser(name, help=f"run {name} at a fixed k")
+    for name, (help_text, groups, algorithm) in _ANALYSES.items():
+        p = sub.add_parser(name, help=help_text)
         _add_io_options(p)
-        _add_common_options(p)
-        p.add_argument("--k", type=int, default=2)
-        if name in ("kmeans", "silhouette"):
-            p.add_argument("--restarts", type=int, default=25)
-            p.add_argument("--init", choices=[INIT_KMEANS_PP, INIT_RANDOM],
-                           default=INIT_KMEANS_PP)
-            p.add_argument("--max-iter", type=int, default=100)
-            p.add_argument("--tol", type=float, default=1e-9)
-        if name in ("pam", "silhouette"):
-            p.add_argument("--max-swap-iters", type=int, default=200)
-        if name == "silhouette":
-            p.add_argument("--algorithm", choices=["kmeans", "pam"], default="pam")
-        p.add_argument("--out", default=None,
-                       help=f"directory to also write {name}.json into")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("sweep", help="k sweep with silhouette and WSS curves")
-    _add_io_options(p)
-    _add_common_options(p)
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--algorithm", choices=["kmeans", "pam"], default="kmeans")
-    p.add_argument("--restarts", type=int, default=25)
-    p.add_argument("--out", default=None,
-                   help="directory to also write sweep.json into")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("analyze", help="full pipeline with report and plots")
-    _add_io_options(p)
-    _add_common_options(p)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--restarts", type=int, default=25)
-    p.add_argument("--init", choices=[INIT_KMEANS_PP, INIT_RANDOM],
-                   default=INIT_KMEANS_PP)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-swap-iters", type=int, default=200)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--hopkins-power", type=int, default=1)
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--out", default="results", help="output directory")
-    p.set_defaults(func=cmd_analyze)
+        p.add_argument("--metric", default="euclidean",
+                       choices=[m.value for m in Metric], help="distance metric")
+        p.add_argument("--seed", type=int, default=None, help="random seed")
+        for group in groups:
+            for flag, settings in _STAGE_OPTIONS[group]:
+                p.add_argument(flag, **settings)
+        if algorithm:
+            p.add_argument("--algorithm", choices=["kmeans", "pam"], default=algorithm)
+        if name == "analyze":
+            p.add_argument("--out", default="results", help="output directory")
+            p.set_defaults(func=cmd_analyze)
+        else:
+            p.add_argument("--out", default=None,
+                           help=f"directory to also write {name}.json into")
+            p.set_defaults(func=cmd_stage)
 
     return parser
 
 
-# -- input handling -----------------------------------------------------------
+# -- input and output -------------------------------------------------------------
+
+def _input_format(args) -> str:
+    return args.format or ("arff" if Path(args.input).suffix.lower() == ".arff" else "csv")
+
 
 def _load_table(args) -> RawTable:
-    path = Path(args.input)
-    fmt = args.format or ("arff" if path.suffix.lower() == ".arff" else "csv")
-    data = path.read_bytes()
-    if fmt == "arff":
+    data = Path(args.input).read_bytes()
+    if _input_format(args) == "arff":
         return parse_arff(data)
     return parse_csv(data, CsvFormat(has_header=args.header,
                                      delimiter=args.delimiter,
@@ -190,21 +156,15 @@ def _prepare(args):
         )
     data, prep = preprocess(table, id_column=id_col, label_column=label_col,
                             normalize=not args.no_normalize)
-    return table, data, prep, id_col, label_col
+    return data, prep, id_col, label_col
 
 
-def _print_json(section) -> None:
-    print(json.dumps(section, indent=2, sort_keys=True, allow_nan=False))
-
-
-def _emit_section(section, args, name: str) -> None:
-    """Print a command's JSON and mirror it into --out when given."""
-    payload = json.dumps(section, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if getattr(args, "out", None):
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{name}.json").write_text(payload)
-    sys.stdout.write(payload)
+def _write_files(out: str, files: dict) -> None:
+    """Create the output directory and write every file into it."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        (out_dir / name).write_bytes(data)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -225,7 +185,7 @@ def cmd_inspect(args) -> int:
         },
     }
     if args.json:
-        _print_json(summary)
+        sys.stdout.write(canonical_json(summary).decode("utf-8"))
     else:
         print(f"rows: {summary['rows']}  columns: {summary['columns']}")
         print(f"columns: {', '.join(summary['column_names'])}")
@@ -248,235 +208,63 @@ def _export_table(data) -> RawTable:
 
 
 def cmd_preprocess(args) -> int:
-    table, data, prep, id_col, label_col = _prepare(args)
-    section = preprocessing_section(prep)
-    out_table = _export_table(data)
+    data, prep, _, _ = _prepare(args)
+    payload = canonical_json(preprocessing_section(prep))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_table = _export_table(data)
         if args.export == "arff":
-            (out_dir / "preprocessed.arff").write_bytes(
-                write_arff(out_table, relation_name="preprocessed"))
+            files = {"preprocessed.arff": write_arff(out_table, relation_name="preprocessed")}
         else:
             lines = [",".join(out_table.column_names)]
             lines += [",".join(repr(float(v)) for v in row) for row in out_table.cells]
-            (out_dir / "preprocessed.csv").write_bytes(
-                ("\n".join(lines) + "\n").encode())
-        (out_dir / "preprocess.json").write_bytes(
-            (json.dumps(section, indent=2, sort_keys=True) + "\n").encode())
+            files = {"preprocessed.csv": ("\n".join(lines) + "\n").encode()}
+        _write_files(args.out, {**files, "preprocess.json": payload})
     if args.json or not args.out:
-        _print_json(section)
+        sys.stdout.write(payload.decode("utf-8"))
     return 0
 
 
-def cmd_tendency(args) -> int:
-    _, data, _, _, _ = _prepare(args)
-    result = hopkins_statistic(data.features, m=args.m, trials=args.trials,
-                               seed=args.seed, power=args.hopkins_power)
-    _emit_section(hopkins_section(result), args, "tendency")
+#: the single-stage subcommands, each a call of one pipeline stage on the run
+_STAGES = {
+    "tendency": pipeline.tendency,
+    "kmeans": pipeline.kmeans,
+    "pam": lambda run: pipeline.pam(run, score=run.opts.k >= 2),
+    "silhouette": pipeline.silhouette,
+    "sweep": lambda run: pipeline.sweep(run, run.opts.algorithm),
+}
+
+
+def cmd_stage(args) -> int:
+    """Run one stage, print its section and mirror it into --out."""
+    data, _, _, _ = _prepare(args)
+    section = _STAGES[args.command](pipeline.Run(data, args))[0]
+    payload = canonical_json(section)
+    if args.out:
+        _write_files(args.out, {f"{args.command}.json": payload})
+    sys.stdout.write(payload.decode("utf-8"))
     return 0
-
-
-def cmd_kmeans(args) -> int:
-    _, data, _, _, _ = _prepare(args)
-    est = KMeans(n_clusters=args.k, init=args.init, n_init=args.restarts,
-                 max_iter=args.max_iter, tol=args.tol,
-                 random_state=args.seed).fit(data.features)
-    naming = name_clusters(est.labels_, data.labels) if data.labels else None
-    _emit_section(kmeans_section(est, naming), args, "kmeans")
-    return 0
-
-
-def cmd_pam(args) -> int:
-    _, data, _, _, _ = _prepare(args)
-    dist = pairwise_distances(data.features, args.metric)
-    est = KMedoids(n_clusters=args.k,
-                   max_swap_iters=args.max_swap_iters,
-                   metric=Metric.coerce(args.metric)).fit(dist)
-    sil = silhouette_report(dist, est.labels_).overall if args.k >= 2 else None
-    _emit_section(pam_section(est, row_ids=list(data.row_ids), silhouette_overall=sil),
-                  args, "pam")
-    return 0
-
-
-def cmd_silhouette(args) -> int:
-    _, data, _, _, _ = _prepare(args)
-    dist = pairwise_distances(data.features, args.metric)
-    if args.algorithm == "kmeans":
-        est = KMeans(n_clusters=args.k, init=args.init, n_init=args.restarts,
-                     max_iter=args.max_iter, tol=args.tol,
-                     random_state=args.seed).fit(data.features)
-    else:
-        est = KMedoids(n_clusters=args.k, max_swap_iters=args.max_swap_iters,
-                       metric=Metric.coerce(args.metric)).fit(dist)
-    rep = silhouette_report(dist, est.labels_)
-    _emit_section(silhouette_section(rep, args.algorithm), args, "silhouette")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    _, data, _, _, _ = _prepare(args)
-    result = sweep_k(data.features, k_range=(args.k_min, args.k_max),
-                     algorithm=args.algorithm, metric=args.metric,
-                     seed=args.seed, n_init=args.restarts, threads=args.threads)
-    _emit_section(sweep_section(result, args.algorithm), args, "sweep")
-    return 0
-
-
-def _plot_csv(path: Path, header: str, rows) -> None:
-    lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def cmd_analyze(args) -> int:
-    """The full pipeline; see run_pipeline."""
-    return run_pipeline(args)
-
-
-def _check_analyze(args, n: int, d: int, m: int) -> None:
-    """Every stage precondition of the pipeline, checked before any compute
-    and before the output directory exists, so a bad run writes nothing."""
-    problems = []
-    if not 2 <= args.k <= n:
-        problems.append(f"--k {args.k} must lie within [2, {n}] "
-                        "(the silhouette needs at least 2 clusters)")
-    if not 2 <= args.k_min < args.k_max <= n - 1:
-        problems.append(f"sweep k range [{args.k_min}, {args.k_max}] must hold at "
-                        f"least 2 values within [2, {n - 1}] (the sweep plot needs 2)")
-    if not 1 <= m <= n - 1:
-        problems.append(f"hopkins sample size {m} must lie within [1, {n - 1}]")
-    if args.trials < 1:
-        problems.append("--trials must be at least 1")
-    if args.restarts < 1 or args.max_iter < 1:
-        problems.append("--restarts and --max-iter must be at least 1")
-    if args.tol < 0:
-        problems.append("--tol must be non-negative")
-    if d < 2:
-        problems.append(f"the 2-D projection needs at least 2 features, got {d}")
-    if problems:
-        raise AnalysisError("; ".join(problems))
-
-
-def run_pipeline(args) -> int:
-    table, data, prep, id_col, label_col = _prepare(args)
-    seed = resolve_seed(args.seed)
-    metric = Metric.coerce(args.metric)
-    m = args.m if args.m is not None else default_sample_size(data.n)
-    _check_analyze(args, data.n, data.d, m)
-    hopkins = hopkins_statistic(data.features, m=m, trials=args.trials,
-                                seed=seed, power=args.hopkins_power)
-
-    km = KMeans(n_clusters=args.k, init=args.init, n_init=args.restarts,
-                max_iter=args.max_iter, tol=args.tol,
-                random_state=seed).fit(data.features)
-    naming = name_clusters(km.labels_, data.labels) if data.labels else None
-
-    dist = pairwise_distances(data.features, metric)
-    pam = KMedoids(n_clusters=args.k, max_swap_iters=args.max_swap_iters,
-                   metric=metric).fit(dist)
-
-    km_sil = silhouette_report(dist, km.labels_)
-    pam_sil = silhouette_report(dist, pam.labels_)
-
-    sweep = sweep_k(data.features, k_range=(args.k_min, args.k_max),
-                    algorithm="kmeans", metric=metric, seed=seed,
-                    n_init=args.restarts, max_iter=args.max_iter,
-                    tol=args.tol, threads=args.threads)
-
-    pca = PCA2D().fit(data.features)
-    coords = pca.transform(data.features)
-    axis_variance = (float(pca.explained_variance_ratio_[0]),
-                     float(pca.explained_variance_ratio_[1]))
-
-    config = {
+    """The full pipeline: compute and render everything, then write."""
+    data, prep, id_col, label_col = _prepare(args)
+    source = {
         "input": str(args.input),
-        "format": args.format or ("arff" if Path(args.input).suffix.lower() == ".arff" else "csv"),
+        "format": _input_format(args),
         "delimiter": args.delimiter,
         "header": bool(args.header),
         "missing_marker": args.missing,
         "id_column": id_col,
         "label_column": label_col,
         "normalize": not args.no_normalize,
-        "metric": metric.value,
-        "seed": seed,
-        "k": args.k,
-        "init": args.init,
-        "restarts": args.restarts,
-        "max_iter": args.max_iter,
-        "tol": args.tol,
-        "max_swap_iters": args.max_swap_iters,
-        "hopkins_m": m,
-        "hopkins_trials": args.trials,
-        "hopkins_power": args.hopkins_power,
-        "sweep_k_min": args.k_min,
-        "sweep_k_max": args.k_max,
-        "threads": args.threads,
     }
-    report = AnalysisReport(
-        config=config,
-        dataset=dataset_section(data),
-        preprocessing=preprocessing_section(prep),
-        hopkins=hopkins_section(hopkins),
-        kmeans=kmeans_section(km, naming, km_sil.overall),
-        pam=pam_section(pam, row_ids=list(data.row_ids),
-                        silhouette_overall=pam_sil.overall),
-        silhouette=silhouette_section(pam_sil, "pam"),
-        sweep=sweep_section(sweep, "kmeans"),
-    )
-
-    report_json = emit_report(report, "json")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_bytes(report_json)
-    (out_dir / "report.md").write_bytes(emit_report(report, "markdown"))
-
-    km_centers_2d = pca.transform(km.cluster_centers_)
-    pam_centers_2d = coords[pam.medoid_indices_]
-
-    scatter_km = scatter_svg(coords, km.labels_, centers=km_centers_2d,
-                             axis_variance=axis_variance,
-                             title=f"K-means clusters (k={args.k})")
-    scatter_pam = scatter_svg(coords, pam.labels_, centers=pam_centers_2d,
-                              axis_variance=axis_variance,
-                              title=f"PAM clusters (k={args.k})")
-    sil_svg = silhouette_svg(pam_sil, title=f"Silhouette plot, PAM (k={args.k})")
-    sw_svg = sweep_svg(sweep, title="K-means sweep")
-
-    (out_dir / "scatter_kmeans.svg").write_bytes(scatter_km.encode("utf-8"))
-    (out_dir / "scatter_pam.svg").write_bytes(scatter_pam.encode("utf-8"))
-    (out_dir / "silhouette_pam.svg").write_bytes(sil_svg.encode("utf-8"))
-    (out_dir / "sweep.svg").write_bytes(sw_svg.encode("utf-8"))
-
-    _plot_csv(out_dir / "scatter_kmeans.csv", "x,y,cluster,is_center",
-              [(repr(float(x)), repr(float(y)), int(l), 0)
-               for (x, y), l in zip(coords, km.labels_)]
-              + [(repr(float(x)), repr(float(y)), i, 1)
-                 for i, (x, y) in enumerate(km_centers_2d)])
-    _plot_csv(out_dir / "scatter_pam.csv", "x,y,cluster,is_center",
-              [(repr(float(x)), repr(float(y)), int(l), 0)
-               for (x, y), l in zip(coords, pam.labels_)]
-              + [(repr(float(x)), repr(float(y)), i, 1)
-                 for i, (x, y) in enumerate(pam_centers_2d)])
-    _plot_csv(out_dir / "silhouette_pam.csv", "rank,point_index,cluster,width",
-              [(rank, int(idx), int(pam.labels_[idx]),
-                repr(float(pam_sil.widths[idx])))
-               for rank, idx in enumerate(pam_sil.plot_order)])
-    _plot_csv(out_dir / "sweep.csv", "k,avg_silhouette,wss",
-              [(k, repr(float(s)), repr(float(w)))
-               for k, s, w in zip(sweep.ks, sweep.avg_silhouette, sweep.wss)])
-
+    files, summary = pipeline.analyze(pipeline.Run(data, args), prep, source)
+    _write_files(args.out, files)
     if args.json:
-        sys.stdout.write(report_json.decode("utf-8"))
+        sys.stdout.write(files["report.json"].decode("utf-8"))
     else:
-        sizes = ", ".join(str(s) for s in km.cluster_sizes_)
-        print(f"rows: {prep.rows_before} -> {prep.rows_after} "
-              f"({prep.rows_dropped} dropped)")
-        print(f"hopkins H = {hopkins.h:.4f} (m={hopkins.m}, trials={hopkins.trials})")
-        print(f"k-means sizes: {sizes} (WSS {km.inertia_:.4f})")
-        print(f"PAM silhouette = {pam_sil.overall:.4f}")
-        print(f"sweep best k = {sweep.best_k} "
-              f"(silhouette {max(sweep.avg_silhouette):.4f})")
-        print(f"artifacts written to {out_dir}")
+        sys.stdout.write(summary)
+        print(f"artifacts written to {Path(args.out)}")
     return 0
 
 

@@ -12,7 +12,7 @@ results match a naive per-pair computation exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,6 +157,7 @@ class DistanceMatrix:
     n: int
     metric: Metric
     values: np.ndarray  # shape (n * (n - 1) / 2,)
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -179,20 +180,23 @@ class DistanceMatrix:
         return float(self.values[condensed_index(i, j, self.n)])
 
     def square(self) -> np.ndarray:
-        """Expand to a dense symmetric (n, n) array with a zero diagonal."""
-        full = np.zeros((self.n, self.n), dtype=np.float64)
-        start = 0
-        for i in range(self.n - 1):
-            stop = start + self.n - 1 - i
-            full[i, i + 1 :] = self.values[start:stop]
-            full[i + 1 :, i] = self.values[start:stop]
-            start = stop
-        return full
+        """The dense symmetric (n, n) array with a zero diagonal.
 
-    def scaled(self, factor: float) -> "DistanceMatrix":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return DistanceMatrix(self.n, self.metric, self.values * factor)
+        Expanded on the first call and cached on the instance, so every
+        caller shares one read-only array: the matrix then holds
+        8*n*(n-1)/2 + 8*n*n bytes.
+        """
+        if self._dense is None:
+            full = np.zeros((self.n, self.n), dtype=np.float64)
+            start = 0
+            for i in range(self.n - 1):
+                stop = start + self.n - 1 - i
+                full[i, i + 1 :] = self.values[start:stop]
+                full[i + 1 :, i] = self.values[start:stop]
+                start = stop
+            full.setflags(write=False)
+            object.__setattr__(self, "_dense", full)
+        return self._dense
 
 
 def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:

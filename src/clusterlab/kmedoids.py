@@ -103,6 +103,8 @@ class KMedoids(BaseEstimator):
         k = int(self.n_clusters)
         if k < 1:
             raise ValueError("n_clusters must be at least 1")
+        if int(self.max_swap_iters) < 0:
+            raise ValueError(f"max_swap_iters must be non-negative, got {self.max_swap_iters}")
         if n < k:
             raise TooFewPointsError(n, k)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import jsonschema
@@ -211,17 +211,7 @@ class AnalysisReport:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "dataset": self.dataset,
-            "preprocessing": self.preprocessing,
-            "hopkins": self.hopkins,
-            "kmeans": self.kmeans,
-            "pam": self.pam,
-            "silhouette": self.silhouette,
-            "sweep": self.sweep,
-        }
+        return asdict(self)
 
 
 def _load_schema() -> dict:
@@ -233,13 +223,19 @@ def validate_report_dict(document: dict) -> None:
     jsonschema.validate(document, _load_schema())
 
 
+def canonical_json(document) -> bytes:
+    """The one JSON form of every output: sorted keys, two-space indent and
+    a trailing newline; NaN and infinity are refused."""
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
 def emit_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     """Serialize the report; JSON output is canonical and schema-validated."""
     document = report.to_dict()
     if fmt == "json":
         validate_report_dict(document)
-        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
-        return (text + "\n").encode("utf-8")
+        return canonical_json(document)
     if fmt in ("markdown", "md"):
         return render_markdown(document).encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")

@@ -81,6 +81,8 @@ def hopkins_statistic(
         raise ValueError("sample size m must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if power < 1:
+        raise ValueError(f"power must be at least 1, got {power}")
     seed = resolve_seed(seed)
 
     lo = X.min(axis=0)

@@ -1,12 +1,12 @@
 """Partition quality: silhouette analysis and the k-sweep.
 
-The sweep computes the pairwise distance matrix once and reuses it for the
-silhouette of every k, which dominates the cost otherwise.
+The sweep uses one pairwise distance matrix, passed in or computed once, for
+the silhouette of every k and for every PAM fit; its dense form is expanded
+once and shared (see ``DistanceMatrix.square``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,12 +110,14 @@ def sweep_k(
     max_iter: int = 100,
     tol: float = 1e-9,
     max_swap_iters: int = 200,
-    threads: int = 1,
+    dist: DistanceMatrix | None = None,
 ) -> KSweepResult:
     """Run the chosen algorithm for every k in the inclusive range and score
     each partition by average silhouette; best_k maximizes it (ties toward
-    the smaller k). Per-k work is independent and may run on ``threads``
-    workers without changing any output.
+    the smaller k).
+
+    ``dist`` is the pairwise distance matrix of ``X`` under ``metric``, when
+    the caller already holds it; otherwise it is computed here.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -126,12 +128,16 @@ def sweep_k(
         raise ValueError(f"k range [{k_lo}, {k_hi}] must lie within [2, {n - 1}]")
     seed = resolve_seed(seed)
     metric = Metric.coerce(metric)
+    if dist is None:
+        dist = pairwise_distances(X, metric)
+    elif (dist.n, dist.metric) != (n, metric):
+        raise ValueError(f"distance matrix is {dist.metric.value} over {dist.n} points, "
+                         f"expected {metric.value} over {n}")
 
-    dist = pairwise_distances(X, metric)
     D = dist.square()
-    ks = list(range(k_lo, k_hi + 1))
-
-    def run_one(k: int):
+    ks = tuple(range(k_lo, k_hi + 1))
+    sils, objectives = [], []
+    for k in ks:
         if algorithm == "kmeans":
             est = KMeans(
                 n_clusters=k, n_init=n_init, max_iter=max_iter, tol=tol,
@@ -141,18 +147,10 @@ def sweep_k(
             est = KMedoids(
                 n_clusters=k, max_swap_iters=max_swap_iters, metric=metric
             ).fit(dist)
-        sil = silhouette_report(D, est.labels_).overall
-        return sil, float(est.inertia_)
+        sils.append(silhouette_report(D, est.labels_).overall)
+        objectives.append(float(est.inertia_))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, ks))
-    else:
-        results = [run_one(k) for k in ks]
-
-    sils = tuple(r[0] for r in results)
-    objectives = tuple(r[1] for r in results)
     best_k = ks[int(np.argmax(sils))]
     return KSweepResult(
-        ks=tuple(ks), avg_silhouette=sils, wss=objectives, best_k=best_k
+        ks=ks, avg_silhouette=tuple(sils), wss=tuple(objectives), best_k=best_k
     )

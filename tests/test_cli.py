@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -61,6 +62,8 @@ class TestUsageAndErrors:
         ("--k", "1"),
         ("--m", "100000"),
         ("--trials", "0"),
+        ("--hopkins-power", "0"),
+        ("--max-swap-iters", "-1"),
     ])
     def test_bad_analyze_settings_write_nothing(self, synth_csv_path, tmp_path,
                                                 capsys, flags):
@@ -68,6 +71,31 @@ class TestUsageAndErrors:
         assert run_cli("analyze", str(synth_csv_path), "--out", str(out), *flags) == 3
         assert "analysis error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("tendency", "--hopkins-power", "0"), "power must be at least 1"),
+        (("tendency", "--hopkins-power", "-1"), "power must be at least 1"),
+        (("pam", "--max-swap-iters", "-1"), "max_swap_iters must be non-negative"),
+        (("silhouette", "--max-swap-iters", "-1"), "max_swap_iters must be non-negative"),
+    ])
+    def test_out_of_range_setting_exit_3(self, synth_csv_path, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning on the way
+            assert run_cli(argv[0], str(synth_csv_path), *argv[1:]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_distance_matrix_beyond_memory_is_refused(self, synth_csv_path, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr("clusterlab.pipeline.physical_memory", lambda: 1_000_000)
+        for command in ("pam", "analyze"):
+            out = tmp_path / command
+            assert run_cli(command, str(synth_csv_path), "--out", str(out)) == 3
+            assert "683 points need 5.6 MB" in capsys.readouterr().err
+            assert not out.exists()
+        out = tmp_path / "tendency"
+        assert run_cli("tendency", str(synth_csv_path), "--trials", "2",
+                       "--out", str(out)) == 0
+        assert (out / "tendency.json").is_file()
 
     def test_invalid_utf8_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -275,14 +303,38 @@ class TestFlagPaths:
         stdout = capsys.readouterr().out
         assert (out / "tendency.json").read_text() == stdout
 
-    def test_threads_flag_does_not_change_sweep(self, synth_csv_path, capsys):
-        base = ("sweep", str(synth_csv_path), "--k-min", "2", "--k-max", "4",
-                "--seed", "3", "--restarts", "3")
-        assert run_cli(*base, "--threads", "1") == 0
-        one = capsys.readouterr().out
-        assert run_cli(*base, "--threads", "4") == 0
-        four = capsys.readouterr().out
-        assert one == four
+
+@pytest.mark.parametrize("argv, matrices", [
+    (("analyze", "--trials", "3", "--restarts", "3", "--k-max", "4"), 1),
+    (("tendency", "--trials", "3"), 0),
+    (("kmeans", "--restarts", "3"), 0),
+    (("pam",), 1),
+    (("silhouette", "--algorithm", "kmeans", "--restarts", "3"), 1),
+    (("sweep", "--algorithm", "pam", "--k-max", "4"), 1),
+])
+def test_one_distance_matrix_per_run(synth_csv_path, tmp_path, monkeypatch, argv, matrices):
+    """A run builds its pairwise distance matrix at most once, only when a
+    stage needs it, and every stage shares one dense expansion of it."""
+    from clusterlab import DistanceMatrix, kmedoids, pipeline, validation
+
+    built, dense = [], []
+    compute, expand = pipeline.pairwise_distances, DistanceMatrix.square
+
+    def counting_compute(*args, **kwargs):
+        built.append(compute(*args, **kwargs))
+        return built[-1]
+
+    def recording_expand(self):
+        dense.append(expand(self))
+        return dense[-1]
+
+    for module in (pipeline, validation, kmedoids):
+        monkeypatch.setattr(module, "pairwise_distances", counting_compute)
+    monkeypatch.setattr(DistanceMatrix, "square", recording_expand)
+    assert run_cli(argv[0], str(synth_csv_path), "--seed", "1",
+                   "--out", str(tmp_path / "out"), *argv[1:]) == 0
+    assert len(built) == matrices
+    assert len(dense) >= matrices and all(d is dense[0] for d in dense)
 
 
 def test_console_script_entry_point(synth_csv_path):

@@ -137,12 +137,12 @@ class TestPairwise:
         with pytest.raises(ValueError):
             DistanceMatrix(3, Metric.EUCLIDEAN, np.array([1.0, -0.5, 2.0]))
 
-    def test_scaled(self):
-        X = np.random.default_rng(5).normal(size=(6, 2))
-        dm = pairwise_distances(X)
-        assert np.array_equal(dm.scaled(2.0).values, dm.values * 2.0)
+    def test_square_is_expanded_once_and_read_only(self):
+        dm = pairwise_distances(np.random.default_rng(5).normal(size=(6, 2)))
+        sq = dm.square()
+        assert dm.square() is sq
         with pytest.raises(ValueError):
-            dm.scaled(0.0)
+            sq[0, 1] = 1.0
 
 
 class TestNearestNeighbor:

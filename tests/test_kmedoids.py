@@ -99,6 +99,10 @@ class TestKMedoids:
         with pytest.raises(TooFewPointsError):
             KMedoids(n_clusters=5).fit(np.ones((3, 1)))
 
+    def test_negative_swap_limit_rejected(self):
+        with pytest.raises(ValueError, match="max_swap_iters"):
+            KMedoids(n_clusters=2, max_swap_iters=-1).fit(np.arange(6.0).reshape(3, 2))
+
     def test_medoid_owns_its_cluster(self):
         # duplicate points can tie; the medoid must still sit in its own cluster
         X = np.array([[0.0], [0.0], [0.0], [0.0]])

@@ -71,6 +71,13 @@ class TestHopkins:
         with pytest.raises(ValueError):
             hopkins_statistic(np.ones((5, 2)), m=2, trials=0)
 
+    @pytest.mark.parametrize("power", [0, -1])
+    def test_power_below_one_rejected(self, power):
+        # also on identical points, where H would read 1 without a check
+        for X in (uniform_box(20, 2, seed=0), np.ones((5, 2))):
+            with pytest.raises(ValueError, match="power"):
+                hopkins_statistic(X, m=2, trials=2, seed=0, power=power)
+
     def test_power_variant(self):
         X = uniform_box(100, 3, seed=8)
         result = hopkins_statistic(X, m=10, trials=10, seed=4, power=3)

@@ -102,7 +102,7 @@ class TestSilhouette:
         dist = pairwise_distances(X)
         base = silhouette_report(dist, labels)
         for factor in (0.001, 3.7, 1e6):
-            scaled = silhouette_report(dist.scaled(factor), labels)
+            scaled = silhouette_report(dist.square() * factor, labels)
             assert np.allclose(scaled.widths, base.widths, rtol=1e-12, atol=1e-15)
 
     def test_single_cluster_rejected(self):
@@ -150,11 +150,20 @@ class TestSweep:
         b = sweep_k(X, (2, 5), seed=42, n_init=5)
         assert a == b
 
-    def test_threads_do_not_change_results(self):
+    @pytest.mark.parametrize("algorithm", ["kmeans", "pam"])
+    def test_given_distance_matrix_changes_nothing(self, algorithm):
         X = blobs(60, 3, seed=12)
-        serial = sweep_k(X, (2, 6), seed=7, n_init=5, threads=1)
-        parallel = sweep_k(X, (2, 6), seed=7, n_init=5, threads=4)
-        assert serial == parallel
+        own = sweep_k(X, (2, 6), algorithm=algorithm, seed=7, n_init=5)
+        shared = sweep_k(X, (2, 6), algorithm=algorithm, seed=7, n_init=5,
+                         dist=pairwise_distances(X))
+        assert own == shared
+
+    def test_distance_matrix_must_match(self):
+        X = blobs(30, 2, seed=14)
+        with pytest.raises(ValueError, match="distance matrix"):
+            sweep_k(X, (2, 4), dist=pairwise_distances(X, "manhattan"))
+        with pytest.raises(ValueError, match="distance matrix"):
+            sweep_k(X, (2, 4), dist=pairwise_distances(X[:-1]))
 
     def test_pam_algorithm(self):
         X = blobs(50, 2, seed=13)
