@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,11 @@ from .exceptions import DimensionMismatchError, EmptyCandidateSetError
 
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+
+#: elements per screen temporary (256 KB of float64): screens walk their
+#: queries or rows in blocks of this many distances, so memory stays flat as
+#: n grows
+_SCREEN_ELEMENTS = 32768
 
 
 class Metric(enum.Enum):
@@ -57,64 +63,74 @@ def _rows_to_point(X: np.ndarray, y: np.ndarray, metric: Metric) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _screened_nearest(A, B, a_sq, b_sq=None, exclude=None):
+class _Rows(NamedTuple):
+    """Rows prepared for :func:`_screened_nearest`: ``raw``, which the exact
+    kernel reads, and ``shifted`` = raw - center with its squared row norms
+    ``sq`` and their largest, ``top``, which the screen reads. Both sides of
+    one search share the center."""
+
+    raw: np.ndarray
+    shifted: np.ndarray
+    sq: np.ndarray
+    top: float
+
+
+def _rows(raw, center) -> _Rows:
+    """``raw`` prepared for the screen, shifted by ``center``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the screen's overflow
+        shifted = raw - center
+        sq = (shifted * shifted).sum(axis=1)
+    return _Rows(raw, shifted, sq, sq.max())
+
+
+def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
     """Nearest row of ``B`` to every row of ``A`` under squared Euclidean
     distance, ties to the lowest index, and that exact squared distance.
 
-    ``a_sq`` holds the rows' squared norms of ``A`` (``b_sq`` of ``B``,
-    computed when omitted); they only size the rounding slack below.
     ``exclude[i]``, when given, removes row ``exclude[i]`` of ``B`` from the
     search for row i; ``B`` must then have at least two rows. Returns
     ``(index, d2)``, two arrays of length len(A).
 
-    Screen: S[i, j] = |b_j|^2 - 2 a_i.b_j ranks the pairs with one GEMM
-    (|a_i|^2 is the same for a whole row, so it is left out). Decide: the
-    exact row kernel of this module, ((a - b)**2).sum(), runs on every pair
-    whose screen value lies within ``slack`` of its row's smallest, and its
-    values alone pick the index.
+    Screen: S[i, j] = |b'_j|^2 + (-2 a'_i).b'_j ranks the pairs with one GEMM,
+    on the rows shifted by a common center, a' = a - c and b' = b - c
+    (|a'_i|^2 is the same for a whole row, so it is left out). Decide: the
+    exact row kernel of this module, ((a - b)**2).sum() on the raw rows,
+    runs on every pair whose screen value lies within ``slack`` of its row's
+    smallest, and its values alone pick the index. Any finite center gives
+    the same result; one near the data, such as its mean, keeps the slack
+    small, because the slack grows with the shifted norms.
 
-    Slack. Let u = eps/2, g(n) = n*u/(1 - n*u), M = |a|^2 + max_j |b_j|^2,
-    T = |a - b|^2 in exact arithmetic and s = T - |a|^2.
-      - Screen error: 2*a.b from the GEMM errs by at most
-        2*g(d)*sum|a_k b_k| <= g(d)*M, in any summation order and with or
-        without FMA; |b|^2 errs by at most g(d)*M, and the final addition
+    Slack. Let u = eps/2, g(n) = n*u/(1 - n*u), M = max_i |a'_i|^2 +
+    max_j |b'_j|^2 (``top`` of both sides; one row's |a'|^2 would do),
+    T = |a - b|^2 in exact arithmetic, T' = |a' - b'|^2 for the rounded
+    shifted rows, and s = T' - |a'|^2.
+      - Shift error: each coordinate of a' - b' differs from a - b by at
+        most 1.01*u*(|a'_k| + |b'_k|), so |T' - T| <= 4.1*u*M.
+      - Screen error: (-2a').b' from the GEMM errs by at most
+        2*g(d)*sum|a'_k b'_k| <= g(d)*M, in any summation order and with or
+        without FMA; |b'|^2 errs by at most g(d)*M, and the final addition
         rounds a value of size about |s| <= 2M. So |S - s| <= 2*g(d+1)*M.
       - Kernel error: each term takes three roundings (difference, square)
-        and the sum d - 1 more, so |E - T| <= g(d+2)*T <= g(d+2)*2M.
-    If j* minimises E and j0 minimises S, then T[j*] - T[j0] <= 4*g(d+2)*M,
-    hence S[j*] - S[j0] <= 8*g(d+2)*M <= 4.04*(d+2)*eps*M while (d+2)*u
-    < 0.01. The slack is twice that, 8*(d+2)*eps*M, which also covers the
-    rounding of the norms fed in and of S[j0] + slack. In gradual underflow
-    each of the at most 6d products above can lose half a subnormal more,
-    hence the absolute term. Non-finite thresholds (overflow) make every
-    pair a candidate, so the exact kernel decides alone.
+        and the sum d - 1 more, so |E - T| <= g(d+2)*T <= g(d+2)*2.01M.
+    If j* minimises E and j0 minimises S, then T[j*] - T[j0] <= 4.03*g(d+2)*M,
+    hence S[j*] - S[j0] <= 8.03*g(d+2)*M + 8.2*u*M <= (4.06*(d+2) + 4.1)*eps*M
+    while (d+2)*u < 0.01. The slack, 8*(d+2)*eps*M, exceeds that by
+    (3.94*(d+2) - 4.1)*eps*M > 7.7*eps*M for every d >= 1, which also covers
+    the rounding of the norms and of S[j0] + slack. Sums and differences,
+    the shift's among them, are exact in gradual underflow, but each of the
+    at most 6d products above can lose half a subnormal more, hence the
+    absolute term. Non-finite thresholds (overflow) make every pair a
+    candidate, so the exact kernel decides alone.
     """
-    q = A.shape[0]
-    if b_sq is None:
-        b_sq = (B * B).sum(axis=1)
-    S = A @ B.T
-    S *= -2.0
-    S += b_sq
-    every = np.arange(q)
-    if exclude is not None:
-        S[every, exclude] = np.inf
-    idx = S.argmin(axis=1)
-    slack = 8 * (A.shape[1] + 2) * (_EPS * (a_sq + b_sq.max()) + _SUBNORMAL)
-    thresh = S[every, idx] + slack
-    cand = S <= thresh[:, None]
-    overflow = ~np.isfinite(thresh)
-    if overflow.any():  # every row is a candidate; pick the lowest allowed one
-        cand[overflow] = True
-        idx[overflow] = 0 if exclude is None else exclude[overflow] == 0
-        if exclude is not None:
-            cand[every, exclude] = False
-    diff = A - B[idx]
+    idx, cand = _candidates(A, B, exclude)
+    every = np.arange(A.raw.shape[0])
+    diff = A.raw - B.raw[idx]
     d2 = (diff * diff).sum(axis=1)
     cand[every, idx] = False
     if not cand.any():  # the usual case: the screen's pick is the only candidate
         return idx, d2
     rows, cols = np.nonzero(cand)  # the other candidates, by row, then index
-    diff = A[rows] - B[cols]
+    diff = A.raw[rows] - B.raw[cols]
     other = (diff * diff).sum(axis=1)
     order = np.lexsort((cols, other, rows))  # by row, then exact d2, then index
     lead = np.ones(order.size, dtype=bool)
@@ -125,6 +141,33 @@ def _screened_nearest(A, B, a_sq, b_sq=None, exclude=None):
     idx[rows[wins]] = cols[wins]
     d2[rows[wins]] = other[wins]
     return idx, d2
+
+
+def _candidates(A: _Rows, B: _Rows, exclude=None):
+    """The screen of :func:`_screened_nearest`: each row's pick ``idx`` and
+    the (len(A), len(B)) mask of the pairs the exact kernel must check,
+    every row's pick among them."""
+    q = A.raw.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # the screen's overflow
+        if q <= B.raw.shape[0]:  # scale the smaller side; doubling is exact
+            S = (-2.0 * A.shifted) @ B.shifted.T
+        else:
+            S = A.shifted @ (-2.0 * B.shifted).T
+        S += B.sq
+        every = np.arange(q)
+        if exclude is not None:
+            S[every, exclude] = np.inf
+        idx = S.argmin(axis=1)
+        slack = 8 * (A.raw.shape[1] + 2) * (_EPS * (A.top + B.top) + _SUBNORMAL)
+        thresh = S[every, idx] + slack
+        cand = S <= thresh[:, None]
+    overflow = ~np.isfinite(thresh)
+    if overflow.any():  # every row is a candidate; pick the lowest allowed one
+        cand[overflow] = True
+        idx[overflow] = 0 if exclude is None else exclude[overflow] == 0
+        if exclude is not None:
+            cand[every, exclude] = False
+    return idx, cand
 
 
 def distance(a, b, metric=Metric.EUCLIDEAN) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
 from ._checks import as_feature_matrix, as_labels, resolve_seed
-from .distances import Metric, _rows_to_point, _screened_nearest
+from .distances import Metric, _rows, _rows_to_point, _screened_nearest
 from .exceptions import MissingCenterError, TooFewPointsError
 
 INIT_KMEANS_PP = "k-means++"
@@ -80,13 +80,16 @@ def _center_means(X, labels, k):
     return sums / np.bincount(labels, minlength=k)[:, None]
 
 
-def _lloyd(X, x_sq, k, init, rng, max_iter, tol):
+def _lloyd(rows, mean, k, init, rng, max_iter, tol):
+    """One restart on ``rows``, the data prepared for the screen around its
+    ``mean``."""
+    X = rows.raw
     centers = _init_centers(X, k, init, rng)
     path = []
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        labels, point_d2 = _screened_nearest(X, centers, x_sq)
+        labels, point_d2 = _screened_nearest(rows, _rows(centers, mean))
         labels = _repair_empty(labels, point_d2, k)
         new_centers = _center_means(X, labels, k)
         diff = X - new_centers[labels]
@@ -111,9 +114,10 @@ class KMeans(BaseEstimator):
     distance with ties to the lowest cluster id; empty clusters are repaired
     by seizing the point farthest from its current center. Assignment (in
     ``fit`` and ``predict``) screens the (point, center) pairs with one GEMM
-    and decides with the exact row kernel on the pairs within a derived
-    rounding slack of each point's best (see ``distances._screened_nearest``),
-    so labels equal those of a full distance table bit for bit.
+    around the data mean (the centers' mean in ``predict``) and decides with
+    the exact row kernel on the pairs within a derived rounding slack of each
+    point's best (see ``distances._screened_nearest``), so labels equal those
+    of a full distance table bit for bit.
 
     Attributes after fit: ``labels_``, ``cluster_centers_``, ``inertia_``
     (the within-cluster sum of squares), ``n_iter_``, ``converged_``,
@@ -150,12 +154,13 @@ class KMeans(BaseEstimator):
         if self.tol < 0:
             raise ValueError("tol must be non-negative")
         seed = resolve_seed(self.random_state)
-        x_sq = (X * X).sum(axis=1)
+        mean = X.mean(axis=0)
+        rows = _rows(X, mean)
 
         best = None
         for r in range(int(self.n_init)):
             rng = np.random.default_rng(seed + r)
-            result = _lloyd(X, x_sq, k, self.init, rng, int(self.max_iter), float(self.tol))
+            result = _lloyd(rows, mean, k, self.init, rng, int(self.max_iter), float(self.tol))
             if best is None or result[2] < best[2]:
                 best = result
                 best_restart = r
@@ -178,7 +183,8 @@ class KMeans(BaseEstimator):
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {self.cluster_centers_.shape[1]}"
             )
-        return _screened_nearest(X, self.cluster_centers_, (X * X).sum(axis=1))[0]
+        mean = self.cluster_centers_.mean(axis=0)
+        return _screened_nearest(_rows(X, mean), _rows(self.cluster_centers_, mean))[0]
 
     def fit_predict(self, X, y=None):
         return self.fit(X).labels_

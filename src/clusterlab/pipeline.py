@@ -35,7 +35,7 @@ from .report import (
 )
 from .svgplot import scatter_svg, silhouette_svg, sweep_svg
 from .tendency import default_sample_size, hopkins_statistic
-from .validation import silhouette_report, sweep_k
+from .validation import check_k_range, silhouette_report, sweep_k
 
 
 def physical_memory() -> int:
@@ -113,8 +113,10 @@ def silhouette(run: Run):
 
 def sweep(run: Run, algorithm: str, **limits):
     """k sweep on the run's distance matrix: (section, KSweepResult).
-    ``limits`` passes max_iter and tol on to the K-means fits."""
+    ``limits`` passes max_iter and tol on to the K-means fits. The k range
+    is checked before the distance matrix is built."""
     o = run.opts
+    check_k_range((o.k_min, o.k_max), run.data.n)
     result = sweep_k(run.data.features, k_range=(o.k_min, o.k_max),
                      algorithm=algorithm, metric=run.metric, seed=run.seed,
                      n_init=o.restarts, dist=run.dist, **limits)

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_feature_matrix, resolve_seed
-from .distances import _screened_nearest
+from .distances import _SCREEN_ELEMENTS, _Rows, _rows, _screened_nearest
 from .exceptions import EmptyDatasetError, SampleTooLargeError
-
-
-#: elements per screen temporary (256 KB of float64): queries are screened
-#: in blocks of this many distances, so memory stays flat as n grows
-_SCREEN_ELEMENTS = 32768
 
 
 @dataclass(frozen=True)
@@ -62,10 +57,11 @@ def hopkins_statistic(
     The result is reproducible bit-for-bit for a given (data, m, trials,
     seed) because trial t uses substream seed + t.
 
-    Nearest neighbours are found by a GEMM screen, in blocks of queries,
-    followed by the exact distance kernel on the rows within a rounding
-    slack of each query's best (see ``distances._screened_nearest``); the
-    distances equal those of a one-query-at-a-time search bit for bit. A
+    Nearest neighbours are found by a GEMM screen around the data mean, in
+    blocks of queries, followed by the exact distance kernel on the rows
+    within a rounding slack of each query's best (see
+    ``distances._screened_nearest``); the distances equal those of a
+    one-query-at-a-time search bit for bit. A
     sampled point's own row is excluded; its duplicates are not, so they
     count at distance 0.
     """
@@ -94,15 +90,16 @@ def hopkins_statistic(
             seed=seed, degenerate=True,
         )
 
-    x_sq = (X * X).sum(axis=1)
+    center = X.mean(axis=0)
+    rows = _rows(X, center)
     block = max(1, _SCREEN_ELEMENTS // n)
     per_trial = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         synthetic = lo + rng.random((m, d)) * (hi - lo)
         sample = rng.choice(n, size=m, replace=False)
-        u = _nearest_distances(synthetic, X, x_sq, None, block)
-        w = _nearest_distances(X[sample], X, x_sq, sample, block)
+        u = _nearest_distances(_rows(synthetic, center), rows, None, block)
+        w = _nearest_distances(_rows(X[sample], center), rows, sample, block)
         su = float(np.sum(u**power))
         sw = float(np.sum(w**power))
         per_trial.append(1.0 if su + sw == 0.0 else su / (su + sw))
@@ -116,13 +113,15 @@ def hopkins_statistic(
     )
 
 
-def _nearest_distances(queries, X, x_sq, exclude, block):
-    """Euclidean distance from each query to its nearest row of X, screened
-    ``block`` queries at a time; ``exclude[i]`` is left out for query i."""
-    q_sq = (queries * queries).sum(axis=1)
-    d2 = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], block):
+def _nearest_distances(queries, rows, exclude, block):
+    """Euclidean distance from each query to its nearest row of the data,
+    screened ``block`` queries at a time; ``exclude[i]`` is left out for
+    query i. Both sides come prepared by ``distances._rows``."""
+    d2 = np.empty(queries.raw.shape[0])
+    for start in range(0, d2.size, block):
         part = slice(start, start + block)
         skip = None if exclude is None else exclude[part]
-        d2[part] = _screened_nearest(queries[part], X, q_sq[part], x_sq, skip)[1]
+        block_rows = _Rows(queries.raw[part], queries.shifted[part], queries.sq[part],
+                           queries.top)
+        d2[part] = _screened_nearest(block_rows, rows, skip)[1]
     return np.sqrt(d2)

@@ -100,6 +100,14 @@ class KSweepResult:
             raise ValueError("best_k must be one of the swept ks")
 
 
+def check_k_range(k_range: tuple[int, int], n: int) -> tuple[int, int]:
+    """The sweep's k range as ints; it must lie within [2, n - 1]."""
+    k_lo, k_hi = int(k_range[0]), int(k_range[1])
+    if not (2 <= k_lo <= k_hi <= n - 1):
+        raise ValueError(f"k range [{k_lo}, {k_hi}] must lie within [2, {n - 1}]")
+    return k_lo, k_hi
+
+
 def sweep_k(
     X,
     k_range: tuple[int, int] = (2, 10),
@@ -123,9 +131,7 @@ def sweep_k(
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     X = as_feature_matrix(X)
     n = X.shape[0]
-    k_lo, k_hi = int(k_range[0]), int(k_range[1])
-    if not (2 <= k_lo <= k_hi <= n - 1):
-        raise ValueError(f"k range [{k_lo}, {k_hi}] must lie within [2, {n - 1}]")
+    k_lo, k_hi = check_k_range(k_range, n)
     seed = resolve_seed(seed)
     metric = Metric.coerce(metric)
     if dist is None:

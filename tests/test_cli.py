@@ -55,6 +55,17 @@ class TestUsageAndErrors:
         assert code == 3
         assert "k range" in capsys.readouterr().err
 
+    def test_sweep_range_is_checked_before_the_distance_matrix(
+            self, synth_csv_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr("clusterlab.pipeline.physical_memory", lambda: 1_000_000)
+        monkeypatch.setattr("clusterlab.pipeline.pairwise_distances",
+                            lambda *args: built.append(args))
+        code = run_cli("sweep", str(synth_csv_path), "--k-max", "100000")
+        assert code == 3
+        assert "k range [2, 100000] must lie within [2, 682]" in capsys.readouterr().err
+        assert built == []
+
     @pytest.mark.parametrize("flags", [
         ("--k-max", "2"),
         ("--k-min", "5", "--k-max", "5"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterlab import KMeans, wss
-from clusterlab.distances import _screened_nearest
+from clusterlab.distances import _candidates, _rows, _screened_nearest
 from clusterlab.exceptions import (
     EmptyDatasetError,
     MissingCenterError,
@@ -304,11 +304,17 @@ def assignment_cases(draw):
     return X, C
 
 
+def screen(X, C):
+    """The screened assignment as a fit runs it, around the data mean."""
+    center = X.mean(axis=0)
+    return _screened_nearest(_rows(X, center), _rows(C, center))
+
+
 @settings(max_examples=300, deadline=None)
 @given(assignment_cases())
 def test_screened_assignment_matches_full_table(case):
     X, C = case
-    labels, d2 = _screened_nearest(X, C, (X * X).sum(axis=1))
+    labels, d2 = screen(X, C)
     ref_labels, ref_d2 = reference_assign(X, C)
     assert np.array_equal(labels, ref_labels)
     assert d2.tobytes() == ref_d2.tobytes()
@@ -316,7 +322,7 @@ def test_screened_assignment_matches_full_table(case):
 
 class TestScreenedAssignment:
     def check(self, X, C):
-        labels, d2 = _screened_nearest(X, C, (X * X).sum(axis=1))
+        labels, d2 = screen(X, C)
         ref_labels, ref_d2 = reference_assign(X, C)
         assert np.array_equal(labels, ref_labels)
         assert d2.tobytes() == ref_d2.tobytes()
@@ -325,7 +331,7 @@ class TestScreenedAssignment:
         C = np.array([[1.0, 0.0, 3.0], [-1.0, 0.0, 3.0], [0.0, 5.0, 3.0]])
         X = np.array([[0.0, 0.0, 3.0], [0.0, 0.3, 3.0], [0.0, -2.0, 3.0]])
         self.check(X, C)
-        assert _screened_nearest(X, C, (X * X).sum(axis=1))[0].tolist() == [0, 0, 0]
+        assert screen(X, C)[0].tolist() == [0, 0, 0]
         self.check(X, C[::-1].copy())
 
     def test_duplicate_centers(self):
@@ -345,9 +351,21 @@ class TestScreenedAssignment:
         gemm = ((C * C).sum(axis=1) - 2 * X @ C.T).argmin(axis=1)
         assert not np.array_equal(gemm, reference_assign(X, C)[0])
 
+    def test_shifted_data_is_screened_around_its_mean(self):
+        # around the origin the slack grows with |x|^2 = 9e12 and lets other
+        # pairs through; around the data mean only each point's pick is left
+        X = grid(200, 9, 11, shift=1e6)
+        C = (X[:7] + X[7:14]) / 2
+        self.check(X, C)
+        center = X.mean(axis=0)
+        near = _candidates(_rows(X, center), _rows(C, center))[1]
+        far = _candidates(_rows(X, 0.0), _rows(C, 0.0))[1]
+        assert near.sum() == len(X) < far.sum()
+
     def test_values_that_overflow_the_expansion(self):
         X = grid(30, 3, 6, scale=1e154)
-        self.check(X, X[:4] * 0.5)
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the exact squares
+            self.check(X, X[:4] * 0.5)
         self.check(X * 1e-154, X[:4] * 1e-154)
 
     def test_subnormal_scale(self):

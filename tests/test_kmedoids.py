@@ -3,7 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from clusterlab import KMedoids, Metric, pairwise_distances, pam_cost
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clusterlab import KMedoids, Metric, kmedoids, pairwise_distances, pam_cost
 from clusterlab.exceptions import InvalidMedoidError, TooFewPointsError
 
 
@@ -157,9 +160,155 @@ class TestKMedoids:
     def test_manhattan_metric(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0], [11.0, 11.0]])
         est = KMedoids(n_clusters=2, metric=Metric.MANHATTAN).fit(X)
-        assert set(est.labels_[:2]) != set(est.labels_[2:]) or True
-        assert len(set(est.labels_.tolist())) == 2
+        labels = est.labels_.tolist()
+        assert labels[0] == labels[1] != labels[2] == labels[3]
 
     def test_get_params(self):
         params = KMedoids(n_clusters=3).get_params()
         assert set(params) == {"n_clusters", "max_swap_iters", "metric"}
+
+
+# -- the screened BUILD and SWAP against the gathered-column reference ---------
+
+def reference_build(D, k):
+    """BUILD as it was written before the screen: one gathered (n, n - k)
+    column block per step."""
+    medoids = [int(np.argmin(D.sum(axis=1)))]
+    nearest = D[:, medoids[0]].copy()
+    for _ in range(1, k):
+        in_set = np.zeros(D.shape[0], dtype=bool)
+        in_set[medoids] = True
+        cands = np.flatnonzero(~in_set)
+        costs = np.minimum(nearest[:, None], D[:, cands]).sum(axis=0)
+        chosen = int(cands[np.argmin(costs)])
+        medoids.append(chosen)
+        nearest = np.minimum(nearest, D[:, chosen])
+    return sorted(medoids)
+
+
+def reference_swap(D, medoids, max_swap_iters):
+    """SWAP as it was written before the screen: every (medoid, candidate)
+    cost from one gathered (n, n - k) column block per medoid."""
+    n = D.shape[0]
+    cost = float(D[:, medoids].min(axis=1).sum())
+    swaps = 0
+    converged = False
+    for _ in range(max_swap_iters):
+        in_set = np.zeros(n, dtype=bool)
+        in_set[medoids] = True
+        cands = np.flatnonzero(~in_set)
+        if cands.size == 0:
+            converged = True
+            break
+        best = None  # (cost, medoid, candidate)
+        for pos, m in enumerate(medoids):
+            others = medoids[:pos] + medoids[pos + 1 :]
+            rest = D[:, others].min(axis=1) if others else np.full(n, np.inf)
+            costs = np.minimum(rest[:, None], D[:, cands]).sum(axis=0)
+            j = int(np.argmin(costs))
+            if best is None or costs[j] < best[0]:
+                best = (float(costs[j]), m, int(cands[j]))
+        proposal = sorted(set(medoids) - {best[1]} | {best[2]})
+        new_cost = float(D[:, proposal].min(axis=1).sum())
+        if new_cost < cost:
+            medoids = proposal
+            cost = new_cost
+            swaps += 1
+        else:
+            converged = True
+            break
+    return medoids, cost, swaps, converged
+
+
+def grid(n, d, seed, levels=10, scale=1.0 / 9.0, shift=0.0):
+    """Integer-grid points like the WBC table (values 1..10, min-max
+    normalised), optionally with fewer levels, scaled and shifted."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, levels, size=(n, d)) * scale + shift
+
+
+def assert_fit_matches_reference(X, metric, k, max_swap_iters=200):
+    assert_matches_reference(pairwise_distances(X, metric), k, max_swap_iters)
+
+
+def assert_matches_reference(dist, k, max_swap_iters=200):
+    """Medoids, inertia, swaps, convergence and labels of a fit equal the
+    reference BUILD and SWAP bit for bit."""
+    D = dist.square()
+    medoids, cost, swaps, converged = reference_swap(
+        D, reference_build(D, k), max_swap_iters)
+    labels = D[:, medoids].argmin(axis=1)
+    labels[medoids] = np.arange(k)
+    est = KMedoids(n_clusters=k, max_swap_iters=max_swap_iters).fit(dist)
+    assert est.medoid_indices_.tolist() == medoids
+    assert np.float64(est.inertia_).tobytes() == np.float64(cost).tobytes()
+    assert est.n_swaps_ == swaps
+    assert est.converged_ == converged
+    assert np.array_equal(est.labels_, labels)
+
+
+FAMILIES = {
+    "wbc-like": lambda: grid(60, 9, 1),
+    # near-tied swaps that only the pairwise row-sum order tells apart
+    "duplicates": lambda: grid(102, 3, 2, levels=2),
+    "integer-line": lambda: grid(30, 1, 3, levels=12, scale=1.0),
+    "shifted-1e6": lambda: grid(50, 9, 4, shift=1e6),
+}
+
+
+class TestScreenedPamMatchesReference:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_families(self, family, metric):
+        X = FAMILIES[family]()
+        n = X.shape[0]
+        for k in (1, 2, 3, 5, n - 1, n):
+            for max_swap_iters in (0, 1, 200):
+                assert_fit_matches_reference(X, metric, k, max_swap_iters)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_across_row_blocks(self, monkeypatch, metric):
+        # blocks of 7 rows, so blocks end inside clusters and candidates
+        monkeypatch.setattr(kmedoids, "_SCREEN_ELEMENTS", 7 * 90)
+        X = np.vstack([grid(60, 9, 21), grid(30, 9, 22, levels=3)])
+        for k in (1, 2, 4, 89, 90):
+            assert_fit_matches_reference(X, metric, k)
+
+    def test_overlapping_blobs_take_several_swaps(self):
+        X = separable_blobs(seed=3, n_points=120, k=4, d=3, spread=2.0, separation=4.0)
+        assert KMedoids(n_clusters=4).fit(X).n_swaps_ == 7
+        for k in (2, 4, 6):
+            assert_fit_matches_reference(X, Metric.EUCLIDEAN, k)
+
+    def test_infinite_distances_go_to_the_exact_kernel(self):
+        # 1e200 apart, so the Euclidean distances overflow to inf
+        X = np.array([[0.0], [1.0], [2.0], [1e200], [-1e200], [3.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            dist = pairwise_distances(X)
+        assert np.isinf(dist.square()).any()
+        for k in (1, 2, 3, 5):
+            assert_matches_reference(dist, k)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_square_is_exactly_symmetric(self, metric):
+        # the exact kernel reads row D[c] for column D[:, c]
+        for X in (grid(70, 9, 31), grid(50, 3, 32, levels=3, shift=1e6)):
+            D = pairwise_distances(X, metric).square()
+            assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
+
+
+@st.composite
+def pam_cases(draw):
+    n = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 9))
+    levels = draw(st.sampled_from([2, 3, 10]))
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    X = grid(n, d, draw(st.integers(0, 2**16)), levels, shift=shift)
+    return X, draw(st.sampled_from(list(Metric))), draw(st.integers(1, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pam_cases(), st.sampled_from([0, 1, 200]))
+def test_screened_pam_matches_reference(case, max_swap_iters):
+    X, metric, k = case
+    assert_fit_matches_reference(X, metric, k, max_swap_iters)

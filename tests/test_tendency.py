@@ -1,10 +1,14 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterlab import hopkins_statistic, tendency
-from clusterlab.distances import Metric, _rows_to_point, _screened_nearest, nearest_neighbor
+from clusterlab.distances import (
+    Metric, _rows, _rows_to_point, _screened_nearest, nearest_neighbor,
+)
 from clusterlab.exceptions import EmptyDatasetError, SampleTooLargeError
 from clusterlab.tendency import default_sample_size
 
@@ -178,10 +182,12 @@ def test_screen_excludes_the_query_row(scale):
     # exact kernel; the excluded row must still stay out
     X = grid(30, 3, 7, levels=4, scale=scale)
     sample = np.array([0, 3, 4, 17, 29, 1])
-    x_sq = (X * X).sum(axis=1)
-    idx, d2 = _screened_nearest(X[sample], X, x_sq[sample], x_sq, sample)
-    for i, row in enumerate(sample):
-        ref = _rows_to_point(X, X[row], Metric.SQEUCLIDEAN)
+    center = X.mean(axis=0)
+    overflow = pytest.warns(RuntimeWarning, match="overflow") if scale > 1 else nullcontext()
+    with overflow:  # at 1e154 the exact squares overflow too
+        idx, d2 = _screened_nearest(_rows(X[sample], center), _rows(X, center), sample)
+        refs = [_rows_to_point(X, X[row], Metric.SQEUCLIDEAN) for row in sample]
+    for i, (row, ref) in enumerate(zip(sample, refs)):
         ref[row] = np.inf
         assert idx[i] == np.argmin(ref)
         assert d2[i] == ref[np.argmin(ref)]
