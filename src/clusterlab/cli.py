@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline
-from .dataset import BENIGN, CsvFormat, RawTable, parse_arff, parse_csv, preprocess, write_arff
+from .dataset import (BENIGN, CsvFormat, RawTable, format_table, parse_arff, parse_csv,
+                      preprocess, write_arff)
 from .distances import Metric
 from .exceptions import ClusterlabError, InputError
 from .kmeans import INIT_KMEANS_PP, INIT_RANDOM
@@ -201,8 +202,8 @@ def _export_table(data) -> RawTable:
     names = list(data.feature_names)
     cells = data.features
     if data.labels is not None:
-        codes = np.array([[2.0 if lab == BENIGN else 4.0] for lab in data.labels])
-        cells = np.hstack([cells, codes])
+        codes = np.where(np.array(data.labels, dtype=str) == BENIGN, 2.0, 4.0)
+        cells = np.column_stack([cells, codes])
         names.append("class")
     return RawTable(tuple(names), cells)
 
@@ -215,9 +216,8 @@ def cmd_preprocess(args) -> int:
         if args.export == "arff":
             files = {"preprocessed.arff": write_arff(out_table, relation_name="preprocessed")}
         else:
-            lines = [",".join(out_table.column_names)]
-            lines += [",".join(repr(float(v)) for v in row) for row in out_table.cells]
-            files = {"preprocessed.csv": ("\n".join(lines) + "\n").encode()}
+            files = {"preprocessed.csv": format_table([",".join(out_table.column_names)],
+                                                      out_table.cells)}
         _write_files(args.out, {**files, "preprocess.json": payload})
     if args.json or not args.out:
         sys.stdout.write(payload.decode("utf-8"))

@@ -5,6 +5,34 @@ style of file: drop rows with missing cells, strip the identifier column,
 split off the 2/4-coded class column, then min-max normalize each remaining
 feature onto [0, 1].
 
+Parsing screens, then decides. The per-cell parsers (``csv.reader`` or the
+ARFF row parser, then ``float`` on every cell) are the reference; a numeric
+table of the common shape is instead read whole by numpy's C reader:
+
+- **Screen.** C-speed ``str`` searches put the text in doubt when it holds a
+  quote, NUL, ``{`` or ``%`` (ARFF data only), a ``str.splitlines`` line
+  boundary that ``csv`` and numpy read as an ordinary character (``\x0b
+  \x0c \x1c-\x1e \x85 \u2028 \u2029``, and ``\x1f`` with them), or a
+  ``\r`` outside ``\r\n``; when the delimiter is not one character, is
+  whitespace, a quote or NUL, or may occur in a number; when the missing
+  marker is empty, holds whitespace, the delimiter or a character that may
+  occur in a number, or follows a sign (``-?`` would read as ``-nan``); when
+  an ARFF header declares a nominal attribute; and when there are no data
+  rows (numpy warns on empty input).
+- **Decide.** Otherwise every marker becomes ``nan`` and ``np.loadtxt``
+  parses the rest. Its C reader converts each token with
+  ``PyOS_string_to_double``, the routine behind ``float``, so every cell it
+  accepts has the bits ``float`` gives it; of what ``float`` accepts it
+  rejects only underscores (``1_0``) and non-ASCII digits. A table of
+  ragged rows, such a token, a whitespace-only line or any other
+  non-number makes it raise, and a count of non-finite cells that differs
+  from the count of markers (a ``nan``, ``inf`` or ``1e999`` cell) means a
+  cell the reference rejects. Either way the reference parser reads the
+  whole text again, so every error, message and line number is its own.
+
+Only data rows go to numpy: the CSV header names and the ARFF declarations
+are read from the original text on both paths.
+
 All values are immutable after construction and safe to share across threads.
 Row order is preserved by every operation in this module.
 """
@@ -33,9 +61,6 @@ from .exceptions import (
 
 BENIGN = "benign"
 MALIGNANT = "malignant"
-
-#: class column coding used by the source data: 2 = benign, 4 = malignant
-CLASS_CODES = {2.0: BENIGN, 4.0: MALIGNANT}
 
 
 @dataclass(frozen=True)
@@ -171,6 +196,55 @@ def _read_text(source) -> str:
         raise InvalidEncodingError(exc.start, exc.reason) from None
 
 
+#: characters that put a text in doubt: quotes, NUL, and the line boundaries
+#: of ``str.splitlines`` that ``csv`` and numpy read as ordinary characters
+_DOUBTFUL = "\"'\0\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+#: characters that may occur in a number as ``float`` reads it
+_NUMBER_CHARS = frozenset("0123456789+-._eEnNaAiIfFtTyY")
+
+
+def _screened(text: str, doubtful: str = _DOUBTFUL) -> bool:
+    """Whether ``text`` holds no character of ``doubtful`` and no ``\\r``
+    outside ``\\r\\n``, the line ends on which ``csv``, ``str.splitlines``
+    and numpy agree."""
+    return not any(c in text for c in doubtful) and text.count("\r") == text.count("\r\n")
+
+
+def _plain_format(delimiter: str, marker: str) -> bool:
+    """Whether the delimiter is one character that is no whitespace, no
+    character of :data:`_DOUBTFUL` and none a number may hold, and the
+    marker is not empty and shares no character with whitespace, a number
+    or the delimiter."""
+    return (len(delimiter) == 1 and not delimiter.isspace() and delimiter not in _DOUBTFUL
+            and delimiter not in _NUMBER_CHARS and marker != ""
+            and not any(c.isspace() or c in _NUMBER_CHARS or c == delimiter for c in marker))
+
+
+def _decide(body: str, delimiter: str, marker: str, n_cols: int | None):
+    """The cells of the screened ``body`` as numpy's C reader parses them,
+    marker cells NaN, or None when the per-cell parser must read the text.
+
+    With a plain format, a marker that follows no sign can only become a
+    number by being a whole cell, so replacing it with ``nan`` makes exactly
+    the marker cells NaN; the count check then finds any other non-finite
+    cell.
+    """
+    if not body or body.isspace() or f"-{marker}" in body or f"+{marker}" in body:
+        return None
+    n_markers = body.count(marker)
+    try:
+        cells = np.loadtxt(io.BytesIO(body.replace(marker, "nan").encode()),
+                           delimiter=delimiter, comments=None, ndmin=2,
+                           encoding="utf-8", dtype=np.float64)
+    except ValueError:
+        return None
+    if n_cols is not None and cells.shape[1] != n_cols:
+        return None
+    if np.count_nonzero(~np.isfinite(cells)) != n_markers:
+        return None
+    return cells
+
+
 def _table(names, rows, markers, rescan) -> RawTable:
     """Stack parsed rows into a table, rejecting cells that read as NaN or
     infinity without being the missing marker.
@@ -202,6 +276,33 @@ def parse_csv(source, fmt: CsvFormat = CsvFormat()) -> RawTable:
     col1, ...
     """
     text = _read_text(source)
+    table = _fast_csv(text, fmt)
+    return _csv_table(text, fmt) if table is None else table
+
+
+def _fast_csv(text, fmt) -> RawTable | None:
+    if not (_plain_format(fmt.delimiter, fmt.missing) and _screened(text)):
+        return None
+    names, body = None, text
+    if fmt.has_header:
+        # csv.reader skips lines of whitespace; the header holds the first
+        # other character
+        first = len(text) - len(text.lstrip())
+        end = text.find("\n", first)
+        end = len(text) if end < 0 else end
+        header = text[text.rfind("\n", 0, first) + 1:end]
+        names = tuple(tok.strip() for tok in header.split(fmt.delimiter))
+        body = text[end + 1:]
+    cells = _decide(body, fmt.delimiter, fmt.missing, None if names is None else len(names))
+    if cells is None:
+        return None
+    if names is None:
+        names = tuple(f"col{i}" for i in range(cells.shape[1]))
+    return RawTable(names, cells)
+
+
+def _csv_table(text, fmt) -> RawTable:
+    """The reference path: ``csv.reader``, then ``float`` on every cell."""
     names, rows, markers = _csv_rows(text, fmt, _parse_record)
     return _table(names, rows, markers,
                   lambda: _csv_rows(text, fmt, _parse_finite_record))
@@ -261,6 +362,8 @@ _ARFF_NAME = r"(?:'([^']*)'|\"([^\"]*)\"|(\S+))"
 _RELATION_RE = re.compile(rf"^@relation\s+{_ARFF_NAME}\s*$", re.IGNORECASE)
 _ATTRIBUTE_RE = re.compile(rf"^@attribute\s+{_ARFF_NAME}\s+(.+)$", re.IGNORECASE)
 _DATA_RE = re.compile(r"^@data\s*$", re.IGNORECASE)
+#: the line boundaries of ``str.splitlines``
+_LINE_END = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _unquote(match_groups) -> str:
@@ -274,52 +377,68 @@ def parse_arff(source) -> RawTable:
     relational attributes are rejected; so are sparse data rows. ``?``
     marks a missing cell; every other numeric cell must be finite.
     """
-    text = _read_text(source)
-    names, rows, markers = _arff_rows(text, _parse_arff_row)
+    names, nominal, data, line_no = _arff_header(_read_text(source))
+    if not nominal and _screened(data, _DOUBTFUL + "{%"):
+        cells = _decide(data, ",", "?", len(names))
+        if cells is not None:
+            return RawTable(names, cells)
+    rows, markers = _arff_rows(data, line_no, names, nominal, _parse_arff_row)
     return _table(names, rows, markers,
-                  lambda: _arff_rows(text, _parse_finite_arff_row))
+                  lambda: _arff_rows(data, line_no, names, nominal, _parse_finite_arff_row))
 
 
-def _arff_rows(text, parse_row):
+def _arff_header(text):
+    """Read the declarations up to ``@data``.
+
+    Returns the attribute names, the nominal domains by column, the text
+    after the ``@data`` line and that line's number. Lines are those of
+    ``text.splitlines()``, found one at a time so that the data section is
+    not split here.
+    """
     names: list[str] = []
     nominal: dict[int, dict[str, int]] = {}
+    saw_relation = False
+    start = line_no = 0
+    while start < len(text):
+        line_no += 1
+        end = _LINE_END.search(text, start)
+        line = text[start:end.start() if end else len(text)].strip()
+        start = end.end() if end else len(text)
+        if not line or line.startswith("%"):
+            continue
+        if _RELATION_RE.match(line):
+            saw_relation = True
+            continue
+        m = _ATTRIBUTE_RE.match(line)
+        if m:
+            name = _unquote(m.groups()[:3])
+            decl = m.group(4).strip()
+            _declare_attribute(name, decl, names, nominal, line_no)
+            continue
+        if _DATA_RE.match(line):
+            if not saw_relation:
+                raise ArffSyntaxError("@data before @relation")
+            if not names:
+                raise ArffSyntaxError("@data with no @attribute declarations")
+            return tuple(names), nominal, text[start:], line_no
+        raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {line!r}")
+    raise ArffSyntaxError("missing @data section")
+
+
+def _arff_rows(data, data_line_no, names, nominal, parse_row):
+    """The reference path: each row of the data section by ``parse_row``."""
     rows: list[list[float]] = []
     markers: list[int] = []
-    saw_relation = False
-    in_data = False
-
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(data.splitlines(), start=data_line_no + 1):
         line = raw_line.strip()
         if not line or line.startswith("%"):
             continue
-        if not in_data:
-            if _RELATION_RE.match(line):
-                saw_relation = True
-                continue
-            m = _ATTRIBUTE_RE.match(line)
-            if m:
-                name = _unquote(m.groups()[:3])
-                decl = m.group(4).strip()
-                _declare_attribute(name, decl, names, nominal, line_no)
-                continue
-            if _DATA_RE.match(line):
-                if not saw_relation:
-                    raise ArffSyntaxError("@data before @relation")
-                if not names:
-                    raise ArffSyntaxError("@data with no @attribute declarations")
-                in_data = True
-                continue
-            raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {line!r}")
-        else:
-            if line.startswith("{"):
-                raise ArffSyntaxError(
-                    f"line {line_no}: sparse ARFF rows are not supported"
-                )
-            rows.append(parse_row(line, line_no, names, nominal, markers))
-
-    if not in_data:
-        raise ArffSyntaxError("missing @data section")
-    return tuple(names), rows, markers
+        if line.startswith("{"):
+            raise ArffSyntaxError(
+                f"line {line_no}: sparse ARFF rows are not supported"
+            )
+        rows.append(parse_row(line, line_no, names, nominal, markers))
+    return rows, markers
 
 
 def _declare_attribute(name, decl, names, nominal, line_no):
@@ -372,23 +491,43 @@ def _parse_finite_arff_row(line, line_no, names, nominal, markers):
     return values
 
 
-def _needs_quoting(name: str) -> bool:
-    return any(ch.isspace() for ch in name) or name == "" or "," in name
+_FORMAT_BLOCK = 4096
+
+
+def format_table(head: list[str], cells: np.ndarray, missing: str = "nan") -> bytes:
+    """``head``, then a line per row of ``cells``: each float by ``repr``,
+    which reads back to the same float64, comma-separated, and NaN as
+    ``missing`` (``repr`` spells no other float with "nan"). Rows are
+    formatted in blocks, so that one block's Python floats exist at a time."""
+    parts = ["".join(line + "\n" for line in head).encode()]
+    for start in range(0, len(cells), _FORMAT_BLOCK):
+        block = cells[start:start + _FORMAT_BLOCK].tolist()
+        rows = "".join([",".join(map(repr, row)) + "\n" for row in block])
+        parts.append(rows.replace("nan", missing).encode())
+    return b"".join(parts)
 
 
 def write_arff(table: RawTable, relation_name: str = "data") -> bytes:
-    """Serialize a table as ARFF with all-numeric attributes; NaN becomes "?"."""
-    out = [f"@relation {_quote_name(relation_name)}"]
-    for name in table.column_names:
-        out.append(f"@attribute {_quote_name(name)} numeric")
-    out.append("@data")
-    for row in table.cells:
-        out.append(",".join("?" if math.isnan(v) else repr(float(v)) for v in row))
-    return ("\n".join(out) + "\n").encode("utf-8")
+    """Serialize a table as ARFF with all-numeric attributes; NaN becomes "?".
+
+    Raises ValueError for a name that ``parse_arff`` could not read back:
+    one that needs quotes and holds both quote characters.
+    """
+    head = [f"@relation {_quote_name(relation_name)}"]
+    head += [f"@attribute {_quote_name(name)} numeric" for name in table.column_names]
+    return format_table(head + ["@data"], table.cells, missing="?")
 
 
 def _quote_name(name: str) -> str:
-    return f"'{name}'" if _needs_quoting(name) else name
+    """``name`` as an ARFF name: bare unless it is empty, holds whitespace or
+    a comma, or starts with a quote; then in the quote character it lacks."""
+    if name and name[0] not in "'\"" and not any(ch.isspace() or ch == "," for ch in name):
+        return name
+    for quote in "'\"":
+        if quote not in name:
+            return f"{quote}{name}{quote}"
+    raise ValueError(f"cannot write the name {name!r} to ARFF: it needs "
+                     "quoting and holds both quote characters")
 
 
 # -- preprocessing ----------------------------------------------------------
@@ -475,13 +614,13 @@ def build_dataset(
 
 
 def _decode_labels(values: np.ndarray) -> tuple[str, ...]:
-    labels = []
-    for row, v in enumerate(values):
-        code = CLASS_CODES.get(float(v))
-        if code is None:
-            raise InvalidClassValueError(v, line=row)
-        labels.append(code)
-    return tuple(labels)
+    """The class names of a column coded as the source data codes them:
+    2 = benign, 4 = malignant."""
+    benign = values == 2.0
+    bad = np.flatnonzero(~benign & (values != 4.0))
+    if bad.size:
+        raise InvalidClassValueError(values[bad[0]], line=int(bad[0]))
+    return tuple(np.where(benign, BENIGN, MALIGNANT).tolist())
 
 
 def preprocess(

@@ -169,6 +169,14 @@ class TestPreprocess:
         assert table.n_cols == 10  # 9 features + class
         assert table.column_names[-1] == "class"
 
+    @pytest.mark.parametrize("export,last_line", [("csv", "col1,class"), ("arff", "@data")])
+    def test_export_with_every_row_dropped(self, tmp_path, export, last_line):
+        src = tmp_path / "t.csv"
+        src.write_bytes(b"1,?,2\n2,3,?\n")
+        out = tmp_path / "prep"
+        assert run_cli("preprocess", str(src), "--out", str(out), "--export", export) == 0
+        assert (out / f"preprocessed.{export}").read_text().splitlines()[-1] == last_line
+
     def test_stdout_json_without_out(self, synth_csv_path, capsys):
         assert run_cli("preprocess", str(synth_csv_path)) == 0
         doc = json.loads(capsys.readouterr().out)

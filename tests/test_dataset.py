@@ -17,6 +17,7 @@ from clusterlab import (
     preprocess,
     write_arff,
 )
+from clusterlab import dataset
 from clusterlab.exceptions import (
     ArffSyntaxError,
     InvalidClassValueError,
@@ -226,6 +227,254 @@ def test_arff_round_trip_property(table):
     assert parse_arff(write_arff(table, "prop")) == table
 
 
+class TestArffNames:
+    def test_name_with_apostrophe_round_trips(self):
+        table = RawTable(("it's a", "b"), np.array([[1.0, 2.0]]))
+        text = write_arff(table).decode()
+        assert "@attribute \"it's a\" numeric" in text
+        assert parse_arff(text) == table
+
+    @pytest.mark.parametrize("name", ["'a'", '"a"', "'", "a'b"])
+    def test_name_with_quotes_round_trips(self, name):
+        table = RawTable((name,), np.array([[1.0]]))
+        assert parse_arff(write_arff(table)) == table
+
+    def test_name_needing_both_quotes_is_refused(self):
+        name = "it's \"a\""
+        with pytest.raises(ValueError) as exc:
+            write_arff(RawTable((name,), np.array([[1.0]])))
+        assert repr(name) in str(exc.value)
+
+
+def _needs_quotes(name):
+    return name[0] in "'\"" or "," in name or " " in name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="ab ,'\"", min_size=1, max_size=6),
+                min_size=1, max_size=4, unique=True))
+def test_arff_names_round_trip_or_are_refused(names):
+    table = RawTable(tuple(names), np.arange(len(names), dtype=float).reshape(1, -1))
+    if any(_needs_quotes(n) and "'" in n and '"' in n for n in names):
+        with pytest.raises(ValueError):
+            write_arff(table)
+    else:
+        assert parse_arff(write_arff(table)) == table
+
+
+def test_format_table_writes_repr_of_every_cell():
+    rng = np.random.default_rng(3)
+    cells = rng.standard_normal((2 * dataset._FORMAT_BLOCK + 5, 3)) * 10.0 ** rng.integers(-30, 30, 3)
+    cells[7, 1] = math.nan
+    cells[-1, 0] = -0.0
+    expected = "h\n" + "".join(
+        ",".join("?" if math.isnan(v) else repr(float(v)) for v in row) + "\n" for row in cells
+    )
+    assert dataset.format_table(["h"], cells, missing="?") == expected.encode()
+
+
+# -- the fast path against the per-cell path ---------------------------------
+
+def reference_parse_arff(source):
+    """``parse_arff`` before the fast path: the whole text split by
+    ``str.splitlines``, every data row read by the per-cell row parser."""
+    text = dataset._read_text(source)
+
+    def read(parse_row):
+        names, nominal, rows, markers = [], {}, [], []
+        saw_relation = in_data = False
+        for line_no, raw_line in enumerate(text.splitlines(), start=1):
+            line = raw_line.strip()
+            if not line or line.startswith("%"):
+                continue
+            if in_data:
+                if line.startswith("{"):
+                    raise ArffSyntaxError(f"line {line_no}: sparse ARFF rows are not supported")
+                rows.append(parse_row(line, line_no, names, nominal, markers))
+            elif dataset._RELATION_RE.match(line):
+                saw_relation = True
+            elif m := dataset._ATTRIBUTE_RE.match(line):
+                dataset._declare_attribute(dataset._unquote(m.groups()[:3]),
+                                           m.group(4).strip(), names, nominal, line_no)
+            elif dataset._DATA_RE.match(line):
+                if not saw_relation:
+                    raise ArffSyntaxError("@data before @relation")
+                if not names:
+                    raise ArffSyntaxError("@data with no @attribute declarations")
+                in_data = True
+            else:
+                raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {line!r}")
+        if not in_data:
+            raise ArffSyntaxError("missing @data section")
+        return tuple(names), rows, markers
+
+    return dataset._table(*read(dataset._parse_arff_row),
+                          lambda: read(dataset._parse_finite_arff_row))
+
+
+def _outcome(parse, *args):
+    """A table as names, shape and cell bits, or an error as type and message."""
+    try:
+        table = parse(*args)
+    except Exception as exc:  # the error is the outcome under comparison
+        return type(exc), str(exc)
+    return table.column_names, table.cells.shape, table.cells.tobytes()
+
+
+def assert_csv_paths_agree(text, fmt):
+    assert _outcome(parse_csv, text, fmt) == _outcome(dataset._csv_table, text, fmt)
+
+
+def assert_arff_paths_agree(text):
+    assert _outcome(parse_arff, text) == _outcome(reference_parse_arff, text)
+
+
+#: the line boundaries of str.splitlines besides \n and \r\n, and \x1f
+ODD_SEPARATORS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+                  "\u2028", "\u2029"]
+ODD_TOKENS = ["-?", "+?", " ? ", "??", "1?", "1_0", "١", "nan", "-nan", "inf",
+              "-Infinity", "1e999", "-1e999", "1e-400", "4.9e-324", "0x10", '"1"',
+              "'2'", "", " ", " 7 ", "abc", "{0 1}", "% c", "\x00"]
+numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1e5", "-2.5E-3", ".5", "5.", "+3", "0", "-0", "1e308", "12345678901234567890"]),
+)
+
+
+@st.composite
+def documents(draw, delimiter, marker, header_names=None):
+    """Lines of cells. Clean documents hold numbers, the marker and blank
+    lines, ended by \\n or \\r\\n; the others add ragged rows, odd tokens,
+    whitespace-only lines and every other line boundary."""
+    clean = draw(st.booleans())
+    separators = st.sampled_from(["\n", "\r\n"] if clean else ["\n", "\r\n", *ODD_SEPARATORS])
+    cells = numbers | st.just(marker) if clean else numbers | st.sampled_from([marker, *ODD_TOKENS])
+    n_cols = draw(st.integers(1, 4))
+    lines = [] if header_names is None else [
+        delimiter.join(draw(header_names) for _ in range(n_cols))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 4 + ["blank"] + ([] if clean else ["odd"])))
+        if kind == "blank":
+            lines.append("")
+            continue
+        width = draw(st.sampled_from([n_cols] if kind == "row" else [n_cols - 1, n_cols + 1]))
+        line = delimiter.join(draw(cells) for _ in range(width))
+        if kind == "odd":
+            line = draw(st.sampled_from([line + delimiter, "   ", "\t", line]))
+        lines.append(line)
+    text = "".join(line + draw(separators) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@st.composite
+def csv_cases(draw):
+    fmt = CsvFormat(has_header=draw(st.booleans()),
+                    delimiter=draw(st.sampled_from([",", ",", ";", "|", "\t", "e", "::", ""])),
+                    missing=draw(st.sampled_from(["?", "?", "NA", "x", "", "-", "a b"])))
+    names = st.sampled_from(["a", "b", "?", "NA", " c ", "-?"]) if fmt.has_header else None
+    return draw(documents(fmt.delimiter, fmt.missing, names)), fmt
+
+
+@st.composite
+def arff_texts(draw):
+    attributes = st.sampled_from(["numeric"] * 4 + ["real", "INTEGER", "{2,4}", "string"])
+    head = ["% made up", "@relation r"] + [
+        f"@attribute a{i} {draw(attributes)}" for i in range(draw(st.integers(1, 4)))
+    ] + ["@data"]
+    if not draw(st.integers(0, 9)):
+        del head[draw(st.integers(0, len(head) - 1))]
+    body = draw(documents(",", "?"))
+    return "\n".join(head) + draw(st.sampled_from(["\n", "\r\n", *ODD_SEPARATORS])) + body
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_cases())
+def test_csv_fast_path_matches_the_per_cell_path(case):
+    assert_csv_paths_agree(*case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(arff_texts())
+def test_arff_fast_path_matches_the_per_cell_path(text):
+    assert_arff_paths_agree(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
+                         max_size=3), min_size=1, max_size=8))
+def test_clean_numeric_tables_take_the_fast_path(rows):
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    fast = dataset._fast_csv(text, CsvFormat())
+    assert fast is not None
+    assert _outcome(lambda: fast) == _outcome(dataset._csv_table, text, CsvFormat())
+
+
+CSV_EDGE_CASES = [
+    "1,-?\n", "1,+?\n", "-?,2\n", "1,?,3\n?,5,6\n",
+    "1,2\n\n3,4\n", "1,2\n   \n3,4\n", "5\n \n6\n", "1,2\r\n3,?\r\n", "1,2\r3,4\n",
+    "1,2,\n3,4,\n", "1e5,-2.5E-3\n", "1_0,2\n", "١,2\n", "nan,2\n", "inf,2\n",
+    "1e999,2\n", "\"1\",2\n", "'1',2\n", "", "\n\n", "1,2", "1,2\n3\n", "\x001,2\n",
+    *(f"1,2{sep}3,4\n" for sep in ODD_SEPARATORS),
+]
+
+
+@pytest.mark.parametrize("text", CSV_EDGE_CASES)
+@pytest.mark.parametrize("has_header", [False, True])
+def test_csv_edge_cases_match_the_per_cell_path(text, has_header):
+    assert_csv_paths_agree("a,b\n" * has_header + text, CsvFormat(has_header=has_header))
+
+
+@pytest.mark.parametrize("text,fmt", [
+    ("a,?\n1,?\n", CsvFormat(has_header=True)),
+    ("a,b\n", CsvFormat(has_header=True)),
+    ("\n  \na,a\n1,2\n", CsvFormat(has_header=True)),
+    ("1;NA;3\n", CsvFormat(delimiter=";", missing="NA")),
+    ("1,nan\n", CsvFormat(missing="nan")),
+    ("1,,3\n", CsvFormat(missing="")),
+    ("1 2\n", CsvFormat(delimiter=" ")),
+    ("1::2\n", CsvFormat(delimiter="::")),
+    ("a,b\n1,2\n", CsvFormat(has_header=True, delimiter="")),
+    ("1\n\n2\n", CsvFormat(delimiter="\n")),
+    ("1, ?\n", CsvFormat(missing=" ?")),
+    ("1,?,?\n", CsvFormat(missing="?,?")),
+    ('"a,b"\n1,2\n', CsvFormat(has_header=True)),
+    ("a,b\rc\n1,2\n", CsvFormat(has_header=True)),
+    ("\n7\n3\n", CsvFormat(has_header=True)),
+])
+def test_csv_formats_match_the_per_cell_path(text, fmt):
+    assert_csv_paths_agree(text, fmt)
+
+
+ARFF_HEAD = "@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n"
+
+
+@pytest.mark.parametrize("text", [
+    ARFF_HEAD + "1,?\n-?,2\n", ARFF_HEAD + "1,+?\n", ARFF_HEAD + "{0 1}\n",
+    ARFF_HEAD + "1,2\n% note\n3,4\n", ARFF_HEAD + "1,2\r\n\r\n3,4\r\n",
+    ARFF_HEAD + "1,2\n3,4,\n", ARFF_HEAD + "'1',2\n", ARFF_HEAD + "1,2,3\n4,5,6\n",
+    ARFF_HEAD + "nan,1\n", ARFF_HEAD, ARFF_HEAD + "\n  \n",
+    "@relation r\n@attribute a numeric\n@attribute c {2,4}\n@data\n1,4\n?,2\n",
+    *(ARFF_HEAD.replace("\n", sep) + "1,2" + sep + "3,4\n" for sep in ODD_SEPARATORS),
+    *(ARFF_HEAD + "1,2" + sep + "3,4\n" for sep in ODD_SEPARATORS),
+])
+def test_arff_edge_cases_match_the_per_cell_path(text):
+    assert_arff_paths_agree(text)
+
+
+def test_wbc_shaped_tables_take_the_fast_path(synth_csv, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the per-cell parser ran")
+
+    expected = dataset._csv_table(synth_csv.decode(), CsvFormat())
+    assert expected.missing_mask().sum() == 16
+    monkeypatch.setattr(dataset, "_csv_rows", refuse)
+    monkeypatch.setattr(dataset, "_arff_rows", refuse)
+    table = parse_csv(synth_csv)
+    assert table == expected
+    assert parse_arff(write_arff(table, "wbc")) == expected
+
+
 class TestDropMissingRows:
     def test_counts_add_up(self, synth_table):
         kept, dropped = drop_missing_rows(synth_table)
@@ -280,6 +529,12 @@ class TestBuildDataset:
         table = parse_csv(b"1,3\n")
         with pytest.raises(InvalidClassValueError):
             build_dataset(table, label_column="col1")
+
+    def test_invalid_class_value_names_the_first_bad_row(self):
+        table = parse_csv(b"2\n4\n3\n5\n")
+        with pytest.raises(InvalidClassValueError) as exc:
+            build_dataset(table, label_column="col0")
+        assert str(exc.value) == "class value np.float64(3.0) (row 2) is not 2 or 4"
 
     def test_unknown_column(self):
         table = parse_csv(b"1,2\n")
