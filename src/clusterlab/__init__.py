@@ -20,7 +20,6 @@ from .dataset import (  # noqa: E402
 from .distances import (  # noqa: E402
     DistanceMatrix,
     Metric,
-    condensed_index,
     distance,
     nearest_neighbor,
     pairwise_distances,
@@ -60,7 +59,6 @@ __all__ = [
     "write_arff",
     "DistanceMatrix",
     "Metric",
-    "condensed_index",
     "distance",
     "nearest_neighbor",
     "pairwise_distances",

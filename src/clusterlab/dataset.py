@@ -23,12 +23,14 @@ table of the common shape is instead read whole by numpy's C reader:
   parses the rest. Its C reader converts each token with
   ``PyOS_string_to_double``, the routine behind ``float``, so every cell it
   accepts has the bits ``float`` gives it; of what ``float`` accepts it
-  rejects only underscores (``1_0``) and non-ASCII digits. A table of
-  ragged rows, such a token, a whitespace-only line or any other
-  non-number makes it raise, and a count of non-finite cells that differs
-  from the count of markers (a ``nan``, ``inf`` or ``1e999`` cell) means a
-  cell the reference rejects. Either way the reference parser reads the
-  whole text again, so every error, message and line number is its own.
+  rejects only underscores (``1_0``) and non-ASCII digits. It also rejects
+  whitespace-only lines, which the per-cell parsers skip, so when it raises
+  it reads the text once more without them. A table of ragged rows, such a
+  token or any other non-number makes it raise again, and a count of
+  non-finite cells that differs from the count of markers (a ``nan``,
+  ``inf`` or ``1e999`` cell) means a cell the reference rejects. Either way
+  the reference parser reads the whole text again, so every error, message
+  and line number is its own.
 
 Only data rows go to numpy: the CSV header names and the ARFF declarations
 are read from the original text on both paths.
@@ -231,18 +233,25 @@ def _decide(body: str, delimiter: str, marker: str, n_cols: int | None):
     """
     if not body or body.isspace() or f"-{marker}" in body or f"+{marker}" in body:
         return None
-    n_markers = body.count(marker)
-    try:
-        cells = np.loadtxt(io.BytesIO(body.replace(marker, "nan").encode()),
-                           delimiter=delimiter, comments=None, ndmin=2,
-                           encoding="utf-8", dtype=np.float64)
-    except ValueError:
-        return None
-    if n_cols is not None and cells.shape[1] != n_cols:
-        return None
-    if np.count_nonzero(~np.isfinite(cells)) != n_markers:
+    cells = _loadtxt(body, delimiter, marker)
+    if cells is None:  # once more without the whitespace-only lines, which
+        # numpy rejects and the per-cell parsers skip
+        kept = "\n".join(line for line in body.split("\n") if not line.isspace())
+        cells = None if kept == body else _loadtxt(kept, delimiter, marker)
+    if (cells is None or n_cols is not None and cells.shape[1] != n_cols
+            or np.count_nonzero(~np.isfinite(cells)) != body.count(marker)):
         return None
     return cells
+
+
+def _loadtxt(body, delimiter, marker):
+    """``body`` by ``np.loadtxt``, marker cells NaN, or None if it raises."""
+    try:
+        return np.loadtxt(io.BytesIO(body.replace(marker, "nan").encode()),
+                          delimiter=delimiter, comments=None, ndmin=2,
+                          encoding="utf-8", dtype=np.float64)
+    except ValueError:
+        return None
 
 
 def _table(names, rows, markers, rescan) -> RawTable:

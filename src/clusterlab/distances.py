@@ -1,18 +1,18 @@
-"""Distance kernels and the condensed pairwise distance matrix.
+"""Distance kernels and the dense pairwise distance matrix.
 
 Every distance is computed by one shared row kernel: coordinate differences,
 then a numpy sum over each row. numpy sums a row pairwise (8-way unrolled
 once a row has 8 or more coordinates), not strictly left to right, but a
 row's sum depends only on that row's values, never on how many rows are in
-the call. So a distance computed in a batch, for one pair, or in the
-screened search of :func:`_screened_nearest` is the same bit pattern, and
-results match a naive per-pair computation exactly.
+the call. So a distance computed in a batch, in a block of the dense
+pairwise matrix, for one pair, or in the screened search of
+:func:`_screened_nearest` is the same bit pattern, and results match a
+naive per-pair computation exactly.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +53,12 @@ class Metric(enum.Enum):
 
 
 def _rows_to_point(X: np.ndarray, y: np.ndarray, metric: Metric) -> np.ndarray:
-    """Distances from every row of X to the single point y."""
+    """Distances from every row of X to the single point y, or between the
+    rows of X and y broadcast against each other."""
     diff = X - y
     if metric is Metric.MANHATTAN:
-        return np.abs(diff).sum(axis=1)
-    sq = (diff * diff).sum(axis=1)
+        return np.abs(diff).sum(axis=-1)
+    sq = (diff * diff).sum(axis=-1)
     if metric is Metric.SQEUCLIDEAN:
         return sq
     return np.sqrt(sq)
@@ -180,84 +181,56 @@ def distance(a, b, metric=Metric.EUCLIDEAN) -> float:
     return float(_rows_to_point(a.reshape(1, -1), b.reshape(-1), metric)[0])
 
 
-def condensed_index(i: int, j: int, n: int) -> int:
-    """Position of pair (i, j), i < j, in the condensed value sequence."""
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"invalid pair ({i}, {j}) for n={n}")
-    if i > j:
-        i, j = j, i
-    return i * n - (i * (i + 1)) // 2 + (j - i - 1)
-
-
-@dataclass(frozen=True)
 class DistanceMatrix:
-    """Condensed upper-triangular pairwise distances for n points.
+    """Pairwise distances of n points under ``metric``, held as one dense,
+    read-only (n, n) array.
 
-    ``values[condensed_index(i, j, n)]`` holds d(i, j) for i < j; the
-    diagonal is implicitly zero and symmetry comes from single storage.
+    The array must have a zero diagonal and be exactly symmetric: PAM and
+    the silhouette read row j where they mean column j.
+    :func:`pairwise_distances` builds it so.
     """
 
-    n: int
-    metric: Metric
-    values: np.ndarray  # shape (n * (n - 1) / 2,)
-    _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        expected = self.n * (self.n - 1) // 2
-        if vals.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} condensed entries for n={self.n}, "
-                f"got shape {vals.shape}"
-            )
-        if vals.size and vals.min() < 0:
+    def __init__(self, square, metric=Metric.EUCLIDEAN):
+        D = np.asarray(square, dtype=np.float64)
+        if D.ndim != 2 or D.shape[0] != D.shape[1]:
+            raise ValueError(f"expected a square distance matrix, got shape {D.shape}")
+        if D.size and D.min() < 0:
             raise ValueError("distances must be non-negative")
-        self.values.setflags(write=False)
+        D.setflags(write=False)
+        self.n, self.metric, self._square = D.shape[0], Metric.coerce(metric), D
 
     def get(self, i: int, j: int) -> float:
-        if i == j:
-            if not 0 <= i < self.n:
-                raise IndexError(f"index {i} out of range for n={self.n}")
-            return 0.0
-        return float(self.values[condensed_index(i, j, self.n)])
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"invalid pair ({i}, {j}) for n={self.n}")
+        return float(self._square[i, j])
 
     def square(self) -> np.ndarray:
-        """The dense symmetric (n, n) array with a zero diagonal.
-
-        Expanded on the first call and cached on the instance, so every
-        caller shares one read-only array: the matrix then holds
-        8*n*(n-1)/2 + 8*n*n bytes.
-        """
-        if self._dense is None:
-            full = np.zeros((self.n, self.n), dtype=np.float64)
-            start = 0
-            for i in range(self.n - 1):
-                stop = start + self.n - 1 - i
-                full[i, i + 1 :] = self.values[start:stop]
-                full[i + 1 :, i] = self.values[start:stop]
-                start = stop
-            full.setflags(write=False)
-            object.__setattr__(self, "_dense", full)
-        return self._dense
+        """The dense (n, n) array, 8*n*n bytes, shared by every caller."""
+        return self._square
 
 
 def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
-    """All pairwise distances, condensed.
+    """All pairwise distances.
 
     Accepts an (n, d) array or a Dataset. Entry (i, j) equals
-    ``distance(X[i], X[j], metric)`` exactly.
+    ``distance(X[i], X[j], metric)`` exactly. Rows are computed in blocks
+    of b rows from s on: the block's upper triangle, ``X[s:s+b]`` against
+    ``X[s:]`` (b*(n - s)*d differences, about ``_SCREEN_ELEMENTS``), is
+    written to its rows and mirrored into its columns. Negation is exact,
+    so the result is exactly symmetric.
     """
     metric = Metric.coerce(metric)
     X = as_feature_matrix(X)
-    n = X.shape[0]
-    values = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        values[start:stop] = _rows_to_point(X[i + 1 :], X[i], metric)
-        start = stop
-    return DistanceMatrix(n=n, metric=metric, values=values)
+    n, d = X.shape
+    D = np.empty((n, n))
+    s = 0
+    while s < n:
+        e = s + max(1, _SCREEN_ELEMENTS // ((n - s) * d))
+        block = _rows_to_point(X[s:e, None], X[None, s:], metric)
+        D[s:e, s:] = block
+        D[s:, s:e] = block.T
+        s = e
+    return DistanceMatrix(D, metric)
 
 
 def nearest_neighbor(query, X, exclude: int | None = None, metric=Metric.EUCLIDEAN):

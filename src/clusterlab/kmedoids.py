@@ -10,6 +10,11 @@ Both phases read the dense matrix ``D = DistanceMatrix.square()`` one block
 of rows (about ``_SCREEN_ELEMENTS`` distances) at a time, and allocate no
 n x n or n x (n - k) temporary.
 
+BUILD prefixes. Greedy BUILD for k is the first k steps of BUILD for any
+larger k, so ``_build`` returns the medoids in the order it adds them and
+SWAP starts from a sorted prefix: a k-sweep runs BUILD once, for its largest
+k (``validation.sweep_k``).
+
 Row sums. Adding candidate c, or swapping it in, costs
 ``np.minimum(D[:, c], r).sum()`` for a per-point bound r (the distance to
 the nearest kept medoid). Gathered as ``D[:, cands]``, numpy returns those
@@ -55,10 +60,6 @@ def pam_cost(dist, medoids) -> float:
     return float(D[:, idx].min(axis=1).sum())
 
 
-def _set_cost(D, medoids):
-    return float(D[:, medoids].min(axis=1).sum())
-
-
 def _row_block(n):
     """Rows of ``D`` per block, so a block holds about _SCREEN_ELEMENTS."""
     return max(1, _SCREEN_ELEMENTS // n)
@@ -73,24 +74,25 @@ def _row_costs(D, rows, rest):
 
 
 def _build(D, k):
-    """Greedy initialization: start from the most central point, then add
-    whichever point lowers the total cost the most, each step's costs summed
-    along rows of D (see the module docstring)."""
+    """Greedy BUILD: the k medoids in the order they are added. The first is
+    the most central point; each next one lowers the total cost the most,
+    ties to the lowest index, each step's costs summed along rows of D (see
+    the module docstring). The first k of BUILD for any larger k are these."""
     n = D.shape[0]
     step = _row_block(n)
-    medoids = [int(np.argmin(D.sum(axis=1)))]
-    nearest = D[medoids[0]].copy()
+    order = [int(np.argmin(D.sum(axis=1)))]
+    nearest = D[order[0]].copy()
     costs = np.empty(n)
     for _ in range(1, k):
         for s in range(0, n, step):
             costs[s : s + step] = np.minimum(D[s : s + step], nearest).sum(axis=1)
         in_set = np.zeros(n, dtype=bool)
-        in_set[medoids] = True
+        in_set[order] = True
         cands = np.flatnonzero(~in_set)
         chosen = int(cands[np.argmin(costs[cands])])
-        medoids.append(chosen)
+        order.append(chosen)
         nearest = np.minimum(nearest, D[chosen])
-    return sorted(medoids)
+    return order
 
 
 def _best_swap(D, medoids, valid):
@@ -160,7 +162,7 @@ def _best_swap(D, medoids, valid):
 
 def _swap(D, medoids, max_swap_iters):
     n = D.shape[0]
-    cost = _set_cost(D, medoids)
+    cost = pam_cost(D, medoids)
     swaps = 0
     converged = False
     for _ in range(max_swap_iters):
@@ -171,7 +173,7 @@ def _swap(D, medoids, max_swap_iters):
             break
         pos, cand = _best_swap(D, medoids, ~in_set)
         proposal = sorted(set(medoids) - {medoids[pos]} | {cand})
-        new_cost = _set_cost(D, proposal)  # canonical, same reduction order as cost
+        new_cost = pam_cost(D, proposal)  # canonical, same reduction order as cost
         if new_cost < cost:
             medoids = proposal
             cost = new_cost
@@ -197,20 +199,25 @@ class KMedoids(BaseEstimator):
         self.metric = metric
 
     def fit(self, X, y=None):
+        self._check_params()  # before the O(n^2) distances
         dist = X if isinstance(X, DistanceMatrix) else pairwise_distances(X, self.metric)
-        D = dist.square()
-        n = dist.n
         k = int(self.n_clusters)
-        if k < 1:
+        if dist.n < k:
+            raise TooFewPointsError(dist.n, k)
+        return self._swap_from(dist.square(), _build(dist.square(), k))
+
+    def _check_params(self):
+        if int(self.n_clusters) < 1:
             raise ValueError("n_clusters must be at least 1")
         if int(self.max_swap_iters) < 0:
             raise ValueError(f"max_swap_iters must be non-negative, got {self.max_swap_iters}")
-        if n < k:
-            raise TooFewPointsError(n, k)
 
-        medoids = _build(D, k)
-        medoids, cost, swaps, converged = _swap(D, medoids, int(self.max_swap_iters))
-
+    def _swap_from(self, D, order):
+        """SWAP from the first n_clusters medoids of ``order``, a BUILD order
+        (see ``_build``) of at least that many, then the fitted attributes."""
+        self._check_params()
+        k = int(self.n_clusters)
+        medoids, cost, swaps, converged = _swap(D, sorted(order[:k]), int(self.max_swap_iters))
         labels = D[:, medoids].argmin(axis=1)
         labels[medoids] = np.arange(k)  # a medoid always owns its cluster
         self.medoid_indices_ = np.array(medoids, dtype=np.int64)

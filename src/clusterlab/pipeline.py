@@ -16,7 +16,7 @@ from functools import cached_property
 
 from ._checks import resolve_seed
 from .dataset import Dataset, PreprocessReport
-from .distances import DistanceMatrix, Metric, pairwise_distances
+from .distances import _SCREEN_ELEMENTS, DistanceMatrix, Metric, pairwise_distances
 from .exceptions import AnalysisError
 from .kmeans import KMeans
 from .kmedoids import KMedoids
@@ -57,14 +57,14 @@ class Run:
     @cached_property
     def dist(self) -> DistanceMatrix:
         """The pairwise distance matrix, computed on first use. Inputs whose
-        condensed and dense matrices would not fit in physical memory
-        together are refused before either is allocated."""
-        n = self.data.n
-        need = 8 * (n * (n - 1) // 2) + 8 * n * n
+        matrix and one block of its build (see ``pairwise_distances``) would
+        not fit in physical memory are refused before either is allocated."""
+        n, d = self.data.n, self.data.d
+        need = 8 * n * n + 8 * max(_SCREEN_ELEMENTS, n * d)
         if need > physical_memory():
             raise AnalysisError(
                 f"{n} points need {need / 1e6:.1f} MB for their pairwise distance "
-                f"matrices, more than the {physical_memory() / 1e6:.1f} MB of "
+                f"matrix, more than the {physical_memory() / 1e6:.1f} MB of "
                 "physical memory"
             )
         return pairwise_distances(self.data.features, self.metric)

@@ -1,8 +1,15 @@
 """Partition quality: silhouette analysis and the k-sweep.
 
 The sweep uses one pairwise distance matrix, passed in or computed once, for
-the silhouette of every k and for every PAM fit; its dense form is expanded
-once and shared (see ``DistanceMatrix.square``).
+the silhouette of every k and for every PAM fit, and one PAM BUILD, for its
+largest k, whose prefixes start every smaller k's SWAP.
+
+Silhouette sums. Point i's distances to cluster c add up over j in
+ascending order, as a textbook loop does: row j's distances are added to the
+k x n sums one row after another, ``sums[label[j]] += D[:, j]``, so each sum
+rounds exactly like ``np.bincount(labels, weights=D[i])``. A
+``DistanceMatrix`` is exactly symmetric, so its row j serves for column j; a
+raw array may not be, so its columns are read.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from ._checks import as_feature_matrix, as_labels, resolve_seed
 from .distances import DistanceMatrix, Metric, pairwise_distances
 from .exceptions import SingleClusterError
 from .kmeans import KMeans
-from .kmedoids import KMedoids
+from .kmedoids import KMedoids, _build
 
 ALGORITHMS = ("kmeans", "pam")
 
@@ -48,12 +55,13 @@ def silhouette_report(dist, labels) -> SilhouetteReport:
     s(i) = (b - a) / max(a, b). Members of singleton clusters get width 0.
     """
     if isinstance(dist, DistanceMatrix):
-        D = dist.square()
+        cols = dist.square()  # row j is column j (see the module docstring)
     else:
         D = np.asarray(dist, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise ValueError(f"expected a square distance matrix, got {D.shape}")
-    n = D.shape[0]
+        cols = D.T
+    n = cols.shape[0]
     raw = as_labels(labels, n)
     uniq, inv = np.unique(raw, return_inverse=True)
     k = uniq.size
@@ -61,16 +69,18 @@ def silhouette_report(dist, labels) -> SilhouetteReport:
         raise SingleClusterError(f"need at least 2 clusters, got {k}")
     counts = np.bincount(inv, minlength=k)
 
+    sums = np.zeros((k, n))  # sums[c, i]: point i's distances to cluster c
+    for c, col in zip(inv.tolist(), cols):
+        sums[c] += col
+    every = np.arange(n)
+    own = sums[inv, every]
+    sums /= counts[:, None]
+    sums[inv, every] = np.inf
+    b = sums.min(axis=0)
+    a = own / np.maximum(counts[inv] - 1, 1)
+    denom = np.maximum(a, b)
     widths = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        own = inv[i]
-        if counts[own] == 1:
-            continue  # singleton convention: width 0
-        sums = np.bincount(inv, weights=D[i], minlength=k)
-        a = sums[own] / (counts[own] - 1)
-        b = min(sums[c] / counts[c] for c in range(k) if c != own)
-        denom = max(a, b)
-        widths[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    np.divide(b - a, denom, out=widths, where=(denom != 0.0) & (counts[inv] > 1))
 
     cluster_means = tuple(
         float(widths[inv == c].mean()) for c in range(k)
@@ -140,8 +150,9 @@ def sweep_k(
         raise ValueError(f"distance matrix is {dist.metric.value} over {dist.n} points, "
                          f"expected {metric.value} over {n}")
 
-    D = dist.square()
     ks = tuple(range(k_lo, k_hi + 1))
+    if algorithm == "pam":  # one BUILD: each k's is a prefix of k_hi's
+        order = _build(dist.square(), k_hi)
     sils, objectives = [], []
     for k in ks:
         if algorithm == "kmeans":
@@ -152,8 +163,8 @@ def sweep_k(
         else:
             est = KMedoids(
                 n_clusters=k, max_swap_iters=max_swap_iters, metric=metric
-            ).fit(dist)
-        sils.append(silhouette_report(D, est.labels_).overall)
+            )._swap_from(dist.square(), order)
+        sils.append(silhouette_report(dist, est.labels_).overall)
         objectives.append(float(est.inertia_))
 
     best_k = ks[int(np.argmax(sils))]

@@ -101,12 +101,24 @@ class TestUsageAndErrors:
         for command in ("pam", "analyze"):
             out = tmp_path / command
             assert run_cli(command, str(synth_csv_path), "--out", str(out)) == 3
-            assert "683 points need 5.6 MB" in capsys.readouterr().err
+            assert "683 points need 4.0 MB" in capsys.readouterr().err
             assert not out.exists()
         out = tmp_path / "tendency"
         assert run_cli("tendency", str(synth_csv_path), "--trials", "2",
                        "--out", str(out)) == 0
         assert (out / "tendency.json").is_file()
+
+    def test_memory_bound_is_the_dense_matrix_plus_one_block(self, synth_csv_path, tmp_path,
+                                                             monkeypatch, capsys):
+        # 8 * 683**2 + 8 * 32768 = 3,994,056 bytes; holding the condensed
+        # matrix as well would need 5,595,136
+        out = tmp_path / "pam"
+        monkeypatch.setattr("clusterlab.pipeline.physical_memory", lambda: 3_994_055)
+        assert run_cli("pam", str(synth_csv_path), "--out", str(out)) == 3
+        assert "683 points need 4.0 MB" in capsys.readouterr().err
+        monkeypatch.setattr("clusterlab.pipeline.physical_memory", lambda: 3_994_056)
+        assert run_cli("pam", str(synth_csv_path), "--out", str(out)) == 0
+        assert (out / "pam.json").is_file()
 
     def test_invalid_utf8_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -462,6 +462,37 @@ def test_arff_edge_cases_match_the_per_cell_path(text):
     assert_arff_paths_agree(text)
 
 
+WHITESPACE_LINES = ["   ", "\t", " \t ", "\u00a0", "\u3000"]
+
+
+@pytest.mark.parametrize("blank", WHITESPACE_LINES)
+@pytest.mark.parametrize("rows", [
+    "1,2\n{b}\n3,?\n", "{b}\n1,2\n3,4", "1,2\n3,4\n{b}", "1,2\r\n{b}\r\n3,4\r\n",
+    "1,2\n{b}\n{b}\n\n3,4\n", "1,2\n{b}\n3\n", "1,2\n{b}\nx,4\n", "1,2\n{b}\nnan,4\n",
+    "{b},2\n3,4\n", "{b}\n",
+])
+def test_whitespace_only_lines_match_the_per_cell_path(blank, rows):
+    text = rows.format(b=blank)
+    for has_header in (False, True):
+        assert_csv_paths_agree("a,b\n" * has_header + text, CsvFormat(has_header=has_header))
+    assert_arff_paths_agree(ARFF_HEAD + text)
+
+
+@pytest.mark.parametrize("blank", WHITESPACE_LINES)
+def test_whitespace_only_lines_keep_the_fast_path(blank, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the per-cell parser ran")
+
+    text = f"1,2\n{blank}\n3,?\r\n{blank}\r\n5,6\n{blank}"
+    expected = _outcome(dataset._csv_table, "a,b\n" + text, CsvFormat(has_header=True))
+    expected_arff = _outcome(reference_parse_arff, ARFF_HEAD + text)
+    monkeypatch.setattr(dataset, "_csv_rows", refuse)
+    monkeypatch.setattr(dataset, "_arff_rows", refuse)
+    assert _outcome(parse_csv, "a,b\n" + text, CsvFormat(has_header=True)) == expected
+    assert _outcome(parse_arff, ARFF_HEAD + text) == expected_arff
+    assert expected[1] == (3, 2)
+
+
 def test_wbc_shaped_tables_take_the_fast_path(synth_csv, monkeypatch):
     def refuse(*args):
         raise AssertionError("the per-cell parser ran")

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from clusterlab import (
     DistanceMatrix,
     Metric,
-    condensed_index,
     distance,
     nearest_neighbor,
     pairwise_distances,
 )
+from clusterlab import distances
 from clusterlab.exceptions import DimensionMismatchError, EmptyCandidateSetError
 
 ALL_METRICS = list(Metric)
@@ -81,29 +81,15 @@ def test_squared_euclidean_violates_triangle_inequality():
     )
 
 
-class TestCondensedIndex:
-    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64])
-    def test_bijection_onto_pairs(self, n):
-        seen = [condensed_index(i, j, n) for i in range(n) for j in range(i + 1, n)]
-        assert sorted(seen) == list(range(n * (n - 1) // 2))
-
-    def test_symmetric_lookup(self):
-        assert condensed_index(3, 1, 5) == condensed_index(1, 3, 5)
-
-    def test_diagonal_rejected(self):
-        with pytest.raises(IndexError):
-            condensed_index(2, 2, 5)
-
-
 class TestPairwise:
     def test_single_point(self):
         dm = pairwise_distances(np.array([[1.0, 2.0]]))
         assert dm.n == 1
-        assert dm.values.shape == (0,)
+        assert dm.square().tolist() == [[0.0]]
 
     def test_three_collinear_points(self):
         dm = pairwise_distances(np.array([[0.0], [1.0], [3.0]]))
-        assert dm.values.tolist() == [1.0, 3.0, 2.0]
+        assert dm.square().tolist() == [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_matches_naive_double_loop_exactly(self, metric):
@@ -134,15 +120,39 @@ class TestPairwise:
                 assert sq[i, j] == dm.get(i, j)
 
     def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            DistanceMatrix(3, Metric.EUCLIDEAN, np.array([1.0, -0.5, 2.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            DistanceMatrix(np.array([[0.0, -0.5], [-0.5, 0.0]]))
 
-    def test_square_is_expanded_once_and_read_only(self):
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            DistanceMatrix(np.zeros((2, 3)))
+
+    def test_get_rejects_pairs_out_of_range(self):
+        dm = pairwise_distances(np.arange(3.0))
+        for i, j in ((3, 0), (0, 3), (-1, 0)):
+            with pytest.raises(IndexError):
+                dm.get(i, j)
+
+    def test_square_is_one_shared_read_only_array(self):
         dm = pairwise_distances(np.random.default_rng(5).normal(size=(6, 2)))
         sq = dm.square()
         assert dm.square() is sq
         with pytest.raises(ValueError):
             sq[0, 1] = 1.0
+
+    # the first block's rows: one per block, 7, and the default size
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("d", [1, 9, 17])
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_blocks_match_naive_pairs_exactly(self, monkeypatch, rows, d, metric):
+        rng = np.random.default_rng(d)
+        X = np.vstack([rng.normal(size=(40, d)), np.floor(rng.random((20, d)) * 3)]) + 1e6
+        if rows is not None:
+            monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", rows * X.shape[0] * d)
+        D = pairwise_distances(X, metric).square()
+        naive = [[distance(a, b, metric) for b in X] for a in X]
+        assert D.tolist() == naive
+        assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
 
 
 class TestNearestNeighbor:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlab import KMedoids, Metric, kmedoids, pairwise_distances, pam_cost
+from clusterlab import (KMedoids, Metric, kmedoids, pairwise_distances, pam_cost,
+                        silhouette_report, sweep_k)
 from clusterlab.exceptions import InvalidMedoidError, TooFewPointsError
 
 
@@ -105,6 +106,21 @@ class TestKMedoids:
     def test_negative_swap_limit_rejected(self):
         with pytest.raises(ValueError, match="max_swap_iters"):
             KMedoids(n_clusters=2, max_swap_iters=-1).fit(np.arange(6.0).reshape(3, 2))
+
+    @pytest.mark.parametrize("params", [{"n_clusters": 0}, {"max_swap_iters": -1}])
+    def test_invalid_settings_build_no_distances(self, monkeypatch, params):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return pairwise_distances(*args)
+
+        monkeypatch.setattr(kmedoids, "pairwise_distances", counting)
+        with pytest.raises(ValueError):
+            KMedoids(**params).fit(np.arange(8.0).reshape(4, 2))
+        assert built == []
+        KMedoids().fit(np.arange(8.0).reshape(4, 2))
+        assert len(built) == 1
 
     def test_medoid_owns_its_cluster(self):
         # duplicate points can tie; the medoid must still sit in its own cluster
@@ -265,6 +281,32 @@ class TestScreenedPamMatchesReference:
         for k in (1, 2, 3, 5, n - 1, n):
             for max_swap_iters in (0, 1, 200):
                 assert_fit_matches_reference(X, metric, k, max_swap_iters)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES) + ["infinite"])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_sweep_matches_fits_at_every_k(self, family, metric):
+        # one BUILD for the largest k serves every k of the sweep
+        if family == "infinite":  # Euclidean distances overflow to inf
+            X = np.array([[0.0], [1.0], [2.0], [1e200], [-1e200], [3.0], [2.0]])
+        else:
+            X = FAMILIES[family]()
+        with np.errstate(over="ignore"):
+            dist = pairwise_distances(X, metric)
+        D = dist.square()
+        k_hi = min(X.shape[0] - 1, 8)
+        order = kmedoids._build(D, k_hi)
+        with np.errstate(invalid="ignore"):  # widths of inf - inf
+            result = sweep_k(X, (2, k_hi), algorithm="pam", metric=metric, dist=dist)
+            for k, sil, wss in zip(result.ks, result.avg_silhouette, result.wss):
+                assert sorted(order[:k]) == reference_build(D, k)
+                est = KMedoids(n_clusters=k, metric=metric).fit(dist)
+                swept = KMedoids(n_clusters=k, metric=metric)._swap_from(D, order)
+                for name in ("medoid_indices_", "labels_", "n_swaps_", "converged_"):
+                    assert np.array_equal(getattr(swept, name), getattr(est, name))
+                assert np.float64(wss).tobytes() == np.float64(est.inertia_).tobytes()
+                overall = silhouette_report(dist, est.labels_).overall
+                assert np.float64(sil).tobytes() == np.float64(overall).tobytes()
+                assert_matches_reference(dist, k)
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_across_row_blocks(self, monkeypatch, metric):

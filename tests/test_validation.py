@@ -3,6 +3,8 @@ import pytest
 
 from clusterlab import (
     KMeans,
+    KMedoids,
+    Metric,
     pairwise_distances,
     silhouette_report,
     sweep_k,
@@ -35,6 +37,25 @@ def naive_silhouette(D, labels):
         b = min(sums[c] / counts[c] for c in range(k) if c != own)
         denom = max(a, b)
         widths.append(0.0 if denom == 0.0 else (b - a) / denom)
+    return widths
+
+
+def loop_silhouette(D, labels):
+    """The per-point loop the vectorized silhouette replaced: one bincount of
+    row i per point, which adds in ascending j like the naive loop."""
+    uniq, inv = np.unique(labels, return_inverse=True)
+    k = uniq.size
+    counts = np.bincount(inv, minlength=k)
+    widths = np.zeros(len(labels))
+    for i in range(len(labels)):
+        own = inv[i]
+        if counts[own] == 1:
+            continue
+        sums = np.bincount(inv, weights=D[i], minlength=k)
+        a = sums[own] / (counts[own] - 1)
+        b = min(sums[c] / counts[c] for c in range(k) if c != own)
+        denom = max(a, b)
+        widths[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return widths
 
 
@@ -74,6 +95,23 @@ class TestSilhouette:
         rep = silhouette_report(dist, labels)
         oracle = naive_silhouette(dist.square().tolist(), labels.tolist())
         assert rep.widths.tolist() == oracle  # bit-for-bit
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_matches_loop_oracle_on_fitted_labels(self, metric):
+        rng = np.random.default_rng(9)
+        X = np.vstack([blobs(300, 4, seed=9), np.floor(rng.random((100, 2)) * 3)])
+        dist = pairwise_distances(X, metric)
+        D = dist.square()
+        for k in (2, 3, 5, 8):
+            for est in (KMeans(n_clusters=k, n_init=2, random_state=k).fit(X),
+                        KMedoids(n_clusters=k, metric=metric).fit(dist)):
+                widths = silhouette_report(dist, est.labels_).widths
+                assert widths.tobytes() == loop_silhouette(D, est.labels_).tobytes()
+        labels = np.arange(400) % 7
+        labels[:3] = 7  # and a singleton cluster 8
+        labels[5] = 8
+        widths = silhouette_report(dist, labels).widths
+        assert widths.tobytes() == loop_silhouette(D, labels).tobytes()
 
     def test_widths_in_range(self):
         rng = np.random.default_rng(3)
@@ -134,6 +172,16 @@ class TestSilhouette:
         b = silhouette_report(dist.square(), [0, 1] * 6)
         assert np.array_equal(a.widths, b.widths)
 
+    def test_raw_asymmetric_array_matches_naive_oracle_exactly(self):
+        # point i's sums run along row i of a raw array; its column differs
+        rng = np.random.default_rng(8)
+        D = rng.random((30, 30)) * rng.choice([1.0, 1e-8, 1e8], size=(30, 30))
+        np.fill_diagonal(D, 0.0)
+        labels = rng.integers(0, 4, size=30)
+        labels[:4] = np.arange(4)
+        rep = silhouette_report(D, labels)
+        assert rep.widths.tolist() == naive_silhouette(D.tolist(), labels.tolist())
+
 
 class TestSweep:
     def test_planted_two_blobs(self):
@@ -170,6 +218,8 @@ class TestSweep:
         result = sweep_k(X, (2, 4), algorithm="pam", seed=1)
         assert result.best_k == 2
         assert all(w >= 0 for w in result.wss)
+        with pytest.raises(ValueError, match="max_swap_iters"):
+            sweep_k(X, (2, 4), algorithm="pam", max_swap_iters=-1)
 
     def test_best_k_ties_take_smaller(self):
         res = KSweepResult(ks=(2, 3), avg_silhouette=(0.5, 0.5), wss=(1.0, 0.5), best_k=2)
