@@ -11,10 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, pipeline
-from .dataset import (BENIGN, CsvFormat, RawTable, format_table, parse_arff, parse_csv,
+from .dataset import (CsvFormat, RawTable, _export_table, format_table, parse_arff, parse_csv,
                       preprocess, write_arff)
 from .distances import Metric
 from .exceptions import ClusterlabError, InputError
@@ -195,17 +193,6 @@ def cmd_inspect(args) -> int:
         for name, count in summary["missing_per_column"].items():
             print(f"  {name}: {count}")
     return 0
-
-
-def _export_table(data) -> RawTable:
-    """Cleaned dataset as a writable table: features plus a 2/4 class column."""
-    names = list(data.feature_names)
-    cells = data.features
-    if data.labels is not None:
-        codes = np.where(np.array(data.labels, dtype=str) == BENIGN, 2.0, 4.0)
-        cells = np.column_stack([cells, codes])
-        names.append("class")
-    return RawTable(tuple(names), cells)
 
 
 def cmd_preprocess(args) -> int:

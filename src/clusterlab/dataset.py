@@ -15,10 +15,9 @@ table of the common shape is instead read whole by numpy's C reader:
   \x0c \x1c-\x1e \x85 \u2028 \u2029``, and ``\x1f`` with them), or a
   ``\r`` outside ``\r\n``; when the delimiter is not one character, is
   whitespace, a quote or NUL, or may occur in a number; when the missing
-  marker is empty, holds whitespace, the delimiter or a character that may
-  occur in a number, or follows a sign (``-?`` would read as ``-nan``); when
-  an ARFF header declares a nominal attribute; and when there are no data
-  rows (numpy warns on empty input).
+  marker is empty, holds whitespace or the delimiter, or follows a sign
+  (``-?`` would read as ``-nan``); when an ARFF header declares a nominal
+  attribute; and when there are no data rows (numpy warns on empty input).
 - **Decide.** Otherwise every marker becomes ``nan`` and ``np.loadtxt``
   parses the rest. Its C reader converts each token with
   ``PyOS_string_to_double``, the routine behind ``float``, so every cell it
@@ -45,7 +44,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -215,11 +214,10 @@ def _screened(text: str, doubtful: str = _DOUBTFUL) -> bool:
 def _plain_format(delimiter: str, marker: str) -> bool:
     """Whether the delimiter is one character that is no whitespace, no
     character of :data:`_DOUBTFUL` and none a number may hold, and the
-    marker is not empty and shares no character with whitespace, a number
-    or the delimiter."""
+    marker is not empty and holds neither whitespace nor the delimiter."""
     return (len(delimiter) == 1 and not delimiter.isspace() and delimiter not in _DOUBTFUL
             and delimiter not in _NUMBER_CHARS and marker != ""
-            and not any(c.isspace() or c in _NUMBER_CHARS or c == delimiter for c in marker))
+            and not any(c.isspace() or c == delimiter for c in marker))
 
 
 def _decide(body: str, delimiter: str, marker: str, n_cols: int | None):
@@ -575,8 +573,7 @@ def build_dataset(
     row_ids: tuple
     if id_column is not None:
         idx = table.column_index(id_column)
-        ids = table.cells[:, idx]
-        row_ids = tuple(int(v) if float(v).is_integer() else float(v) for v in ids)
+        row_ids = tuple(map(_row_id, table.cells[:, idx]))
         drop_idx.append(idx)
         columns_dropped.append(id_column)
     else:
@@ -622,6 +619,11 @@ def build_dataset(
     return dataset, report
 
 
+def _row_id(value):
+    """An id-column cell as a row id: an int when it is integral."""
+    return int(value) if float(value).is_integer() else float(value)
+
+
 def _decode_labels(values: np.ndarray) -> tuple[str, ...]:
     """The class names of a column coded as the source data codes them:
     2 = benign, 4 = malignant."""
@@ -630,6 +632,18 @@ def _decode_labels(values: np.ndarray) -> tuple[str, ...]:
     if bad.size:
         raise InvalidClassValueError(values[bad[0]], line=int(bad[0]))
     return tuple(np.where(benign, BENIGN, MALIGNANT).tolist())
+
+
+def _export_table(data: Dataset) -> RawTable:
+    """A dataset as a writable table: its features, then its labels coded
+    back to 2/4 as a ``class`` column."""
+    names = list(data.feature_names)
+    cells = data.features
+    if data.labels is not None:
+        codes = np.where(np.array(data.labels, dtype=str) == BENIGN, 2.0, 4.0)
+        cells = np.column_stack([cells, codes])
+        names.append("class")
+    return RawTable(tuple(names), cells)
 
 
 def preprocess(
@@ -645,22 +659,9 @@ def preprocess(
     """
     kept, dropped_idx = drop_missing_rows(table)
     dataset, report = build_dataset(kept, id_column, label_column, normalize)
-
     if id_column is not None:
-        id_col = table.column(id_column)
-        dropped_ids = tuple(
-            int(v) if float(v).is_integer() else float(v)
-            for v in id_col[dropped_idx]
-        )
+        dropped_ids = tuple(map(_row_id, table.column(id_column)[dropped_idx]))
     else:
         dropped_ids = tuple(dropped_idx)
-
-    report = PreprocessReport(
-        rows_before=table.n_rows,
-        rows_after=kept.n_rows,
-        rows_dropped=len(dropped_idx),
-        dropped_row_ids=dropped_ids,
-        columns_dropped=report.columns_dropped,
-        norm_params=report.norm_params,
-    )
-    return dataset, report
+    return dataset, replace(report, rows_before=table.n_rows, rows_dropped=len(dropped_idx),
+                            dropped_row_ids=dropped_ids)

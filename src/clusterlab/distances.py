@@ -8,26 +8,46 @@ the call. So a distance computed in a batch, in a block of the dense
 pairwise matrix, for one pair, or in the screened search of
 :func:`_screened_nearest` is the same bit pattern, and results match a
 naive per-pair computation exactly.
+
+Memory. This module alone sizes the package's temporaries. Every blocked
+walk (the screened nearest search here, the build of the dense matrix, and
+PAM's BUILD and SWAP over its rows) holds about ``_SCREEN_ELEMENTS`` float64
+values (256 KB) per block, with row counts from :func:`_block_rows`, so
+memory stays flat as n grows. The dense (n, n) matrix is the one O(n^2)
+allocation: :func:`pairwise_distances` refuses n points of d features, with
+:class:`AnalysisError` and before it allocates anything, when the matrix's
+8n² bytes plus one block of its build, 8*max(_SCREEN_ELEMENTS, n*d) bytes,
+exceed :func:`physical_memory`.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from typing import NamedTuple
 
 import numpy as np
 
 from ._checks import as_feature_matrix
-from .exceptions import DimensionMismatchError, EmptyCandidateSetError
+from .exceptions import AnalysisError, DimensionMismatchError, EmptyCandidateSetError
 
 
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
-#: elements per screen temporary (256 KB of float64): screens walk their
-#: queries or rows in blocks of this many distances, so memory stays flat as
-#: n grows
+#: elements per block temporary (256 KB of float64)
 _SCREEN_ELEMENTS = 32768
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block when a row holds ``width`` elements: about
+    _SCREEN_ELEMENTS elements, and at least one row."""
+    return max(1, _SCREEN_ELEMENTS // width)
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of the host the program runs on."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class Metric(enum.Enum):
@@ -90,7 +110,9 @@ def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
 
     ``exclude[i]``, when given, removes row ``exclude[i]`` of ``B`` from the
     search for row i; ``B`` must then have at least two rows. Returns
-    ``(index, d2)``, two arrays of length len(A).
+    ``(index, d2)``, two arrays of length len(A). The rows of ``A`` are
+    searched in blocks of ``_block_rows(len(B))``; a row's result does not
+    depend on the other rows of its block.
 
     Screen: S[i, j] = |b'_j|^2 + (-2 a'_i).b'_j ranks the pairs with one GEMM,
     on the rows shifted by a common center, a' = a - c and b' = b - c
@@ -123,6 +145,21 @@ def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
     absolute term. Non-finite thresholds (overflow) make every pair a
     candidate, so the exact kernel decides alone.
     """
+    step = _block_rows(B.raw.shape[0])
+    if A.raw.shape[0] <= step:
+        return _nearest_block(A, B, exclude)
+    idx = np.empty(A.raw.shape[0], dtype=np.intp)
+    d2 = np.empty(A.raw.shape[0])
+    for s in range(0, idx.size, step):
+        part = slice(s, s + step)
+        block = _Rows(A.raw[part], A.shifted[part], A.sq[part], A.top)
+        skip = None if exclude is None else exclude[part]
+        idx[part], d2[part] = _nearest_block(block, B, skip)
+    return idx, d2
+
+
+def _nearest_block(A: _Rows, B: _Rows, exclude=None):
+    """:func:`_screened_nearest` on one block of rows of ``A``."""
     idx, cand = _candidates(A, B, exclude)
     every = np.arange(A.raw.shape[0])
     diff = A.raw - B.raw[idx]
@@ -217,15 +254,21 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
     of b rows from s on: the block's upper triangle, ``X[s:s+b]`` against
     ``X[s:]`` (b*(n - s)*d differences, about ``_SCREEN_ELEMENTS``), is
     written to its rows and mirrored into its columns. Negation is exact,
-    so the result is exactly symmetric.
+    so the result is exactly symmetric. Raises :class:`AnalysisError`,
+    before allocating, when the matrix would not fit in memory (see the
+    module docstring).
     """
     metric = Metric.coerce(metric)
     X = as_feature_matrix(X)
     n, d = X.shape
+    need, have = 8 * n * n + 8 * max(_SCREEN_ELEMENTS, n * d), physical_memory()
+    if need > have:
+        raise AnalysisError(f"{n} points need {need / 1e6:.1f} MB for their pairwise distance "
+                            f"matrix, more than the {have / 1e6:.1f} MB of physical memory")
     D = np.empty((n, n))
     s = 0
     while s < n:
-        e = s + max(1, _SCREEN_ELEMENTS // ((n - s) * d))
+        e = s + _block_rows((n - s) * d)
         block = _rows_to_point(X[s:e, None], X[None, s:], metric)
         D[s:e, s:] = block
         D[s:, s:e] = block.T

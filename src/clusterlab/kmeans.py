@@ -168,7 +168,7 @@ class KMeans(BaseEstimator):
         labels, centers, objective, n_iter, converged, path = best
         self.labels_ = labels
         self.cluster_centers_ = centers
-        self.inertia_ = wss(X, labels, centers)  # recomputed, self-consistent
+        self.inertia_ = objective  # the final objective is wss(X, labels, centers)
         self.n_iter_ = n_iter
         self.converged_ = converged
         self.objective_path_ = tuple(path)

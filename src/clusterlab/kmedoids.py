@@ -6,9 +6,9 @@ computed with the configured metric) or a precomputed
 deterministic; ties between equal-cost choices break toward the lowest
 (medoid index, candidate index) pair.
 
-Both phases read the dense matrix ``D = DistanceMatrix.square()`` one block
-of rows (about ``_SCREEN_ELEMENTS`` distances) at a time, and allocate no
-n x n or n x (n - k) temporary.
+Both phases read the dense matrix ``D = DistanceMatrix.square()`` one row
+block at a time (blocks sized by ``distances``), and allocate no n x n or
+n x (n - k) temporary.
 
 BUILD prefixes. Greedy BUILD for k is the first k steps of BUILD for any
 larger k, so ``_build`` returns the medoids in the order it adds them and
@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
-from .distances import _EPS, _SCREEN_ELEMENTS, DistanceMatrix, Metric, pairwise_distances
+from .distances import _EPS, DistanceMatrix, Metric, _block_rows, pairwise_distances
 from .exceptions import InvalidMedoidError, TooFewPointsError
 
 
@@ -60,17 +60,15 @@ def pam_cost(dist, medoids) -> float:
     return float(D[:, idx].min(axis=1).sum())
 
 
-def _row_block(n):
-    """Rows of ``D`` per block, so a block holds about _SCREEN_ELEMENTS."""
-    return max(1, _SCREEN_ELEMENTS // n)
-
-
 def _row_costs(D, rows, rest):
     """``np.minimum(D[c], rest).sum()`` for every c in ``rows``, gathered one
     row block at a time."""
-    step = _row_block(D.shape[0])
-    return np.concatenate([np.minimum(D[rows[s : s + step]], rest).sum(axis=1)
-                           for s in range(0, rows.size, step)])
+    step = _block_rows(D.shape[0])
+    costs = np.empty(rows.size)
+    for s in range(0, rows.size, step):
+        block = D[rows[s : s + step]]
+        costs[s : s + step] = np.minimum(block, rest, out=block).sum(axis=1)
+    return costs
 
 
 def _build(D, k):
@@ -79,17 +77,13 @@ def _build(D, k):
     ties to the lowest index, each step's costs summed along rows of D (see
     the module docstring). The first k of BUILD for any larger k are these."""
     n = D.shape[0]
-    step = _row_block(n)
     order = [int(np.argmin(D.sum(axis=1)))]
     nearest = D[order[0]].copy()
-    costs = np.empty(n)
     for _ in range(1, k):
-        for s in range(0, n, step):
-            costs[s : s + step] = np.minimum(D[s : s + step], nearest).sum(axis=1)
         in_set = np.zeros(n, dtype=bool)
         in_set[order] = True
         cands = np.flatnonzero(~in_set)
-        chosen = int(cands[np.argmin(costs[cands])])
+        chosen = int(cands[np.argmin(_row_costs(D, cands, nearest))])
         order.append(chosen)
         nearest = np.minimum(nearest, D[chosen])
     return order
@@ -97,9 +91,10 @@ def _build(D, k):
 
 def _best_swap(D, medoids, valid):
     """(medoid position, candidate) of the cheapest swap, ties to the lowest
-    pair; ``valid`` marks the candidate rows, the non-medoids. Swapping medoid i for c costs ``np.minimum(D[c], rest_i).sum()``,
-    rest_i being each point's distance to its nearest medoid other than i;
-    the screen E ranks every pair first (see the module docstring).
+    pair; ``valid`` marks the candidate rows, the non-medoids. Swapping
+    medoid i for c costs ``np.minimum(D[c], rest_i).sum()``, rest_i being
+    each point's distance to its nearest medoid other than i; the screen E
+    ranks every pair first (see the module docstring).
 
     Slack. Let u = eps/2, g(m) = m*u/(1 - m*u), C the exact sum of a pair's
     terms, K the kernel's value and M = max_c sum_j SV[j, c] + max SU as
@@ -132,7 +127,7 @@ def _best_swap(D, medoids, valid):
     onehot = (owner == np.arange(k)[:, None]).astype(np.float64)
     SV = np.zeros((k, n))
     SU = np.zeros((k, n))
-    step = _row_block(n)
+    step = _block_rows(n)
     buf = np.empty((min(step, n), n))
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, inf - inf
         for s in range(0, n, step):

@@ -4,19 +4,18 @@ The subcommands tendency, kmeans, pam, silhouette, sweep and analyze are
 selections of these stages. Each stage builds its estimator in one place and
 returns its report section together with the fitted object that later
 stages or plots need. A run computes its pairwise distance matrix at most
-once, on first use and after checking that it fits in memory, so stages that
-need none (Hopkins, K-means without a silhouette) never allocate O(n^2).
+once, on first use, so stages that need none (Hopkins, K-means without a
+silhouette) never allocate O(n^2).
 """
 
 from __future__ import annotations
 
-import os
 from argparse import Namespace
 from functools import cached_property
 
 from ._checks import resolve_seed
 from .dataset import Dataset, PreprocessReport
-from .distances import _SCREEN_ELEMENTS, DistanceMatrix, Metric, pairwise_distances
+from .distances import DistanceMatrix, Metric, pairwise_distances
 from .exceptions import AnalysisError
 from .kmeans import KMeans
 from .kmedoids import KMedoids
@@ -38,11 +37,6 @@ from .tendency import default_sample_size, hopkins_statistic
 from .validation import check_k_range, silhouette_report, sweep_k
 
 
-def physical_memory() -> int:
-    """Bytes of physical memory of the host the program runs on."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
 class Run:
     """What the stages of one run share: the prepared data, the settings as
     the CLI parses them, the seed (resolved once), the metric, and the
@@ -56,17 +50,7 @@ class Run:
 
     @cached_property
     def dist(self) -> DistanceMatrix:
-        """The pairwise distance matrix, computed on first use. Inputs whose
-        matrix and one block of its build (see ``pairwise_distances``) would
-        not fit in physical memory are refused before either is allocated."""
-        n, d = self.data.n, self.data.d
-        need = 8 * n * n + 8 * max(_SCREEN_ELEMENTS, n * d)
-        if need > physical_memory():
-            raise AnalysisError(
-                f"{n} points need {need / 1e6:.1f} MB for their pairwise distance "
-                f"matrix, more than the {physical_memory() / 1e6:.1f} MB of "
-                "physical memory"
-            )
+        """The pairwise distance matrix, computed on first use."""
         return pairwise_distances(self.data.features, self.metric)
 
 

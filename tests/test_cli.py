@@ -58,7 +58,7 @@ class TestUsageAndErrors:
     def test_sweep_range_is_checked_before_the_distance_matrix(
             self, synth_csv_path, monkeypatch, capsys):
         built = []
-        monkeypatch.setattr("clusterlab.pipeline.physical_memory", lambda: 1_000_000)
+        monkeypatch.setattr("clusterlab.distances.physical_memory", lambda: 1_000_000)
         monkeypatch.setattr("clusterlab.pipeline.pairwise_distances",
                             lambda *args: built.append(args))
         code = run_cli("sweep", str(synth_csv_path), "--k-max", "100000")
@@ -97,7 +97,7 @@ class TestUsageAndErrors:
 
     def test_distance_matrix_beyond_memory_is_refused(self, synth_csv_path, tmp_path,
                                                       monkeypatch, capsys):
-        monkeypatch.setattr("clusterlab.pipeline.physical_memory", lambda: 1_000_000)
+        monkeypatch.setattr("clusterlab.distances.physical_memory", lambda: 1_000_000)
         for command in ("pam", "analyze"):
             out = tmp_path / command
             assert run_cli(command, str(synth_csv_path), "--out", str(out)) == 3
@@ -113,10 +113,10 @@ class TestUsageAndErrors:
         # 8 * 683**2 + 8 * 32768 = 3,994,056 bytes; holding the condensed
         # matrix as well would need 5,595,136
         out = tmp_path / "pam"
-        monkeypatch.setattr("clusterlab.pipeline.physical_memory", lambda: 3_994_055)
+        monkeypatch.setattr("clusterlab.distances.physical_memory", lambda: 3_994_055)
         assert run_cli("pam", str(synth_csv_path), "--out", str(out)) == 3
         assert "683 points need 4.0 MB" in capsys.readouterr().err
-        monkeypatch.setattr("clusterlab.pipeline.physical_memory", lambda: 3_994_056)
+        monkeypatch.setattr("clusterlab.distances.physical_memory", lambda: 3_994_056)
         assert run_cli("pam", str(synth_csv_path), "--out", str(out)) == 0
         assert (out / "pam.json").is_file()
 

@@ -371,7 +371,8 @@ def documents(draw, delimiter, marker, header_names=None):
 def csv_cases(draw):
     fmt = CsvFormat(has_header=draw(st.booleans()),
                     delimiter=draw(st.sampled_from([",", ",", ";", "|", "\t", "e", "::", ""])),
-                    missing=draw(st.sampled_from(["?", "?", "NA", "x", "", "-", "a b"])))
+                    missing=draw(st.sampled_from(["?", "?", "NA", "na", "n", "e", "1", ".", "inf",
+                                                  "x", "", "-", "a b"])))
     names = st.sampled_from(["a", "b", "?", "NA", " c ", "-?"]) if fmt.has_header else None
     return draw(documents(fmt.delimiter, fmt.missing, names)), fmt
 
@@ -504,6 +505,7 @@ def test_wbc_shaped_tables_take_the_fast_path(synth_csv, monkeypatch):
     table = parse_csv(synth_csv)
     assert table == expected
     assert parse_arff(write_arff(table, "wbc")) == expected
+    assert parse_csv(synth_csv.replace(b"?", b"NA"), CsvFormat(missing="NA")) == expected
 
 
 class TestDropMissingRows:

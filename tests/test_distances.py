@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from clusterlab import (
     DistanceMatrix,
+    KMedoids,
     Metric,
     distance,
     nearest_neighbor,
     pairwise_distances,
+    sweep_k,
 )
 from clusterlab import distances
-from clusterlab.exceptions import DimensionMismatchError, EmptyCandidateSetError
+from clusterlab.exceptions import AnalysisError, DimensionMismatchError, EmptyCandidateSetError
 
 ALL_METRICS = list(Metric)
 
@@ -153,6 +155,15 @@ class TestPairwise:
         naive = [[distance(a, b, metric) for b in X] for a in X]
         assert D.tolist() == naive
         assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
+
+    def test_matrix_beyond_memory_is_refused(self, monkeypatch):
+        # 8 * 683**2 + 8 * 32768 bytes: the matrix and one block of its build
+        X = np.random.default_rng(0).random((683, 9))
+        monkeypatch.setattr(distances, "physical_memory", lambda: 1_000_000)
+        for call in (lambda: pairwise_distances(X), lambda: KMedoids().fit(X),
+                     lambda: sweep_k(X, algorithm="pam")):
+            with pytest.raises(AnalysisError, match="683 points need 4.0 MB"):
+                call()
 
 
 class TestNearestNeighbor:

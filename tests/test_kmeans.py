@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlab import KMeans, wss
+from clusterlab import KMeans, distances, wss
 from clusterlab.distances import _candidates, _rows, _screened_nearest
 from clusterlab.exceptions import (
     EmptyDatasetError,
@@ -116,11 +116,13 @@ class TestKMeansInvariants:
         path = est.objective_path_
         assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
 
-    def test_inertia_self_consistent(self):
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_inertia_self_consistent(self, shift):
         rng = np.random.default_rng(6)
-        X = rng.normal(size=(50, 2))
+        X = rng.normal(size=(50, 2)) + shift
         est = KMeans(n_clusters=3, random_state=1).fit(X)
-        assert est.inertia_ == wss(X, est.labels_, est.cluster_centers_)
+        recomputed = wss(X, est.labels_, est.cluster_centers_)
+        assert np.float64(est.inertia_).tobytes() == np.float64(recomputed).tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(8)
@@ -372,11 +374,16 @@ class TestScreenedAssignment:
         X = grid(30, 3, 7, scale=1e-310)
         self.check(X, X[:5])
 
-    def test_predict_uses_the_same_rule(self):
+    # queries per block: all 50 at once, or 7 against the 4 centers
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_predict_uses_the_same_rule(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", block * 4)
         X = grid(80, 9, 8)
         est = KMeans(n_clusters=4, random_state=0, n_init=3).fit(X)
         q = grid(50, 9, 9)
         assert np.array_equal(est.predict(q), reference_assign(q, est.cluster_centers_)[0])
+        assert_fit_matches_reference(X, 4, 0, n_init=3)
 
 
 class TestLloydMatchesReference:

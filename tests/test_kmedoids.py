@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlab import (KMedoids, Metric, kmedoids, pairwise_distances, pam_cost,
+from clusterlab import (KMedoids, Metric, distances, kmedoids, pairwise_distances, pam_cost,
                         silhouette_report, sweep_k)
 from clusterlab.exceptions import InvalidMedoidError, TooFewPointsError
 
@@ -311,7 +311,7 @@ class TestScreenedPamMatchesReference:
     @pytest.mark.parametrize("metric", list(Metric))
     def test_across_row_blocks(self, monkeypatch, metric):
         # blocks of 7 rows, so blocks end inside clusters and candidates
-        monkeypatch.setattr(kmedoids, "_SCREEN_ELEMENTS", 7 * 90)
+        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", 7 * 90)
         X = np.vstack([grid(60, 9, 21), grid(30, 9, 22, levels=3)])
         for k in (1, 2, 4, 89, 90):
             assert_fit_matches_reference(X, metric, k)

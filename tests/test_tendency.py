@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusterlab import hopkins_statistic, tendency
+from clusterlab import distances, hopkins_statistic
 from clusterlab.distances import (
     Metric, _rows, _rows_to_point, _screened_nearest, nearest_neighbor,
 )
@@ -157,7 +157,7 @@ class TestScreenedHopkins:
 
     def test_blobs_across_query_blocks(self, monkeypatch):
         # blocks of 7 queries, so blocks end mid-sample
-        monkeypatch.setattr(tendency, "_SCREEN_ELEMENTS", 7 * 500)
+        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", 7 * 500)
         assert_matches_reference(blobs(500, 9, seed=4), 50, 3, 8)
 
     def test_only_neighbour_is_an_exact_duplicate(self):
