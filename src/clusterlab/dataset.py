@@ -32,7 +32,8 @@ table of the common shape is instead read whole by numpy's C reader:
   and line number is its own.
 
 Only data rows go to numpy: the CSV header names and the ARFF declarations
-are read from the original text on both paths.
+are read from the original text on both paths. A CSV header line may hold
+quotes: ``csv.reader`` reads that one line, and the rest is screened alone.
 
 All values are immutable after construction and safe to share across threads.
 Row order is preserved by every operation in this module.
@@ -51,6 +52,7 @@ import numpy as np
 
 from .exceptions import (
     ArffSyntaxError,
+    InputError,
     InvalidClassValueError,
     InvalidEncodingError,
     MalformedRowError,
@@ -288,24 +290,42 @@ def parse_csv(source, fmt: CsvFormat = CsvFormat()) -> RawTable:
 
 
 def _fast_csv(text, fmt) -> RawTable | None:
-    if not (_plain_format(fmt.delimiter, fmt.missing) and _screened(text)):
+    if not _plain_format(fmt.delimiter, fmt.missing):
         return None
     names, body = None, text
     if fmt.has_header:
         # csv.reader skips lines of whitespace; the header holds the first
         # other character
         first = len(text) - len(text.lstrip())
+        start = text.rfind("\n", 0, first) + 1
         end = text.find("\n", first)
         end = len(text) if end < 0 else end
-        header = text[text.rfind("\n", 0, first) + 1:end]
-        names = tuple(tok.strip() for tok in header.split(fmt.delimiter))
+        names = _header_names(text[start:end + 1], fmt.delimiter)
+        if names is None or not _screened(text[:start]):
+            return None
         body = text[end + 1:]
+    if not _screened(body):
+        return None
     cells = _decide(body, fmt.delimiter, fmt.missing, None if names is None else len(names))
     if cells is None:
         return None
     if names is None:
         names = tuple(f"col{i}" for i in range(cells.shape[1]))
     return RawTable(names, cells)
+
+
+def _header_names(line, delimiter):
+    """The names on the CSV header ``line`` (with its line end) as
+    :func:`_csv_rows` reads them, or None when the line is in doubt: it
+    holds a character of :data:`_DOUBTFUL` other than a quote, a quoted name
+    runs on past the line, or the reference would skip the line as blank."""
+    if not _screened(line, _DOUBTFUL.replace('"', "").replace("'", "")):
+        return None
+    reader = csv.reader((line, ""), delimiter=delimiter)
+    record = next(reader)  # reads the second, empty line only inside quotes
+    if reader.line_num > 1 or len(record) == 1 and not record[0].strip():
+        return None
+    return tuple(tok.strip() for tok in record)
 
 
 def _csv_table(text, fmt) -> RawTable:
@@ -561,6 +581,7 @@ def build_dataset(
 
     The id column (if any) supplies row identifiers and is dropped; the label
     column (if any) must be coded 2/4 and is decoded to benign/malignant.
+    A table with no other column is refused with :class:`InputError`.
     With ``normalize``, each remaining column is mapped by
     (x - min) / (max - min) using its observed extremes; constant columns
     map to 0.0.
@@ -587,6 +608,8 @@ def build_dataset(
         columns_dropped.append(label_column)
 
     keep = [i for i in range(table.n_cols) if i not in drop_idx]
+    if not keep:
+        raise InputError("the table has no feature column besides its id and class columns")
     features = table.cells[:, keep].copy()
     feature_names = tuple(table.column_names[i] for i in keep)
 

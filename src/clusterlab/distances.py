@@ -5,9 +5,14 @@ then a numpy sum over each row. numpy sums a row pairwise (8-way unrolled
 once a row has 8 or more coordinates), not strictly left to right, but a
 row's sum depends only on that row's values, never on how many rows are in
 the call. So a distance computed in a batch, in a block of the dense
-pairwise matrix, for one pair, or in the screened search of
-:func:`_screened_nearest` is the same bit pattern, and results match a
-naive per-pair computation exactly.
+pairwise matrix, for one pair, or in the screened search is the same bit
+pattern, and results match a naive per-pair computation exactly.
+
+The screened search, :func:`_nearest`, ranks pairs with a GEMM and returns
+indices alone; it runs the exact kernel only on the rows its screen leaves
+more than one candidate. :func:`_screened_nearest` adds one exact pass over
+the picks for callers that need the distances too (Hopkins); Lloyd's step
+needs them only to repair an empty cluster, and computes them then.
 
 Memory. This module alone sizes the package's temporaries. Every blocked
 walk (the screened nearest search here, the build of the dense matrix, and
@@ -85,7 +90,7 @@ def _rows_to_point(X: np.ndarray, y: np.ndarray, metric: Metric) -> np.ndarray:
 
 
 class _Rows(NamedTuple):
-    """Rows prepared for :func:`_screened_nearest`: ``raw``, which the exact
+    """Rows prepared for :func:`_nearest`: ``raw``, which the exact
     kernel reads, and ``shifted`` = raw - center with its squared row norms
     ``sq`` and their largest, ``top``, which the screen reads. Both sides of
     one search share the center."""
@@ -105,23 +110,31 @@ def _rows(raw, center) -> _Rows:
 
 
 def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
-    """Nearest row of ``B`` to every row of ``A`` under squared Euclidean
-    distance, ties to the lowest index, and that exact squared distance.
+    """:func:`_nearest` and the exact squared distance of each row of ``A``
+    to its pick: ``(index, d2)``, two arrays of length len(A)."""
+    idx = _nearest(A, B, exclude)
+    diff = A.raw - np.take(B.raw, idx, axis=0)
+    return idx, (diff * diff).sum(axis=1)
+
+
+def _nearest(A: _Rows, B: _Rows, exclude=None):
+    """Index of the nearest row of ``B`` to every row of ``A`` under squared
+    Euclidean distance, ties to the lowest index.
 
     ``exclude[i]``, when given, removes row ``exclude[i]`` of ``B`` from the
-    search for row i; ``B`` must then have at least two rows. Returns
-    ``(index, d2)``, two arrays of length len(A). The rows of ``A`` are
-    searched in blocks of ``_block_rows(len(B))``; a row's result does not
-    depend on the other rows of its block.
+    search for row i; ``B`` must then have at least two rows. The rows of
+    ``A`` are searched in blocks of ``_block_rows(len(B))``; a row's result
+    does not depend on the other rows of its block.
 
     Screen: S[i, j] = |b'_j|^2 + (-2 a'_i).b'_j ranks the pairs with one GEMM,
     on the rows shifted by a common center, a' = a - c and b' = b - c
-    (|a'_i|^2 is the same for a whole row, so it is left out). Decide: the
-    exact row kernel of this module, ((a - b)**2).sum() on the raw rows,
-    runs on every pair whose screen value lies within ``slack`` of its row's
-    smallest, and its values alone pick the index. Any finite center gives
-    the same result; one near the data, such as its mean, keeps the slack
-    small, because the slack grows with the shifted norms.
+    (|a'_i|^2 is the same for a whole row, so it is left out). Decide: a
+    row keeps the pairs whose screen value lies within ``slack`` of its
+    smallest. A row left with one pair takes it; on a row left with more,
+    the exact row kernel of this module, ((a - b)**2).sum() on the raw rows,
+    runs on each of them, and its values alone pick the index. Any finite
+    center gives the same result; one near the data, such as its mean,
+    keeps the slack small, because the slack grows with the shifted norms.
 
     Slack. Let u = eps/2, g(n) = n*u/(1 - n*u), M = max_i |a'_i|^2 +
     max_j |b'_j|^2 (``top`` of both sides; one row's |a'|^2 would do),
@@ -149,42 +162,33 @@ def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
     if A.raw.shape[0] <= step:
         return _nearest_block(A, B, exclude)
     idx = np.empty(A.raw.shape[0], dtype=np.intp)
-    d2 = np.empty(A.raw.shape[0])
     for s in range(0, idx.size, step):
         part = slice(s, s + step)
         block = _Rows(A.raw[part], A.shifted[part], A.sq[part], A.top)
-        skip = None if exclude is None else exclude[part]
-        idx[part], d2[part] = _nearest_block(block, B, skip)
-    return idx, d2
+        idx[part] = _nearest_block(block, B, None if exclude is None else exclude[part])
+    return idx
 
 
 def _nearest_block(A: _Rows, B: _Rows, exclude=None):
-    """:func:`_screened_nearest` on one block of rows of ``A``."""
+    """:func:`_nearest` on one block of rows of ``A``."""
     idx, cand = _candidates(A, B, exclude)
-    every = np.arange(A.raw.shape[0])
-    diff = A.raw - B.raw[idx]
+    if np.count_nonzero(cand) == idx.size:  # the usual case: each pick is its row's only candidate
+        return idx
+    multi = np.flatnonzero(np.count_nonzero(cand, axis=1) > 1)
+    rows, cols = np.nonzero(cand[multi])  # their candidates, by row, then index
+    diff = A.raw[multi[rows]] - B.raw[cols]
     d2 = (diff * diff).sum(axis=1)
-    cand[every, idx] = False
-    if not cand.any():  # the usual case: the screen's pick is the only candidate
-        return idx, d2
-    rows, cols = np.nonzero(cand)  # the other candidates, by row, then index
-    diff = A.raw[rows] - B.raw[cols]
-    other = (diff * diff).sum(axis=1)
-    order = np.lexsort((cols, other, rows))  # by row, then exact d2, then index
+    order = np.lexsort((cols, d2, rows))  # by row, then exact d2, then index
     lead = np.ones(order.size, dtype=bool)
     lead[1:] = rows[order[1:]] != rows[order[:-1]]
-    order = order[lead]  # each row's best other candidate
-    rows, cols, other = rows[order], cols[order], other[order]
-    wins = (other < d2[rows]) | ((other == d2[rows]) & (cols < idx[rows]))
-    idx[rows[wins]] = cols[wins]
-    d2[rows[wins]] = other[wins]
-    return idx, d2
+    idx[multi] = cols[order[lead]]  # each row's best candidate
+    return idx
 
 
 def _candidates(A: _Rows, B: _Rows, exclude=None):
-    """The screen of :func:`_screened_nearest`: each row's pick ``idx`` and
-    the (len(A), len(B)) mask of the pairs the exact kernel must check,
-    every row's pick among them."""
+    """The screen of :func:`_nearest`: each row's pick ``idx`` and the
+    (len(A), len(B)) mask of the pairs it keeps, every row's pick among
+    them."""
     q = A.raw.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # the screen's overflow
         if q <= B.raw.shape[0]:  # scale the smaller side; doubling is exact

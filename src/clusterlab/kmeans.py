@@ -6,7 +6,7 @@ import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
 from ._checks import as_feature_matrix, as_labels, resolve_seed
-from .distances import Metric, _rows, _rows_to_point, _screened_nearest
+from .distances import Metric, _nearest, _rows, _rows_to_point
 from .exceptions import MissingCenterError, TooFewPointsError
 
 INIT_KMEANS_PP = "k-means++"
@@ -26,14 +26,19 @@ def wss(X, labels, centers) -> float:
 
 
 def _init_centers(X, k, init, rng):
+    """The k starting centers, each point's nearest of them (ties to the
+    lower index) and its exact squared distance to it: the first
+    assignment, which k-means++ has on hand once it has drawn its seeds.
+    Random init returns ``(centers, None, None)``."""
     n = X.shape[0]
     if init == INIT_RANDOM:
-        return X[np.sort(rng.choice(n, size=k, replace=False))].copy()
+        return X[np.sort(rng.choice(n, size=k, replace=False))].copy(), None, None
     if init != INIT_KMEANS_PP:
         raise ValueError(f"unknown init {init!r}; use {INIT_KMEANS_PP!r} or {INIT_RANDOM!r}")
     # k-means++: first center uniform, then D^2 sampling
     centers = np.empty((k, X.shape[1]), dtype=np.float64)
     centers[0] = X[rng.integers(n)]
+    labels = np.zeros(n, dtype=np.intp)
     d2 = _rows_to_point(X, centers[0], Metric.SQEUCLIDEAN)
     for j in range(1, k):
         total = d2.sum()
@@ -42,8 +47,10 @@ def _init_centers(X, k, init, rng):
         else:
             idx = rng.integers(n)  # all remaining mass at chosen centers
         centers[j] = X[idx]
-        d2 = np.minimum(d2, _rows_to_point(X, centers[j], Metric.SQEUCLIDEAN))
-    return centers
+        dj = _rows_to_point(X, centers[j], Metric.SQEUCLIDEAN)
+        labels[dj < d2] = j
+        d2 = np.minimum(d2, dj)
+    return centers, labels, d2
 
 
 def _repair_empty(labels, point_d2, k):
@@ -84,20 +91,30 @@ def _lloyd(rows, mean, k, init, rng, max_iter, tol):
     """One restart on ``rows``, the data prepared for the screen around its
     ``mean``."""
     X = rows.raw
-    centers = _init_centers(X, k, init, rng)
+    centers, labels, point_d2 = _init_centers(X, k, init, rng)
     path = []
     converged = False
+    previous = None
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        labels, point_d2 = _screened_nearest(rows, _rows(centers, mean))
-        labels = _repair_empty(labels, point_d2, k)
-        new_centers = _center_means(X, labels, k)
-        diff = X - new_centers[labels]
-        objective = float((diff * diff).sum(axis=1).sum())  # wss() without re-validation
+        if n_iter > 1 or labels is None:  # k-means++ seeding made the first assignment
+            previous = labels
+            labels, point_d2 = _nearest(rows, _rows(centers, mean)), None
+        if np.bincount(labels, minlength=k).min() == 0:
+            if point_d2 is None:  # the repair's exact distances
+                diff = X - np.take(centers, labels, axis=0)
+                point_d2 = (diff * diff).sum(axis=1)
+            labels = _repair_empty(labels, point_d2, k)
+        if previous is not None and np.array_equal(labels, previous):
+            new_centers = centers  # as is the objective: both depend on the labels alone
+        else:
+            new_centers = _center_means(X, labels, k)
+            diff = X - np.take(new_centers, labels, axis=0)
+            objective = float((diff * diff).sum(axis=1).sum())  # wss() without re-validation
         # Lloyd steps never increase the objective; seizure only trims it
         assert not path or objective <= path[-1] + 1e-9 * (1.0 + path[-1])
         path.append(objective)
-        shift_sq = ((new_centers - centers) ** 2).sum(axis=1)
+        shift_sq = ((new_centers - centers) ** 2).sum(axis=1)  # NaN at an inf center: no convergence
         centers = new_centers
         if np.sqrt(shift_sq.max()) <= tol:
             converged = True
@@ -114,10 +131,17 @@ class KMeans(BaseEstimator):
     distance with ties to the lowest cluster id; empty clusters are repaired
     by seizing the point farthest from its current center. Assignment (in
     ``fit`` and ``predict``) screens the (point, center) pairs with one GEMM
-    around the data mean (the centers' mean in ``predict``) and decides with
-    the exact row kernel on the pairs within a derived rounding slack of each
-    point's best (see ``distances._screened_nearest``), so labels equal those
-    of a full distance table bit for bit.
+    around the data mean (the centers' mean in ``predict``) and runs the
+    exact row kernel only for points left with more than one center within
+    a derived rounding slack of their best (see ``distances._nearest``), so
+    labels equal those of a full distance table bit for bit.
+
+    Each Lloyd iteration runs the exact kernel over all points once, for
+    the objective. k-means++ seeding computes each point's exact distance
+    to every seed, so it hands the first iteration its assignment; the
+    repair of an empty cluster computes the distances it needs; and an
+    iteration whose labels repeat the last one's keeps its centers and
+    objective.
 
     Attributes after fit: ``labels_``, ``cluster_centers_``, ``inertia_``
     (the within-cluster sum of squares), ``n_iter_``, ``converged_``,
@@ -184,7 +208,7 @@ class KMeans(BaseEstimator):
                 f"X has {X.shape[1]} features, expected {self.cluster_centers_.shape[1]}"
             )
         mean = self.cluster_centers_.mean(axis=0)
-        return _screened_nearest(_rows(X, mean), _rows(self.cluster_centers_, mean))[0]
+        return _nearest(_rows(X, mean), _rows(self.cluster_centers_, mean))
 
     def fit_predict(self, X, y=None):
         return self.fit(X).labels_

@@ -7,12 +7,12 @@ validated against the packaged schema document.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -219,8 +219,26 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator():
+    """The report schema's validator, its schema checked once per process."""
+    from jsonschema.validators import validator_for
+
+    schema = _load_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_report_dict(document: dict) -> None:
-    jsonschema.validate(document, _load_schema())
+    """Raise the ``jsonschema.ValidationError`` that ``jsonschema.validate``
+    raises when ``document`` breaks the report schema. ``jsonschema`` is
+    imported here, on first use, not with the package."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(document))
+    if error is not None:
+        raise error
 
 
 def canonical_json(document) -> bytes:

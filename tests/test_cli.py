@@ -140,6 +140,16 @@ class TestUsageAndErrors:
         assert run_cli("inspect", str(f)) == 0  # inspect does not split columns
         assert run_cli("kmeans", str(f), "--id-column", "0", "--label-column", "0") == 2
 
+    @pytest.mark.parametrize("command", ["tendency", "kmeans", "pam", "silhouette", "sweep",
+                                         "analyze"])
+    def test_table_without_features_exit_2(self, tmp_path, capsys, command):
+        f = tmp_path / "ids.csv"
+        f.write_text("1,2\n2,4\n3,2\n4,4\n")  # only the id and the class
+        out = tmp_path / "out"
+        assert run_cli(command, str(f), "--out", str(out)) == 2
+        assert "no feature column" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version(self, capsys):
         assert run_cli("--version") == 0
         assert "clusterlab" in capsys.readouterr().out

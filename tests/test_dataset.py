@@ -367,13 +367,20 @@ def documents(draw, delimiter, marker, header_names=None):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+#: header names with quotes, among them ones that span lines, never close
+#: or read as blank
+QUOTED_NAMES = ["it's", '"it\'s"', '"a,b"', '"x""y"', '" q "r', '"two\nlines"', '"open',
+                '""', '" "']
+
+
 @st.composite
 def csv_cases(draw):
     fmt = CsvFormat(has_header=draw(st.booleans()),
                     delimiter=draw(st.sampled_from([",", ",", ";", "|", "\t", "e", "::", ""])),
                     missing=draw(st.sampled_from(["?", "?", "NA", "na", "n", "e", "1", ".", "inf",
                                                   "x", "", "-", "a b"])))
-    names = st.sampled_from(["a", "b", "?", "NA", " c ", "-?"]) if fmt.has_header else None
+    names = (st.sampled_from(["a", "b", "?", "NA", " c ", "-?", *QUOTED_NAMES])
+             if fmt.has_header else None)
     return draw(documents(fmt.delimiter, fmt.missing, names)), fmt
 
 
@@ -440,6 +447,14 @@ def test_csv_edge_cases_match_the_per_cell_path(text, has_header):
     ("1, ?\n", CsvFormat(missing=" ?")),
     ("1,?,?\n", CsvFormat(missing="?,?")),
     ('"a,b"\n1,2\n', CsvFormat(has_header=True)),
+    ('"it\'s",b\n1,2\n3,?\n', CsvFormat(has_header=True)),
+    ('"a\nb",c\n1,2\n', CsvFormat(has_header=True)),
+    ('"a,b\n1,2\n', CsvFormat(has_header=True)),
+    ('"a\n1\n2\n', CsvFormat(has_header=True)),
+    (' \r \n"a",b\n1,2\n', CsvFormat(has_header=True)),
+    ('"a,b"\n1\n"2"\n', CsvFormat(has_header=True)),
+    ('""\n1\n', CsvFormat(has_header=True)),
+    (' \n"x;y";z\r\n1;2\r\n', CsvFormat(has_header=True, delimiter=";")),
     ("a,b\rc\n1,2\n", CsvFormat(has_header=True)),
     ("\n7\n3\n", CsvFormat(has_header=True)),
 ])
@@ -492,6 +507,17 @@ def test_whitespace_only_lines_keep_the_fast_path(blank, monkeypatch):
     assert _outcome(parse_csv, "a,b\n" + text, CsvFormat(has_header=True)) == expected
     assert _outcome(parse_arff, ARFF_HEAD + text) == expected_arff
     assert expected[1] == (3, 2)
+
+
+def test_quoted_header_keeps_the_fast_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the per-cell parser ran")
+
+    text = '"it\'s","a,b",\'c\'\n1,2,?\r\n4,5,6\n'
+    expected = _outcome(dataset._csv_table, text, CsvFormat(has_header=True))
+    monkeypatch.setattr(dataset, "_csv_rows", refuse)
+    assert _outcome(parse_csv, text, CsvFormat(has_header=True)) == expected
+    assert expected[0] == ("it's", "a,b", "'c'")
 
 
 def test_wbc_shaped_tables_take_the_fast_path(synth_csv, monkeypatch):

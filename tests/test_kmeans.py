@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlab import KMeans, distances, wss
+from clusterlab import KMeans, distances, kmeans, wss
 from clusterlab.distances import _candidates, _rows, _screened_nearest
 from clusterlab.exceptions import (
     EmptyDatasetError,
@@ -175,7 +175,7 @@ def test_kmeanspp_seeding_distribution():
     n_draws = 6000
     for seed in range(n_draws):
         rng = np.random.default_rng(seed)
-        centers = _init_centers(X, 2, "k-means++", rng)
+        centers = _init_centers(X, 2, "k-means++", rng)[0]
         first = int(np.flatnonzero(X[:, 0] == centers[0, 0])[0])
         second = int(np.flatnonzero(X[:, 0] == centers[1, 0])[0])
         counts[(first, second)] += 1
@@ -424,6 +424,73 @@ class TestLloydMatchesReference:
         zero_center = est.cluster_centers_[est.labels_[0], 1]
         assert zero_center == 0.0 and not np.signbit(zero_center)
         assert_fit_matches_reference(X, 2, 0, n_init=2)
+
+
+class TestLloydShortcuts:
+    """The first assignment taken from k-means++ seeding, the repair's
+    distances computed on demand, and no recompute once labels repeat."""
+
+    def test_seeding_sends_ties_to_the_lower_seed(self):
+        # four corners and the center of a square: two corner seeds leave the
+        # center point exactly equidistant from both
+        X = np.repeat([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 1.0]], 3, axis=0)
+        ties = 0
+        for seed in range(20):
+            centers, labels, d2 = _init_centers(X, 2, "k-means++", np.random.default_rng(seed))
+            ref_labels, ref_d2 = reference_assign(X, centers)
+            assert np.array_equal(labels, ref_labels)
+            assert d2.tobytes() == ref_d2.tobytes()
+            full = reference_sq_dists(X, centers)
+            ties += np.count_nonzero(full[:, 0] == full[:, 1])
+            assert_fit_matches_reference(X, 2, seed, n_init=1)
+        assert ties > 0
+
+    def test_duplicate_seeds_force_a_repair(self):
+        # three distinct points, four clusters: the fourth seed repeats one,
+        # so the first assignment leaves its cluster empty
+        X = np.repeat([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]], 4, axis=0)
+        labels = _init_centers(X, 4, "k-means++", np.random.default_rng(0))[1]
+        assert np.bincount(labels, minlength=4).min() == 0
+        assert_fit_matches_reference(X, 4, 0, n_init=3)
+
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_data_scaled_by_1e154(self, d):
+        # exact distances overflow to inf and the screen's thresholds
+        # are not finite; k-means++ cannot draw its seeds from such weights
+        X = grid(30, d, 6, scale=1e154)
+        with np.errstate(over="ignore"):
+            assert_fit_matches_reference(X, 3, 1, n_init=3, init=INIT_RANDOM)
+            assert KMeans(n_clusters=3, init=INIT_RANDOM, n_init=3,
+                          random_state=1).fit(X).inertia_ == np.inf
+
+    def test_centers_holding_inf_never_converge(self, monkeypatch):
+        # a cluster of several 1e308 points sums to inf: its center is inf,
+        # the shift NaN, so the fit runs to max_iter though its labels repeat
+        X = grid(6, 1, 1, levels=2, scale=1e308)
+        means = []
+        monkeypatch.setattr(kmeans, "_center_means", lambda *a: means.append(a) or
+                            _center_means(*a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = KMeans(n_clusters=2, init=INIT_RANDOM, n_init=1, random_state=0).fit(X)
+            assert est.cluster_centers_.tolist() == [[np.inf], [0.0]]
+            assert (est.converged_, est.n_iter_, len(means)) == (False, 100, 1)
+            assert_fit_matches_reference(X, 2, 0, n_init=1, init=INIT_RANDOM)
+
+    @pytest.mark.parametrize("init,screens", [("k-means++", -1), (INIT_RANDOM, 0)])
+    def test_one_screen_per_later_iteration(self, monkeypatch, init, screens):
+        calls = {"_nearest": 0, "_center_means": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(kmeans, name, counting(name, getattr(kmeans, name)))
+        est = KMeans(n_clusters=5, init=init, n_init=1, random_state=3).fit(grid(200, 4, 18))
+        assert est.converged_ and est.n_iter_ > 3
+        assert calls == {"_nearest": est.n_iter_ + screens, "_center_means": est.n_iter_ - 1}
 
 
 @settings(max_examples=40, deadline=None)

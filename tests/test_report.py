@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -13,7 +16,7 @@ from clusterlab import (
     validate_report_dict,
 )
 from clusterlab.exceptions import NoLabelsError
-from clusterlab.report import render_markdown, round_percent
+from clusterlab.report import _load_schema, render_markdown, round_percent
 
 
 class TestRoundPercent:
@@ -116,6 +119,23 @@ class TestEmitReport:
         doc["hopkins"] = {"h": 2.0}  # out of range and missing fields
         with pytest.raises(jsonschema.ValidationError):
             validate_report_dict(doc)
+
+    def test_error_is_the_one_jsonschema_validate_raises(self):
+        doc = json.loads(emit_report(minimal_report(), "json"))
+        doc["hopkins"] = {"h": 2.0}
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, _load_schema())
+        with pytest.raises(jsonschema.ValidationError) as got:
+            validate_report_dict(doc)
+        assert (str(got.value), list(got.value.path)) == (str(want.value), list(want.value.path))
+
+    def test_cli_import_leaves_jsonschema_unloaded(self):
+        import clusterlab
+
+        src = os.path.dirname(os.path.dirname(clusterlab.__file__))
+        code = "import sys, clusterlab.cli; assert 'jsonschema' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_schema_rejects_unknown_top_level_key(self):
         doc = json.loads(emit_report(minimal_report(), "json"))
