@@ -7,7 +7,7 @@ import numpy as np
 from ._base import BaseEstimator, check_is_fitted
 from ._checks import as_feature_matrix, as_labels, resolve_seed
 from .distances import Metric, _nearest, _rows, _rows_to_point
-from .exceptions import MissingCenterError, TooFewPointsError
+from .exceptions import AnalysisError, MissingCenterError, TooFewPointsError
 
 INIT_KMEANS_PP = "k-means++"
 INIT_RANDOM = "random"
@@ -21,8 +21,18 @@ def wss(X, labels, centers) -> float:
     labels = as_labels(labels, X.shape[0])
     if labels.size and labels.max() >= centers.shape[0]:
         raise MissingCenterError(int(labels.max()))
-    diff = X - centers[labels]
-    return float((diff * diff).sum(axis=1).sum())
+    return _objective(X, labels, centers)
+
+
+def _point_d2(X, labels, centers):
+    """Each point's exact squared distance to the center of its cluster."""
+    diff = X - np.take(centers, labels, axis=0)
+    return (diff * diff).sum(axis=1)
+
+
+def _objective(X, labels, centers) -> float:
+    """:func:`wss` on arguments known to be valid."""
+    return float(_point_d2(X, labels, centers).sum())
 
 
 def _init_centers(X, k, init, rng):
@@ -39,22 +49,28 @@ def _init_centers(X, k, init, rng):
     centers = np.empty((k, X.shape[1]), dtype=np.float64)
     centers[0] = X[rng.integers(n)]
     labels = np.zeros(n, dtype=np.intp)
-    d2 = _rows_to_point(X, centers[0], Metric.SQEUCLIDEAN)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)  # all remaining mass at chosen centers
-        centers[j] = X[idx]
-        dj = _rows_to_point(X, centers[j], Metric.SQEUCLIDEAN)
-        labels[dj < d2] = j
-        d2 = np.minimum(d2, dj)
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        d2 = _rows_to_point(X, centers[0], Metric.SQEUCLIDEAN)
+        for j in range(1, k):
+            total = d2.sum()
+            if total == np.inf:  # the weights d2 / total would be NaN
+                raise AnalysisError(
+                    "k-means++ cannot seed: the squared distances to the first seed overflow "
+                    "float64; use --init random or normalise the data")
+            if total > 0:
+                idx = rng.choice(n, p=d2 / total)
+            else:
+                idx = rng.integers(n)  # all remaining mass at chosen centers
+            centers[j] = X[idx]
+            dj = _rows_to_point(X, centers[j], Metric.SQEUCLIDEAN)
+            labels[dj < d2] = j
+            d2 = np.minimum(d2, dj)
     return centers, labels, d2
 
 
 def _repair_empty(labels, point_d2, k):
-    """Seize the point farthest from its center for each empty cluster.
+    """Seize the point farthest from its center for each empty cluster;
+    return the labels and their counts.
 
     Counts are recomputed after every seizure because taking the sole member
     of a cluster empties it in turn. Seized points are locked (sentinel -1)
@@ -64,35 +80,41 @@ def _repair_empty(labels, point_d2, k):
         counts = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
-            return labels
+            return labels, counts
         j = int(np.argmax(point_d2))
         labels[j] = empty[0]
         point_d2[j] = -1.0
 
 
-def _center_means(X, labels, k):
+def _center_means(X, labels, counts, offsets):
     """Per-cluster coordinate means, bit-identical to
-    ``X[labels == j].mean(axis=0)`` for every j.
+    ``X[labels == j].mean(axis=0)`` for every j, given ``counts``, the
+    cluster sizes, and ``offsets``, ``np.tile(np.arange(d), n)``: the
+    coordinate of each element of ``X.ravel()``.
 
     For d >= 2 that mean adds a cluster's rows in row order onto +0.0 (so a
     coordinate whose members all read -0.0 sums to +0.0), exactly as one
     ``bincount`` over (label, coordinate) bins does. A single column is
     summed pairwise instead, so d = 1 keeps the per-cluster mean.
     """
-    d = X.shape[1]
+    k, d = counts.size, X.shape[1]
     if d == 1:
         return np.array([X[labels == j].mean(axis=0) for j in range(k)])
-    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    bins = (labels * d).repeat(d) + offsets
     sums = np.bincount(bins, weights=X.ravel(), minlength=k * d).reshape(k, d)
-    return sums / np.bincount(labels, minlength=k)[:, None]
+    return sums / counts[:, None]
 
 
-def _lloyd(rows, mean, k, init, rng, max_iter, tol):
+def _lloyd(rows, mean, offsets, k, init, rng, max_iter, tol, path=None):
     """One restart on ``rows``, the data prepared for the screen around its
-    ``mean``."""
+    ``mean``: ``(labels, centers, objective, n_iter, converged)``.
+
+    The objective is computed once, on the final labels and centers. Given
+    a list ``path``, the restart appends every iteration's objective to it
+    instead, at one more exact pass per iteration that moves the centers.
+    """
     X = rows.raw
     centers, labels, point_d2 = _init_centers(X, k, init, rng)
-    path = []
     converged = False
     previous = None
     n_iter = 0
@@ -100,26 +122,26 @@ def _lloyd(rows, mean, k, init, rng, max_iter, tol):
         if n_iter > 1 or labels is None:  # k-means++ seeding made the first assignment
             previous = labels
             labels, point_d2 = _nearest(rows, _rows(centers, mean)), None
-        if np.bincount(labels, minlength=k).min() == 0:
+        counts = np.bincount(labels, minlength=k)
+        if counts.min() == 0:
             if point_d2 is None:  # the repair's exact distances
-                diff = X - np.take(centers, labels, axis=0)
-                point_d2 = (diff * diff).sum(axis=1)
-            labels = _repair_empty(labels, point_d2, k)
-        if previous is not None and np.array_equal(labels, previous):
+                point_d2 = _point_d2(X, labels, centers)
+            labels, counts = _repair_empty(labels, point_d2, k)
+        if previous is not None and (labels == previous).all():
             new_centers = centers  # as is the objective: both depend on the labels alone
         else:
-            new_centers = _center_means(X, labels, k)
-            diff = X - np.take(new_centers, labels, axis=0)
-            objective = float((diff * diff).sum(axis=1).sum())  # wss() without re-validation
-        # Lloyd steps never increase the objective; seizure only trims it
-        assert not path or objective <= path[-1] + 1e-9 * (1.0 + path[-1])
-        path.append(objective)
+            new_centers = _center_means(X, labels, counts, offsets)
+            if path is not None:
+                objective = _objective(X, labels, new_centers)
+        if path is not None:
+            path.append(objective)
         shift_sq = ((new_centers - centers) ** 2).sum(axis=1)  # NaN at an inf center: no convergence
         centers = new_centers
         if np.sqrt(shift_sq.max()) <= tol:
             converged = True
             break
-    return labels, centers, path[-1], n_iter, converged, path
+    objective = _objective(X, labels, centers) if path is None else path[-1]
+    return labels, centers, objective, n_iter, converged
 
 
 class KMeans(BaseEstimator):
@@ -136,8 +158,13 @@ class KMeans(BaseEstimator):
     a derived rounding slack of their best (see ``distances._nearest``), so
     labels equal those of a full distance table bit for bit.
 
-    Each Lloyd iteration runs the exact kernel over all points once, for
-    the objective. k-means++ seeding computes each point's exact distance
+    A restart runs the exact kernel over all points once, on its final
+    labels and centers, for the objective that ranks it; its iterations run
+    it only where the screen leaves a point undecided. Once the restarts
+    are done, ``fit`` replays the winner (its substream on the same
+    prepared rows, so the same iterations) to record its per-iteration
+    objective; with one restart the winner is known in advance and records
+    it as it runs. k-means++ seeding computes each point's exact distance
     to every seed, so it hands the first iteration its assignment; the
     repair of an empty cluster computes the distances it needs; and an
     iteration whose labels repeat the last one's keeps its centers and
@@ -146,7 +173,9 @@ class KMeans(BaseEstimator):
     Attributes after fit: ``labels_``, ``cluster_centers_``, ``inertia_``
     (the within-cluster sum of squares), ``n_iter_``, ``converged_``,
     ``objective_path_`` (per-iteration objective of the winning restart),
-    ``random_state_`` (the resolved seed echoed for provenance).
+    ``best_restart_``, ``n_iter_per_restart_`` (iterations of each
+    restart, in order), ``random_state_`` (the resolved seed echoed for
+    provenance).
     """
 
     def __init__(
@@ -179,17 +208,26 @@ class KMeans(BaseEstimator):
             raise ValueError("tol must be non-negative")
         seed = resolve_seed(self.random_state)
         mean = X.mean(axis=0)
-        rows = _rows(X, mean)
+        rows, offsets = _rows(X, mean), np.tile(np.arange(X.shape[1]), n)
+        max_iter, tol = int(self.max_iter), float(self.tol)
 
-        best = None
-        for r in range(int(self.n_init)):
+        def restart(r, path):
             rng = np.random.default_rng(seed + r)
-            result = _lloyd(rows, mean, k, self.init, rng, int(self.max_iter), float(self.tol))
-            if best is None or result[2] < best[2]:
-                best = result
-                best_restart = r
+            return _lloyd(rows, mean, offsets, k, self.init, rng, max_iter, tol, path)
 
-        labels, centers, objective, n_iter, converged, path = best
+        n_init = int(self.n_init)
+        path = [] if n_init == 1 else None  # a lone restart is the winner
+        best, n_iters = None, []
+        for r in range(n_init):
+            result = restart(r, path)
+            n_iters.append(result[3])
+            if best is None or result[2] < best[2]:
+                best, best_restart = result, r
+        if path is None:  # the winner's substream on the same rows takes the same steps
+            path = []
+            restart(best_restart, path)
+
+        labels, centers, objective, n_iter, converged = best
         self.labels_ = labels
         self.cluster_centers_ = centers
         self.inertia_ = objective  # the final objective is wss(X, labels, centers)
@@ -197,6 +235,7 @@ class KMeans(BaseEstimator):
         self.converged_ = converged
         self.objective_path_ = tuple(path)
         self.best_restart_ = best_restart
+        self.n_iter_per_restart_ = tuple(n_iters)
         self.random_state_ = seed
         return self
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from clusterlab import parse_arff, validate_report_dict
@@ -24,6 +25,14 @@ ARTIFACTS = [
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _table_file(path, X):
+    """Write the features ``X`` as a CSV with an id column before them and
+    a class column after, as the CLI's defaults expect; return its path."""
+    path.write_text("".join(f"{i}," + ",".join(map(repr, row)) + ",2\n"
+                            for i, row in enumerate(X.tolist(), 1)))
+    return str(path)
 
 
 class TestUsageAndErrors:
@@ -94,6 +103,27 @@ class TestUsageAndErrors:
             warnings.simplefilter("error")  # no divide-by-zero warning on the way
             assert run_cli(argv[0], str(synth_csv_path), *argv[1:]) == 3
         assert message in capsys.readouterr().err
+
+    def test_objective_made_of_rounding_alone_fits(self, tmp_path, capsys):
+        # one feature reading 0 or 1e153: the objective is only the rounding
+        # of the means of equal values, 0 in one iteration and 5.19e275 in
+        # the next, and rises between Lloyd steps
+        X = np.random.default_rng(1).integers(0, 2, (30, 1)) * 1e153
+        f = _table_file(tmp_path / "rounding.csv", X)
+        assert run_cli("kmeans", f, "--no-normalize", "--k", "3", "--seed", "1",
+                       "--restarts", "3", "--init", "random") == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 3
+
+    def test_kmeans_pp_overflow_exit_3(self, tmp_path, capsys):
+        # the squared distances to the first seed sum past the float64 range
+        X = np.random.default_rng(6).integers(0, 10, (30, 3)) * 1e154
+        f = _table_file(tmp_path / "huge.csv", X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            assert run_cli("kmeans", f, "--no-normalize", "--k", "3", "--seed", "1") == 3
+        err = capsys.readouterr().err
+        assert "analysis error: k-means++ cannot seed" in err
+        assert "overflow" in err and "--init random" in err
 
     def test_distance_matrix_beyond_memory_is_refused(self, synth_csv_path, tmp_path,
                                                       monkeypatch, capsys):

@@ -87,6 +87,9 @@ SUBCOMMAND_RUNS = {
     "kmeans": ("kmeans", INPUT, "--seed", "1"),
     "kmeans-k4-random": ("kmeans", INPUT, "--seed", "2", "--k", "4", "--init", "random",
                          "--restarts", "7", "--max-iter", "5", "--tol", "0.001"),
+    "kmeans-restarts-1": ("kmeans", INPUT, "--seed", "4", "--k", "3", "--restarts", "1"),
+    "kmeans-random-restarts-3": ("kmeans", INPUT, "--seed", "2", "--k", "3", "--init", "random",
+                                 "--restarts", "3"),
     "pam": ("pam", INPUT),
     "pam-k3-manhattan": ("pam", INPUT, "--k", "3", "--metric", "manhattan",
                          "--max-swap-iters", "1"),
@@ -102,6 +105,8 @@ SUBCOMMAND_PINS = {
     "inspect-json": "ddf46a0e6d00da6b3a2bff893f327b666b6a728ea68bbf965e95f899d835d920",
     "kmeans": "a7a6afac66aee3060e50232ec740549ce4648c05da9829f24dee4e0e30c28495",
     "kmeans-k4-random": "e607de335c443cc374f268b0d35d5526d278a6241276cdb3a3350ae42b03954c",
+    "kmeans-random-restarts-3": "7eea286883e60c7e4c3376e535b187a70132328e230435c14dc3899fe006d37d",
+    "kmeans-restarts-1": "f4268efb0a2d820f4e83c8c50891bef60c40c2d1a8f449c9c27837775fd96574",
     "pam": "7457f344a615a55eaa57d232145233b7e85077f38400fa6dbfcdd550e8698577",
     "pam-k3-manhattan": "94a60862b1939180819040ffe273c1cccec7fcf5cbe9570a9a4e4d3413dbc7a8",
     "preprocess": "42572073aa6017b7e3f1721c673bd25bfc20ff286246f699f9baea824cdcb6a0",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from clusterlab import KMeans, distances, kmeans, wss
 from clusterlab.distances import _candidates, _rows, _screened_nearest
 from clusterlab.exceptions import (
+    AnalysisError,
     EmptyDatasetError,
     MissingCenterError,
     NotFittedError,
@@ -273,15 +274,17 @@ def reference_fit(X, k, seed, n_init, init="k-means++", max_iter=100, tol=1e-9):
     return best
 
 
-def assert_fit_matches_reference(X, k, seed, n_init, init="k-means++"):
-    est = KMeans(n_clusters=k, n_init=n_init, init=init, random_state=seed).fit(X)
+def assert_fit_matches_reference(X, k, seed, n_init, init="k-means++", max_iter=100):
+    est = KMeans(n_clusters=k, n_init=n_init, init=init, max_iter=max_iter,
+                 random_state=seed).fit(X)
     labels, centers, objective, n_iter, path, restart = reference_fit(
-        X, k, seed, n_init, init)
+        X, k, seed, n_init, init, max_iter)
     assert np.array_equal(est.labels_, labels)
     assert est.cluster_centers_.tobytes() == centers.tobytes()  # signs of zero too
     assert est.inertia_ == wss(X, labels, centers)
     assert est.objective_path_ == path
     assert (est.n_iter_, est.best_restart_) == (n_iter, restart)
+    return est
 
 
 def grid(n, d, seed, levels=10, scale=1.0 / 9.0, shift=0.0):
@@ -493,6 +496,70 @@ class TestLloydShortcuts:
         assert calls == {"_nearest": est.n_iter_ + screens, "_center_means": est.n_iter_ - 1}
 
 
+class TestRestarts:
+    """Each restart scores itself once, on its final labels and centers; the
+    winner's per-iteration objective comes from replaying it."""
+
+    @pytest.mark.parametrize("init", ["k-means++", INIT_RANDOM])
+    @pytest.mark.parametrize("max_iter", [1, 2, 100])
+    @pytest.mark.parametrize("n_init", [1, 2, 25])
+    def test_replay_matches_reference(self, n_init, max_iter, init):
+        est = assert_fit_matches_reference(grid(150, 5, 20), 4, 9, n_init, init, max_iter)
+        assert est.converged_ == (max_iter == 100)  # a winner cut off at the cap
+
+    @pytest.mark.parametrize("n_init", [1, 2, 25])
+    def test_replay_of_a_forced_repair(self, n_init):
+        X = np.repeat([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]], 4, axis=0)
+        assert_fit_matches_reference(X, 4, 0, n_init)
+
+    @pytest.mark.parametrize("n_init", [1, 2, 25])
+    def test_replay_of_centers_holding_inf(self, n_init):
+        X = grid(6, 1, 1, levels=2, scale=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = assert_fit_matches_reference(X, 2, 0, n_init, init=INIT_RANDOM)
+        assert np.isinf(est.cluster_centers_).any()
+
+    def test_objective_once_per_restart_and_per_iteration_in_the_replay(self, monkeypatch):
+        log = []  # one record per restart run: does it record a path, and what it called
+        lloyd = kmeans._lloyd
+
+        def recording_lloyd(*args):
+            log.append({"path": args[-1] is not None, "_objective": 0, "_center_means": 0})
+            return lloyd(*args)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                log[-1][name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(kmeans, "_lloyd", recording_lloyd)
+        for name in ("_objective", "_center_means"):
+            monkeypatch.setattr(kmeans, name, counting(name, getattr(kmeans, name)))
+        est = KMeans(n_clusters=5, n_init=4, random_state=3).fit(grid(200, 4, 18))
+        *restarts, replay = log
+        assert [r["path"] for r in log] == [False] * 4 + [True]
+        assert [r["_objective"] for r in restarts] == [1] * 4
+        assert all(r["_center_means"] > 1 for r in restarts)
+        assert replay["_objective"] == replay["_center_means"] > 1
+        assert len(est.objective_path_) == est.n_iter_
+
+    def test_iterations_per_restart(self):
+        X = grid(120, 4, 19)
+        est = KMeans(n_clusters=4, n_init=6, random_state=2).fit(X)
+        assert len(est.n_iter_per_restart_) == 6
+        assert est.n_iter_per_restart_[est.best_restart_] == est.n_iter_
+        # restart r of a fit at seed s is the one restart of a fit at seed s + r
+        assert est.n_iter_per_restart_ == tuple(reference_fit(X, 4, 2 + r, 1)[3]
+                                                for r in range(6))
+        assert len(set(est.n_iter_per_restart_)) > 1
+
+    def test_kmeans_pp_refuses_squared_distances_that_overflow(self):
+        X = grid(30, 3, 6, scale=1e154)
+        with pytest.raises(AnalysisError, match="overflow float64; use --init random"):
+            KMeans(n_clusters=3, n_init=3, random_state=1).fit(X)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 25), st.integers(1, 6), st.integers(1, 5),
@@ -513,6 +580,6 @@ def test_center_means_equal_per_cluster_means(n, d, k, seed):
     X[(X == 0.0) & (rng.random(X.shape) < 0.7)] = -0.0
     labels = np.unique(rng.integers(0, k, size=n), return_inverse=True)[1]
     k = int(labels.max()) + 1
-    got = _center_means(X, labels, k)
+    got = _center_means(X, labels, np.bincount(labels), np.tile(np.arange(d), n))
     want = np.array([X[labels == j].mean(axis=0) for j in range(k)])
     assert got.tobytes() == want.tobytes()
