@@ -21,12 +21,11 @@ from .distances import (  # noqa: E402
     DistanceMatrix,
     Metric,
     distance,
-    nearest_neighbor,
     pairwise_distances,
 )
 from .kmeans import KMeans, wss  # noqa: E402
 from .kmedoids import KMedoids, pam_cost  # noqa: E402
-from .projection import PCA2D, Projection2D, jacobi_eigh, pca_2d  # noqa: E402
+from .projection import PCA2D, jacobi_eigh  # noqa: E402
 from .report import (  # noqa: E402
     AnalysisReport,
     ClusterNaming,
@@ -60,16 +59,13 @@ __all__ = [
     "DistanceMatrix",
     "Metric",
     "distance",
-    "nearest_neighbor",
     "pairwise_distances",
     "KMeans",
     "wss",
     "KMedoids",
     "pam_cost",
     "PCA2D",
-    "Projection2D",
     "jacobi_eigh",
-    "pca_2d",
     "AnalysisReport",
     "ClusterNaming",
     "emit_report",

@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 analysis error.
+Exit codes: 0 success, 1 usage error, 2 input/parse or file error, 3 analysis error.
 Every run with identical arguments and input bytes writes byte-identical
 outputs (seeds are explicit or resolved once and echoed in the report).
 """
@@ -265,6 +265,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: cannot read input file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

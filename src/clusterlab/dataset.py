@@ -6,8 +6,11 @@ split off the 2/4-coded class column, then min-max normalize each remaining
 feature onto [0, 1].
 
 Parsing screens, then decides. The per-cell parsers (``csv.reader`` or the
-ARFF row parser, then ``float`` on every cell) are the reference; a numeric
-table of the common shape is instead read whole by numpy's C reader:
+ARFF row parser, then ``float`` on every cell) are the reference. They read
+the text once and raise at the first malformed row or non-numeric cell; the
+first cell that reads as NaN or infinity without being the missing marker is
+reported only if the text holds no such error. A numeric table of the common
+shape is instead read whole by numpy's C reader:
 
 - **Screen.** C-speed ``str`` searches put the text in doubt when it holds a
   quote, NUL, ``{`` or ``%`` (ARFF data only), a ``str.splitlines`` line
@@ -254,26 +257,30 @@ def _loadtxt(body, delimiter, marker):
         return None
 
 
-def _table(names, rows, markers, rescan) -> RawTable:
-    """Stack parsed rows into a table, rejecting cells that read as NaN or
-    infinity without being the missing marker.
-
-    ``markers`` lists one entry per marker cell, so a table is valid exactly
-    when it has that many non-finite cells: one vectorized count checks it
-    at no cost per cell. Only when the count is off does ``rescan`` parse
-    the text again, checking every cell, to raise at the first offending one.
-    """
+def _table(names, rows, bad) -> RawTable:
+    """Stack parsed rows into a table, or raise for ``bad``, the first cell
+    that read as NaN or infinity without being the missing marker; a later
+    malformed row or non-numeric cell has already raised while parsing."""
+    if bad:
+        line_no, col, token = bad[0]
+        raise NonFiniteCellError(line_no, names[col], token)
     cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    if np.count_nonzero(~np.isfinite(cells)) != len(markers):
-        rescan()
     return RawTable(column_names=names, cells=cells)
 
 
-def _check_finite(tokens, values, marker, line_no, names):
-    for col, (token, value) in enumerate(zip(tokens, values)):
-        if not math.isfinite(value) and token != marker:
-            col_name = names[col] if names else f"col{col}"
-            raise NonFiniteCellError(line_no, col_name, token)
+def _cell(token, marker, line_no, col, names, bad) -> float:
+    """``token`` by ``float``, NaN when it is the ``marker``. A non-numeric
+    token raises; the first non-finite one goes into the list ``bad`` as
+    (line, column, token), and parsing reads on."""
+    if token == marker:
+        return math.nan
+    try:
+        value = float(token)
+    except ValueError:
+        raise NonNumericCellError(line_no, names[col] if names else f"col{col}", token) from None
+    if not bad and not math.isfinite(value):
+        bad.append((line_no, col, token))
+    return value
 
 
 def parse_csv(source, fmt: CsvFormat = CsvFormat()) -> RawTable:
@@ -316,7 +323,7 @@ def _fast_csv(text, fmt) -> RawTable | None:
 
 def _header_names(line, delimiter):
     """The names on the CSV header ``line`` (with its line end) as
-    :func:`_csv_rows` reads them, or None when the line is in doubt: it
+    :func:`_csv_table` reads them, or None when the line is in doubt: it
     holds a character of :data:`_DOUBTFUL` other than a quote, a quoted name
     runs on past the line, or the reference would skip the line as blank."""
     if not _screened(line, _DOUBTFUL.replace('"', "").replace("'", "")):
@@ -330,18 +337,11 @@ def _header_names(line, delimiter):
 
 def _csv_table(text, fmt) -> RawTable:
     """The reference path: ``csv.reader``, then ``float`` on every cell."""
-    names, rows, markers = _csv_rows(text, fmt, _parse_record)
-    return _table(names, rows, markers,
-                  lambda: _csv_rows(text, fmt, _parse_finite_record))
-
-
-def _csv_rows(text, fmt, parse_record):
-    reader = csv.reader(io.StringIO(text), delimiter=fmt.delimiter)
-    names = None
+    names = n_cols = None
     rows = []
-    markers = []
-    n_cols = None
-    for line_no, record in enumerate(reader, start=1):
+    bad = []
+    for line_no, record in enumerate(csv.reader(io.StringIO(text), delimiter=fmt.delimiter),
+                                     start=1):
         if not record or (len(record) == 1 and record[0].strip() == ""):
             continue  # blank line
         if names is None and fmt.has_header:
@@ -352,35 +352,11 @@ def _csv_rows(text, fmt, parse_record):
             n_cols = len(record)
         if len(record) != n_cols:
             raise MalformedRowError(line_no, n_cols, len(record))
-        rows.append(parse_record(record, line_no, names, fmt.missing, markers))
-
-    if n_cols is None:  # entirely empty input
-        n_cols = 0
+        rows.append([_cell(tok.strip(), fmt.missing, line_no, col, names, bad)
+                     for col, tok in enumerate(record)])
     if names is None:
-        names = tuple(f"col{i}" for i in range(n_cols))
-    return names, rows, markers
-
-
-def _parse_record(record, line_no, names, missing_marker, markers):
-    values = []
-    for col, token in enumerate(record):
-        token = token.strip()
-        if token == missing_marker:
-            values.append(math.nan)
-            markers.append(col)
-            continue
-        try:
-            values.append(float(token))
-        except ValueError:
-            col_name = names[col] if names else f"col{col}"
-            raise NonNumericCellError(line_no, col_name, token) from None
-    return values
-
-
-def _parse_finite_record(record, line_no, names, missing_marker, markers):
-    values = _parse_record(record, line_no, names, missing_marker, markers)
-    _check_finite([t.strip() for t in record], values, missing_marker, line_no, names)
-    return values
+        names = tuple(f"col{i}" for i in range(n_cols or 0))
+    return _table(names, rows, bad)
 
 
 # -- ARFF subset -------------------------------------------------------------
@@ -409,9 +385,7 @@ def parse_arff(source) -> RawTable:
         cells = _decide(data, ",", "?", len(names))
         if cells is not None:
             return RawTable(names, cells)
-    rows, markers = _arff_rows(data, line_no, names, nominal, _parse_arff_row)
-    return _table(names, rows, markers,
-                  lambda: _arff_rows(data, line_no, names, nominal, _parse_finite_arff_row))
+    return _arff_table(data, line_no, names, nominal)
 
 
 def _arff_header(text):
@@ -452,10 +426,11 @@ def _arff_header(text):
     raise ArffSyntaxError("missing @data section")
 
 
-def _arff_rows(data, data_line_no, names, nominal, parse_row):
-    """The reference path: each row of the data section by ``parse_row``."""
+def _arff_table(data, data_line_no, names, nominal) -> RawTable:
+    """The reference path: each row of the data section by
+    :func:`_parse_arff_row`."""
     rows: list[list[float]] = []
-    markers: list[int] = []
+    bad: list = []
     for line_no, raw_line in enumerate(data.splitlines(), start=data_line_no + 1):
         line = raw_line.strip()
         if not line or line.startswith("%"):
@@ -464,8 +439,8 @@ def _arff_rows(data, data_line_no, names, nominal, parse_row):
             raise ArffSyntaxError(
                 f"line {line_no}: sparse ARFF rows are not supported"
             )
-        rows.append(parse_row(line, line_no, names, nominal, markers))
-    return rows, markers
+        rows.append(_parse_arff_row(line, line_no, names, nominal, bad))
+    return _table(names, rows, bad)
 
 
 def _declare_attribute(name, decl, names, nominal, line_no):
@@ -485,36 +460,23 @@ def _declare_attribute(name, decl, names, nominal, line_no):
     names.append(name)
 
 
-def _parse_arff_row(line, line_no, names, nominal, markers):
+def _parse_arff_row(line, line_no, names, nominal, bad):
     tokens = [t.strip() for t in line.split(",")]
     if len(tokens) != len(names):
         raise MalformedRowError(line_no, len(names), len(tokens))
     values = []
     for col, token in enumerate(tokens):
         token = token.strip("'\"")
-        if token == "?":
-            values.append(math.nan)
-            markers.append(col)
-        elif col in nominal:
-            try:
-                values.append(float(nominal[col][token]))
-            except KeyError:
-                raise ArffSyntaxError(
-                    f"line {line_no}: {token!r} not in the nominal domain of "
-                    f"{names[col]!r}"
-                ) from None
-        else:
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise NonNumericCellError(line_no, names[col], token) from None
-    return values
-
-
-def _parse_finite_arff_row(line, line_no, names, nominal, markers):
-    values = _parse_arff_row(line, line_no, names, nominal, markers)
-    tokens = [t.strip().strip("'\"") for t in line.split(",")]
-    _check_finite(tokens, values, "?", line_no, names)
+        if col not in nominal or token == "?":
+            values.append(_cell(token, "?", line_no, col, names, bad))
+            continue
+        try:
+            values.append(float(nominal[col][token]))
+        except KeyError:
+            raise ArffSyntaxError(
+                f"line {line_no}: {token!r} not in the nominal domain of "
+                f"{names[col]!r}"
+            ) from None
     return values
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import as_feature_matrix
-from .exceptions import AnalysisError, DimensionMismatchError, EmptyCandidateSetError
+from .exceptions import AnalysisError, DimensionMismatchError
 
 
 _EPS = np.finfo(np.float64).eps
@@ -278,26 +278,3 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
         D[s:, s:e] = block.T
         s = e
     return DistanceMatrix(D, metric)
-
-
-def nearest_neighbor(query, X, exclude: int | None = None, metric=Metric.EUCLIDEAN):
-    """Index and distance of the row closest to ``query``.
-
-    Ties break toward the lowest index; ``exclude`` removes one row from
-    consideration (used for leave-one-out lookups).
-    """
-    metric = Metric.coerce(metric)
-    X = as_feature_matrix(X)
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.shape[0] != X.shape[1]:
-        raise DimensionMismatchError(query.shape[0], X.shape[1])
-    if X.shape[0] - (1 if exclude is not None else 0) < 1:
-        raise EmptyCandidateSetError("no candidate rows to search")
-    dists = _rows_to_point(X, query, metric)
-    if exclude is not None:
-        if not 0 <= exclude < X.shape[0]:
-            raise IndexError(f"exclude index {exclude} out of range")
-        dists = dists.copy()
-        dists[exclude] = np.inf
-    idx = int(np.argmin(dists))
-    return idx, float(dists[idx])

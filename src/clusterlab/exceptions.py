@@ -89,10 +89,6 @@ class DimensionMismatchError(AnalysisError):
         super().__init__(f"vectors have different lengths: {len_a} vs {len_b}")
 
 
-class EmptyCandidateSetError(AnalysisError):
-    """No candidate rows remain after exclusion."""
-
-
 # -- algorithms -------------------------------------------------------------
 
 class EmptyDatasetError(AnalysisError):

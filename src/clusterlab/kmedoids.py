@@ -34,7 +34,9 @@ E[i, c] = sum_j SV[j, c] - SV[i, c] + SU[i, c], the cost of swapping medoid i
 for c up to rounding (FastPAM1: Schubert and Rousseeuw, "Faster k-Medoids
 Clustering", arXiv:1810.05691). The exact row kernel above then costs every
 pair whose E lies within a derived slack of the smallest (see
-``_best_swap``), and those exact costs alone pick the swap.
+``_best_swap``), and those exact costs alone pick the swap. The winner's row
+sum is the new total cost: it adds the same per-point minima, in the same
+order, as ``pam_cost`` of the swapped set.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ def _build(D, k):
 
 
 def _best_swap(D, medoids, valid):
-    """(medoid position, candidate) of the cheapest swap, ties to the lowest
-    pair; ``valid`` marks the candidate rows, the non-medoids. Swapping
+    """(cost, medoid position, candidate) of the cheapest swap, ties to the
+    lowest pair; ``valid`` marks the candidate rows, the non-medoids. Swapping
     medoid i for c costs ``np.minimum(D[c], rest_i).sum()``, rest_i being
     each point's distance to its nearest medoid other than i; the screen E
     ranks every pair first (see the module docstring).
@@ -151,8 +153,8 @@ def _best_swap(D, medoids, valid):
         costs = _row_costs(D, rows, np.where(owner == pos, ds, dn))
         j = int(np.argmin(costs))
         if best is None or costs[j] < best[0]:
-            best = (costs[j], pos, int(rows[j]))
-    return best[1:]
+            best = (float(costs[j]), pos, int(rows[j]))
+    return best
 
 
 def _swap(D, medoids, max_swap_iters):
@@ -166,11 +168,9 @@ def _swap(D, medoids, max_swap_iters):
         if in_set.all():
             converged = True
             break
-        pos, cand = _best_swap(D, medoids, ~in_set)
-        proposal = sorted(set(medoids) - {medoids[pos]} | {cand})
-        new_cost = pam_cost(D, proposal)  # canonical, same reduction order as cost
+        new_cost, pos, cand = _best_swap(D, medoids, ~in_set)
         if new_cost < cost:
-            medoids = proposal
+            medoids = sorted(set(medoids) - {medoids[pos]} | {cand})
             cost = new_cost
             swaps += 1
         else:

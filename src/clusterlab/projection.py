@@ -8,31 +8,10 @@ keeping rendered plots stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
 from ._checks import as_feature_matrix
-
-_ORTHO_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Projection2D:
-    coords: np.ndarray  # (n, 2)
-    axis_variance: tuple[float, float]  # explained-variance fractions
-    components: np.ndarray  # (2, d), unit norm, mutually orthogonal
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if self.axis_variance[0] < self.axis_variance[1]:
-            raise ValueError("axis_variance must be ordered descending")
-        if abs(float(self.components[0] @ self.components[1])) > _ORTHO_TOL:
-            raise ValueError("components must be mutually orthogonal")
-        self.coords.setflags(write=False)
-        self.components.setflags(write=False)
-
 
 def jacobi_eigh(A, tol: float = 1e-13, max_sweeps: int = 100):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
@@ -131,15 +110,3 @@ class PCA2D(BaseEstimator):
 
     def fit_transform(self, X, y=None):
         return self.fit(X).transform(X)
-
-
-def pca_2d(X) -> Projection2D:
-    """Convenience wrapper returning the projection as one value object."""
-    est = PCA2D().fit(X)
-    ratio = est.explained_variance_ratio_
-    return Projection2D(
-        coords=est.transform(X),
-        axis_variance=(float(ratio[0]), float(ratio[1])),
-        components=est.components_,
-        degenerate=bool(est.degenerate_),
-    )

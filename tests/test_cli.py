@@ -47,6 +47,19 @@ class TestUsageAndErrors:
         assert run_cli("inspect", "no-such-file.csv") == 2
         assert "no-such-file.csv" in capsys.readouterr().err
 
+    def test_directory_as_input_exit_2_names_it(self, tmp_path, capsys):
+        assert run_cli("inspect", str(tmp_path)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path}: Is a directory"]
+
+    @pytest.mark.parametrize("command", ["kmeans", "analyze"])
+    def test_output_under_a_file_exit_2_names_it(self, synth_csv_path, tmp_path, capsys,
+                                                 command):
+        out = tmp_path / "file" / "out"
+        out.parent.write_text("")
+        assert run_cli(command, str(synth_csv_path), "--seed", "1", "--restarts", "1",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {out}: Not a directory"]
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3\n")

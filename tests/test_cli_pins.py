@@ -146,6 +146,25 @@ def test_preprocess_files(workdir, capsys, export):
     assert {**digests, "stdout": stdout} == PREPROCESS_PINS[export]
 
 
+#: the synthetic table delimited by tabs; a whitespace delimiter sends it to
+#: the per-cell parser
+TAB_PINS = {
+    "preprocess.json": "42572073aa6017b7e3f1721c673bd25bfc20ff286246f699f9baea824cdcb6a0",
+    "preprocessed.arff": "528b900a5767ba62bcb77fed8f9ac162d1791090619f00bd2e97888526decb66",
+    "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "inspect": "142694c323d53f9eb77f7fb812da18792df4b14059a34a89fc350b063a3e1f65",
+}
+
+
+def test_tab_delimited_table_through_the_per_cell_parser(workdir, capsys, synth_csv):
+    (workdir / "synthetic_wbc.tsv").write_bytes(synth_csv.replace(b",", b"\t"))
+    stdout = _stdout_sha(capsys, "preprocess", "synthetic_wbc.tsv", "--delimiter", "\t",
+                         "--out", "prep", "--export", "arff")
+    digests = {path.name: _sha(path.read_bytes()) for path in (workdir / "prep").iterdir()}
+    inspect = _stdout_sha(capsys, "inspect", "prep/preprocessed.arff", "--json")
+    assert {**digests, "stdout": stdout, "inspect": inspect} == TAB_PINS
+
+
 def _option_table():
     """Subcommand -> sorted (option strings or positional name, default)."""
     parser = build_parser()

@@ -194,6 +194,59 @@ class TestArff:
         assert parse_arff(write_arff(table, "t")) == table
 
 
+class TestErrorPrecedence:
+    """A non-finite cell is reported only when the whole text parses
+    without another error; the first one in file order is the one named."""
+
+    ARFF_HEAD = "@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n"
+    NOMINAL_HEAD = "@relation r\n@attribute a numeric\n@attribute c {2,4}\n@data\n"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize("later,error,line,column", [
+        ("x,2\n", NonNumericCellError, 4, "col0"),
+        ("1,2,3\n", MalformedRowError, 4, None),
+        ("1\n", MalformedRowError, 4, None),
+    ])
+    def test_a_later_csv_error_wins(self, token, later, error, line, column):
+        with pytest.raises(error) as exc:
+            parse_csv(f"1,2\n{token},2\n\n{later}".encode())
+        assert exc.value.line_number == line
+        assert getattr(exc.value, "column", None) == column
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
+    def test_a_non_numeric_cell_later_in_the_row_wins(self, token):
+        with pytest.raises(NonNumericCellError) as exc:
+            parse_csv(f"a,b\n{token},x\n".encode(), CsvFormat(has_header=True))
+        assert (exc.value.line_number, exc.value.column) == (2, "b")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize("head,later,error,message", [
+        (ARFF_HEAD, "x,2\n", NonNumericCellError, "line 7, column 'a'"),
+        (ARFF_HEAD, "1,2,3\n", MalformedRowError, "line 7: expected 2 fields, got 3"),
+        (ARFF_HEAD, "{0 1}\n", ArffSyntaxError, "line 7: sparse"),
+        (NOMINAL_HEAD, "1,3\n", ArffSyntaxError, "line 7: '3' not in the nominal domain of 'c'"),
+    ])
+    def test_a_later_arff_error_wins(self, token, head, later, error, message):
+        with pytest.raises(error) as exc:
+            parse_arff(f"{head}1,2\n{token},2\n{later}".encode())
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("first,second", [("nan", "inf"), ("1e999", "nan"), ("-inf", "1e999")])
+    def test_the_first_non_finite_csv_cell_is_reported(self, first, second):
+        for text, line, column in [(f"a,b\n1,2\n3,{first}\n{second},4\n", 3, "b"),
+                                   (f"a,b\n{first},{second}\n", 2, "a")]:
+            with pytest.raises(NonFiniteCellError) as exc:
+                parse_csv(text.encode(), CsvFormat(has_header=True))
+            assert (exc.value.line_number, exc.value.column, exc.value.token) == (
+                line, column, first)
+
+    @pytest.mark.parametrize("first,second", [("nan", "inf"), ("1e999", "nan"), ("-inf", "1e999")])
+    def test_the_first_non_finite_arff_cell_is_reported(self, first, second):
+        with pytest.raises(NonFiniteCellError) as exc:
+            parse_arff(f"{self.ARFF_HEAD}1,?\n% note\n2,{first}\n{second},3\n".encode())
+        assert (exc.value.line_number, exc.value.column, exc.value.token) == (7, "b", first)
+
+
 names_strategy = st.lists(
     st.text(
         alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"), whitelist_characters="_- "),
@@ -279,37 +332,32 @@ def reference_parse_arff(source):
     """``parse_arff`` before the fast path: the whole text split by
     ``str.splitlines``, every data row read by the per-cell row parser."""
     text = dataset._read_text(source)
-
-    def read(parse_row):
-        names, nominal, rows, markers = [], {}, [], []
-        saw_relation = in_data = False
-        for line_no, raw_line in enumerate(text.splitlines(), start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("%"):
-                continue
-            if in_data:
-                if line.startswith("{"):
-                    raise ArffSyntaxError(f"line {line_no}: sparse ARFF rows are not supported")
-                rows.append(parse_row(line, line_no, names, nominal, markers))
-            elif dataset._RELATION_RE.match(line):
-                saw_relation = True
-            elif m := dataset._ATTRIBUTE_RE.match(line):
-                dataset._declare_attribute(dataset._unquote(m.groups()[:3]),
-                                           m.group(4).strip(), names, nominal, line_no)
-            elif dataset._DATA_RE.match(line):
-                if not saw_relation:
-                    raise ArffSyntaxError("@data before @relation")
-                if not names:
-                    raise ArffSyntaxError("@data with no @attribute declarations")
-                in_data = True
-            else:
-                raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {line!r}")
-        if not in_data:
-            raise ArffSyntaxError("missing @data section")
-        return tuple(names), rows, markers
-
-    return dataset._table(*read(dataset._parse_arff_row),
-                          lambda: read(dataset._parse_finite_arff_row))
+    names, nominal, rows, bad = [], {}, [], []
+    saw_relation = in_data = False
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("%"):
+            continue
+        if in_data:
+            if line.startswith("{"):
+                raise ArffSyntaxError(f"line {line_no}: sparse ARFF rows are not supported")
+            rows.append(dataset._parse_arff_row(line, line_no, names, nominal, bad))
+        elif dataset._RELATION_RE.match(line):
+            saw_relation = True
+        elif m := dataset._ATTRIBUTE_RE.match(line):
+            dataset._declare_attribute(dataset._unquote(m.groups()[:3]),
+                                       m.group(4).strip(), names, nominal, line_no)
+        elif dataset._DATA_RE.match(line):
+            if not saw_relation:
+                raise ArffSyntaxError("@data before @relation")
+            if not names:
+                raise ArffSyntaxError("@data with no @attribute declarations")
+            in_data = True
+        else:
+            raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {line!r}")
+    if not in_data:
+        raise ArffSyntaxError("missing @data section")
+    return dataset._table(tuple(names), rows, bad)
 
 
 def _outcome(parse, *args):
@@ -502,8 +550,8 @@ def test_whitespace_only_lines_keep_the_fast_path(blank, monkeypatch):
     text = f"1,2\n{blank}\n3,?\r\n{blank}\r\n5,6\n{blank}"
     expected = _outcome(dataset._csv_table, "a,b\n" + text, CsvFormat(has_header=True))
     expected_arff = _outcome(reference_parse_arff, ARFF_HEAD + text)
-    monkeypatch.setattr(dataset, "_csv_rows", refuse)
-    monkeypatch.setattr(dataset, "_arff_rows", refuse)
+    monkeypatch.setattr(dataset, "_csv_table", refuse)
+    monkeypatch.setattr(dataset, "_arff_table", refuse)
     assert _outcome(parse_csv, "a,b\n" + text, CsvFormat(has_header=True)) == expected
     assert _outcome(parse_arff, ARFF_HEAD + text) == expected_arff
     assert expected[1] == (3, 2)
@@ -515,7 +563,7 @@ def test_quoted_header_keeps_the_fast_path(monkeypatch):
 
     text = '"it\'s","a,b",\'c\'\n1,2,?\r\n4,5,6\n'
     expected = _outcome(dataset._csv_table, text, CsvFormat(has_header=True))
-    monkeypatch.setattr(dataset, "_csv_rows", refuse)
+    monkeypatch.setattr(dataset, "_csv_table", refuse)
     assert _outcome(parse_csv, text, CsvFormat(has_header=True)) == expected
     assert expected[0] == ("it's", "a,b", "'c'")
 
@@ -526,8 +574,8 @@ def test_wbc_shaped_tables_take_the_fast_path(synth_csv, monkeypatch):
 
     expected = dataset._csv_table(synth_csv.decode(), CsvFormat())
     assert expected.missing_mask().sum() == 16
-    monkeypatch.setattr(dataset, "_csv_rows", refuse)
-    monkeypatch.setattr(dataset, "_arff_rows", refuse)
+    monkeypatch.setattr(dataset, "_csv_table", refuse)
+    monkeypatch.setattr(dataset, "_arff_table", refuse)
     table = parse_csv(synth_csv)
     assert table == expected
     assert parse_arff(write_arff(table, "wbc")) == expected

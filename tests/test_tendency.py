@@ -6,11 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterlab import distances, hopkins_statistic
-from clusterlab.distances import (
-    Metric, _rows, _rows_to_point, _screened_nearest, nearest_neighbor,
-)
+from clusterlab.distances import Metric, _rows, _rows_to_point, _screened_nearest
 from clusterlab.exceptions import EmptyDatasetError, SampleTooLargeError
 from clusterlab.tendency import default_sample_size
+from oracles import nearest_neighbor
 
 
 def uniform_box(n, d, seed):
