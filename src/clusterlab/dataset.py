@@ -325,11 +325,15 @@ def _header_names(line, delimiter):
     """The names on the CSV header ``line`` (with its line end) as
     :func:`_csv_table` reads them, or None when the line is in doubt: it
     holds a character of :data:`_DOUBTFUL` other than a quote, a quoted name
-    runs on past the line, or the reference would skip the line as blank."""
+    runs on past the line, a name is longer than csv's field-size limit, or
+    the reference would skip the line as blank."""
     if not _screened(line, _DOUBTFUL.replace('"', "").replace("'", "")):
         return None
     reader = csv.reader((line, ""), delimiter=delimiter)
-    record = next(reader)  # reads the second, empty line only inside quotes
+    try:
+        record = next(reader)  # reads the second, empty line only inside quotes
+    except csv.Error:  # the reference reports it
+        return None
     if reader.line_num > 1 or len(record) == 1 and not record[0].strip():
         return None
     return tuple(tok.strip() for tok in record)
@@ -337,23 +341,28 @@ def _header_names(line, delimiter):
 
 def _csv_table(text, fmt) -> RawTable:
     """The reference path: ``csv.reader``, then ``float`` on every cell."""
+    if len(fmt.delimiter) != 1:
+        raise InputError(f"the delimiter must be one character, got {fmt.delimiter!r}")
     names = n_cols = None
     rows = []
     bad = []
-    for line_no, record in enumerate(csv.reader(io.StringIO(text), delimiter=fmt.delimiter),
-                                     start=1):
-        if not record or (len(record) == 1 and record[0].strip() == ""):
-            continue  # blank line
-        if names is None and fmt.has_header:
-            names = tuple(tok.strip() for tok in record)
-            n_cols = len(names)
-            continue
-        if n_cols is None:
-            n_cols = len(record)
-        if len(record) != n_cols:
-            raise MalformedRowError(line_no, n_cols, len(record))
-        rows.append([_cell(tok.strip(), fmt.missing, line_no, col, names, bad)
-                     for col, tok in enumerate(record)])
+    reader = csv.reader(io.StringIO(text), delimiter=fmt.delimiter)
+    try:
+        for line_no, record in enumerate(reader, start=1):
+            if not record or (len(record) == 1 and record[0].strip() == ""):
+                continue  # blank line
+            if names is None and fmt.has_header:
+                names = tuple(tok.strip() for tok in record)
+                n_cols = len(names)
+                continue
+            if n_cols is None:
+                n_cols = len(record)
+            if len(record) != n_cols:
+                raise MalformedRowError(line_no, n_cols, len(record))
+            rows.append([_cell(tok.strip(), fmt.missing, line_no, col, names, bad)
+                         for col, tok in enumerate(record)])
+    except csv.Error as exc:  # a bare \r line end, or a field past csv's size limit
+        raise InputError(f"line {reader.line_num}: {str(exc).partition(' - ')[0]}") from None
     if names is None:
         names = tuple(f"col{i}" for i in range(n_cols or 0))
     return _table(names, rows, bad)

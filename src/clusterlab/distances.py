@@ -113,8 +113,7 @@ def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
     """:func:`_nearest` and the exact squared distance of each row of ``A``
     to its pick: ``(index, d2)``, two arrays of length len(A)."""
     idx = _nearest(A, B, exclude)
-    diff = A.raw - np.take(B.raw, idx, axis=0)
-    return idx, (diff * diff).sum(axis=1)
+    return idx, _rows_to_point(A.raw, np.take(B.raw, idx, axis=0), Metric.SQEUCLIDEAN)
 
 
 def _nearest(A: _Rows, B: _Rows, exclude=None):
@@ -176,8 +175,7 @@ def _nearest_block(A: _Rows, B: _Rows, exclude=None):
         return idx
     multi = np.flatnonzero(np.count_nonzero(cand, axis=1) > 1)
     rows, cols = np.nonzero(cand[multi])  # their candidates, by row, then index
-    diff = A.raw[multi[rows]] - B.raw[cols]
-    d2 = (diff * diff).sum(axis=1)
+    d2 = _rows_to_point(A.raw[multi[rows]], B.raw[cols], Metric.SQEUCLIDEAN)
     order = np.lexsort((cols, d2, rows))  # by row, then exact d2, then index
     lead = np.ones(order.size, dtype=bool)
     lead[1:] = rows[order[1:]] != rows[order[:-1]]

@@ -26,8 +26,7 @@ def wss(X, labels, centers) -> float:
 
 def _point_d2(X, labels, centers):
     """Each point's exact squared distance to the center of its cluster."""
-    diff = X - np.take(centers, labels, axis=0)
-    return (diff * diff).sum(axis=1)
+    return _rows_to_point(X, np.take(centers, labels, axis=0), Metric.SQEUCLIDEAN)
 
 
 def _objective(X, labels, centers) -> float:
@@ -105,14 +104,10 @@ def _center_means(X, labels, counts, offsets):
     return sums / counts[:, None]
 
 
-def _lloyd(rows, mean, offsets, k, init, rng, max_iter, tol, path=None):
+def _lloyd(rows, mean, offsets, k, init, rng, max_iter, tol):
     """One restart on ``rows``, the data prepared for the screen around its
-    ``mean``: ``(labels, centers, objective, n_iter, converged)``.
-
-    The objective is computed once, on the final labels and centers. Given
-    a list ``path``, the restart appends every iteration's objective to it
-    instead, at one more exact pass per iteration that moves the centers.
-    """
+    ``mean``: ``(labels, centers, objective, n_iter, converged)``. The
+    objective is computed once, on the final labels and centers."""
     X = rows.raw
     centers, labels, point_d2 = _init_centers(X, k, init, rng)
     converged = False
@@ -128,20 +123,16 @@ def _lloyd(rows, mean, offsets, k, init, rng, max_iter, tol, path=None):
                 point_d2 = _point_d2(X, labels, centers)
             labels, counts = _repair_empty(labels, point_d2, k)
         if previous is not None and (labels == previous).all():
-            new_centers = centers  # as is the objective: both depend on the labels alone
+            new_centers = centers  # they depend on the labels alone
         else:
             new_centers = _center_means(X, labels, counts, offsets)
-            if path is not None:
-                objective = _objective(X, labels, new_centers)
-        if path is not None:
-            path.append(objective)
-        shift_sq = ((new_centers - centers) ** 2).sum(axis=1)  # NaN at an inf center: no convergence
+        # NaN at an inf center: no convergence
+        shift_sq = _rows_to_point(new_centers, centers, Metric.SQEUCLIDEAN)
         centers = new_centers
         if np.sqrt(shift_sq.max()) <= tol:
             converged = True
             break
-    objective = _objective(X, labels, centers) if path is None else path[-1]
-    return labels, centers, objective, n_iter, converged
+    return labels, centers, _objective(X, labels, centers), n_iter, converged
 
 
 class KMeans(BaseEstimator):
@@ -160,19 +151,14 @@ class KMeans(BaseEstimator):
 
     A restart runs the exact kernel over all points once, on its final
     labels and centers, for the objective that ranks it; its iterations run
-    it only where the screen leaves a point undecided. Once the restarts
-    are done, ``fit`` replays the winner (its substream on the same
-    prepared rows, so the same iterations) to record its per-iteration
-    objective; with one restart the winner is known in advance and records
-    it as it runs. k-means++ seeding computes each point's exact distance
-    to every seed, so it hands the first iteration its assignment; the
-    repair of an empty cluster computes the distances it needs; and an
-    iteration whose labels repeat the last one's keeps its centers and
-    objective.
+    it only where the screen leaves a point undecided. k-means++ seeding
+    computes each point's exact distance to every seed, so it hands the
+    first iteration its assignment; the repair of an empty cluster computes
+    the distances it needs; and an iteration whose labels repeat the last
+    one's keeps its centers.
 
     Attributes after fit: ``labels_``, ``cluster_centers_``, ``inertia_``
     (the within-cluster sum of squares), ``n_iter_``, ``converged_``,
-    ``objective_path_`` (per-iteration objective of the winning restart),
     ``best_restart_``, ``n_iter_per_restart_`` (iterations of each
     restart, in order), ``random_state_`` (the resolved seed echoed for
     provenance).
@@ -204,28 +190,19 @@ class KMeans(BaseEstimator):
             raise TooFewPointsError(n, k)
         if self.n_init < 1 or self.max_iter < 1:
             raise ValueError("n_init and max_iter must be at least 1")
-        if self.tol < 0:
+        if not 0 <= self.tol < np.inf:  # NaN fails both
             raise ValueError("tol must be non-negative")
         seed = resolve_seed(self.random_state)
         mean = X.mean(axis=0)
         rows, offsets = _rows(X, mean), np.tile(np.arange(X.shape[1]), n)
         max_iter, tol = int(self.max_iter), float(self.tol)
-
-        def restart(r, path):
-            rng = np.random.default_rng(seed + r)
-            return _lloyd(rows, mean, offsets, k, self.init, rng, max_iter, tol, path)
-
-        n_init = int(self.n_init)
-        path = [] if n_init == 1 else None  # a lone restart is the winner
         best, n_iters = None, []
-        for r in range(n_init):
-            result = restart(r, path)
+        for r in range(int(self.n_init)):
+            rng = np.random.default_rng(seed + r)
+            result = _lloyd(rows, mean, offsets, k, self.init, rng, max_iter, tol)
             n_iters.append(result[3])
             if best is None or result[2] < best[2]:
                 best, best_restart = result, r
-        if path is None:  # the winner's substream on the same rows takes the same steps
-            path = []
-            restart(best_restart, path)
 
         labels, centers, objective, n_iter, converged = best
         self.labels_ = labels
@@ -233,7 +210,6 @@ class KMeans(BaseEstimator):
         self.inertia_ = objective  # the final objective is wss(X, labels, centers)
         self.n_iter_ = n_iter
         self.converged_ = converged
-        self.objective_path_ = tuple(path)
         self.best_restart_ = best_restart
         self.n_iter_per_restart_ = tuple(n_iters)
         self.random_state_ = seed

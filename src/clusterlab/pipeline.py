@@ -127,7 +127,7 @@ def _check_analyze(o: Namespace, n: int, d: int, m: int) -> None:
         problems.append("--hopkins-power must be at least 1")
     if o.restarts < 1 or o.max_iter < 1:
         problems.append("--restarts and --max-iter must be at least 1")
-    if o.tol < 0:
+    if not 0 <= o.tol < float("inf"):  # NaN fails both
         problems.append("--tol must be non-negative")
     if o.max_swap_iters < 0:
         problems.append("--max-swap-iters must be non-negative")

@@ -32,7 +32,7 @@ def synthetic_wbc_csv(seed: int = DEFAULT_SEED) -> bytes:
     order = rng.permutation(N_ROWS)
     features, classes = features[order], classes[order]
 
-    ids = rng.choice(np.arange(1_000_000, 10_000_000), size=N_ROWS, replace=False)
+    ids = 1_000_000 + rng.choice(9_000_000, size=N_ROWS, replace=False)
 
     benign_rows = np.flatnonzero(classes == 2)
     malignant_rows = np.flatnonzero(classes == 4)

@@ -117,6 +117,37 @@ class TestUsageAndErrors:
             assert run_cli(argv[0], str(synth_csv_path), *argv[1:]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, flags, message", [
+        (b"1,2\n", ("--delimiter", "::"), "the delimiter must be one character, got '::'"),
+        (b"1,2\n", ("--delimiter", ""), "the delimiter must be one character, got ''"),
+        (b"1,2\n", ("--delimiter", "\\t"), "the delimiter must be one character, got '\\\\t'"),
+        (b"1,2\r3,4\n", (), "line 1: new-line character seen in unquoted field"),
+        (b"1,2\n" + b"1" * 200_000 + b",3\n", (), "line 2: field larger than field limit (131072)"),
+    ], ids=["two-characters", "empty", "backslash-t", "bare-cr", "huge-field"])
+    @pytest.mark.parametrize("command", ["inspect", "analyze"])
+    def test_csv_that_cannot_be_read_exit_2_with_one_line(self, tmp_path, doc, flags, message,
+                                                          command):
+        f, out = tmp_path / "t.csv", tmp_path / "results"
+        f.write_bytes(doc)
+        proc = subprocess.run([sys.executable, "-m", "clusterlab.cli", command, str(f), *flags,
+                               *(("--out", str(out)) if command == "analyze" else ())],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr.splitlines()) == (2, [f"input error: {message}"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("argv, flag", [(("kmeans",), "tol"), (("analyze",), "--tol"),
+                                            (("silhouette", "--algorithm", "kmeans"), "tol")])
+    def test_tol_not_finite_exit_3_before_any_fit(self, synth_csv_path, tmp_path, monkeypatch,
+                                                  capsys, argv, flag, tol):
+        monkeypatch.setattr("clusterlab.kmeans._lloyd", lambda *args: pytest.fail("fitted"))
+        out = tmp_path / "results"
+        assert run_cli(argv[0], str(synth_csv_path), *argv[1:], "--tol", tol,
+                       "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"analysis error: {flag} must be non-negative"]
+        assert not out.exists()
+
     def test_objective_made_of_rounding_alone_fits(self, tmp_path, capsys):
         # one feature reading 0 or 1e153: the objective is only the rounding
         # of the means of equal values, 0 in one iteration and 5.19e275 in

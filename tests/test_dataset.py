@@ -20,6 +20,7 @@ from clusterlab import (
 from clusterlab import dataset
 from clusterlab.exceptions import (
     ArffSyntaxError,
+    InputError,
     InvalidClassValueError,
     InvalidEncodingError,
     MalformedRowError,
@@ -110,6 +111,22 @@ class TestParseCsv:
         table = parse_csv(synth_csv)
         assert table.n_rows == 699
         assert table.n_cols == 11
+
+    @pytest.mark.parametrize("delimiter", ["::", "", "\\t"])
+    def test_delimiter_of_other_than_one_character(self, delimiter):
+        with pytest.raises(InputError, match="^the delimiter must be one character, got "):
+            parse_csv(b"1,2\n", CsvFormat(delimiter=delimiter))
+
+    @pytest.mark.parametrize("doc, has_header, message", [
+        (b"1,2\r3,4\n", False, "line 1: new-line character seen in unquoted field"),
+        (b"1,2\n3,4\r5,6\r\n", False, "line 2: new-line character seen in unquoted field"),
+        (b"1,2\n" + b"1" * 200_000 + b",3\n", False, "line 2: field larger than field limit"),
+        (b"x" * 200_000 + b",b\n1,2\n", True, "line 1: field larger than field limit"),
+    ], ids=["bare-cr", "bare-cr-after-crlf", "huge-field", "huge-header"])
+    def test_what_csv_cannot_read_reports_its_line(self, doc, has_header, message):
+        with pytest.raises(InputError) as exc:
+            parse_csv(doc, CsvFormat(has_header=has_header))
+        assert str(exc.value).startswith(message)
 
 
 class TestArff:

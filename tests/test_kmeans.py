@@ -111,11 +111,15 @@ class TestKMeansBasics:
 
 class TestKMeansInvariants:
     def test_objective_path_non_increasing(self):
+        # the winner's objective after t iterations is the inertia of its
+        # one restart cut off at max_iter=t
         rng = np.random.default_rng(5)
         X = rng.normal(size=(120, 3))
         est = KMeans(n_clusters=4, n_init=3, random_state=7).fit(X)
-        path = est.objective_path_
+        path = [KMeans(n_clusters=4, n_init=1, max_iter=t, random_state=7 + est.best_restart_)
+                .fit(X).inertia_ for t in range(1, est.n_iter_ + 1)]
         assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
+        assert path[-1] == est.inertia_
 
     @pytest.mark.parametrize("shift", [0.0, 1e6])
     def test_inertia_self_consistent(self, shift):
@@ -199,6 +203,11 @@ class TestEstimatorApi:
             "n_clusters", "init", "n_init", "max_iter", "tol", "random_state"
         }
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="^tol must be non-negative$"):
+            KMeans(tol=tol).fit(np.ones((4, 2)))
+
     def test_set_params_roundtrip(self):
         est = KMeans().set_params(n_clusters=7, random_state=3)
         assert est.n_clusters == 7
@@ -251,7 +260,6 @@ def reference_fit(X, k, seed, n_init, init="k-means++", max_iter=100, tol=1e-9):
     for r in range(n_init):
         rng = np.random.default_rng(seed + r)
         centers = reference_init(X, k, init, rng)
-        path = []
         for n_iter in range(1, max_iter + 1):
             labels, point_d2 = reference_assign(X, centers)
             while True:  # empty-cluster repair, as in the estimator
@@ -264,25 +272,24 @@ def reference_fit(X, k, seed, n_init, init="k-means++", max_iter=100, tol=1e-9):
             new_centers = np.empty_like(centers)
             for j in range(k):
                 new_centers[j] = X[labels == j].mean(axis=0)
-            path.append(wss(X, labels, new_centers))
             shift_sq = ((new_centers - centers) ** 2).sum(axis=1)
             centers = new_centers
             if np.sqrt(shift_sq.max()) <= tol:
                 break
-        if best is None or path[-1] < best[2]:
-            best = (labels, centers, path[-1], n_iter, tuple(path), r)
+        objective = wss(X, labels, centers)
+        if best is None or objective < best[2]:
+            best = (labels, centers, objective, n_iter, r)
     return best
 
 
 def assert_fit_matches_reference(X, k, seed, n_init, init="k-means++", max_iter=100):
     est = KMeans(n_clusters=k, n_init=n_init, init=init, max_iter=max_iter,
                  random_state=seed).fit(X)
-    labels, centers, objective, n_iter, path, restart = reference_fit(
+    labels, centers, objective, n_iter, restart = reference_fit(
         X, k, seed, n_init, init, max_iter)
     assert np.array_equal(est.labels_, labels)
     assert est.cluster_centers_.tobytes() == centers.tobytes()  # signs of zero too
     assert est.inertia_ == wss(X, labels, centers)
-    assert est.objective_path_ == path
     assert (est.n_iter_, est.best_restart_) == (n_iter, restart)
     return est
 
@@ -497,8 +504,8 @@ class TestLloydShortcuts:
 
 
 class TestRestarts:
-    """Each restart scores itself once, on its final labels and centers; the
-    winner's per-iteration objective comes from replaying it."""
+    """Each restart runs once and scores itself once, on its final labels
+    and centers."""
 
     @pytest.mark.parametrize("init", ["k-means++", INIT_RANDOM])
     @pytest.mark.parametrize("max_iter", [1, 2, 100])
@@ -519,30 +526,24 @@ class TestRestarts:
             est = assert_fit_matches_reference(X, 2, 0, n_init, init=INIT_RANDOM)
         assert np.isinf(est.cluster_centers_).any()
 
-    def test_objective_once_per_restart_and_per_iteration_in_the_replay(self, monkeypatch):
-        log = []  # one record per restart run: does it record a path, and what it called
-        lloyd = kmeans._lloyd
+    @pytest.mark.parametrize("n_init", [1, 4])
+    def test_one_run_and_one_objective_per_restart(self, monkeypatch, n_init):
+        log = []  # one entry per run of _lloyd: the _objective calls it made
+        lloyd, objective = kmeans._lloyd, kmeans._objective
 
         def recording_lloyd(*args):
-            log.append({"path": args[-1] is not None, "_objective": 0, "_center_means": 0})
+            log.append(0)
             return lloyd(*args)
 
-        def counting(name, fn):
-            def wrapper(*args):
-                log[-1][name] += 1
-                return fn(*args)
-            return wrapper
+        def counting_objective(*args):
+            log[-1] += 1
+            return objective(*args)
 
         monkeypatch.setattr(kmeans, "_lloyd", recording_lloyd)
-        for name in ("_objective", "_center_means"):
-            monkeypatch.setattr(kmeans, name, counting(name, getattr(kmeans, name)))
-        est = KMeans(n_clusters=5, n_init=4, random_state=3).fit(grid(200, 4, 18))
-        *restarts, replay = log
-        assert [r["path"] for r in log] == [False] * 4 + [True]
-        assert [r["_objective"] for r in restarts] == [1] * 4
-        assert all(r["_center_means"] > 1 for r in restarts)
-        assert replay["_objective"] == replay["_center_means"] > 1
-        assert len(est.objective_path_) == est.n_iter_
+        monkeypatch.setattr(kmeans, "_objective", counting_objective)
+        est = KMeans(n_clusters=5, n_init=n_init, random_state=3).fit(grid(200, 4, 18))
+        assert log == [1] * n_init
+        assert est.n_iter_ > 1 and not hasattr(est, "objective_path_")
 
     def test_iterations_per_restart(self):
         X = grid(120, 4, 19)
