@@ -41,8 +41,21 @@ def as_labels(labels, n, name="labels"):
     return arr
 
 
+def as_integer(value, name):
+    """``value`` as an int; ValueError when it is not an integral number
+    (2.5 would otherwise be truncated to 2)."""
+    try:
+        integer = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, text
+        integer = None
+    if integer is None or integer != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return integer
+
+
 def resolve_seed(seed):
-    """Return a concrete integer seed, drawing one from OS entropy if None.
+    """Return a concrete non-negative integer seed, drawing one from OS
+    entropy if None.
 
     Results are reproducible whenever the resolved value is echoed back in,
     which the report module does for every run.
@@ -51,4 +64,6 @@ def resolve_seed(seed):
         return int(np.random.SeedSequence().entropy % (2**31))
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer or None, got {type(seed).__name__}")
+    if seed < 0:  # numpy's generators take non-negative seeds only
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return int(seed)

@@ -10,19 +10,23 @@ pattern, and results match a naive per-pair computation exactly.
 
 The screened search, :func:`_nearest`, ranks pairs with a GEMM and returns
 indices alone; it runs the exact kernel only on the rows its screen leaves
-more than one candidate. :func:`_screened_nearest` adds one exact pass over
-the picks for callers that need the distances too (Hopkins); Lloyd's step
-needs them only to repair an empty cluster, and computes them then.
+more than one candidate. It searches the centres of many K-means restarts
+at once, each group of centres on its own. :func:`_screened_nearest` adds
+one exact pass over the picks for callers that need the distances too
+(Hopkins); Lloyd's step needs them only to repair an empty cluster, and
+computes them then.
 
 Memory. This module alone sizes the package's temporaries. Every blocked
-walk (the screened nearest search here, the build of the dense matrix, and
-PAM's BUILD and SWAP over its rows) holds about ``_SCREEN_ELEMENTS`` float64
-values (256 KB) per block, with row counts from :func:`_block_rows`, so
-memory stays flat as n grows. The dense (n, n) matrix is the one O(n^2)
-allocation: :func:`pairwise_distances` refuses n points of d features, with
-:class:`AnalysisError` and before it allocates anything, when the matrix's
-8n² bytes plus one block of its build, 8*max(_SCREEN_ELEMENTS, n*d) bytes,
-exceed :func:`physical_memory`.
+walk (the screened nearest search here, the build of the dense matrix,
+PAM's BUILD and SWAP over its rows, and K-means' groups of restarts, whose
+screen, seeding distances and centre sums each take a block) holds about
+``_SCREEN_ELEMENTS`` float64 values (256 KB) per block, with row or restart
+counts from :func:`_block_rows` (one, when one alone is larger), so memory
+stays flat as n and the number of restarts grow. The dense (n, n) matrix is
+the one O(n^2) allocation: :func:`pairwise_distances` refuses n points of d
+features, with :class:`AnalysisError` and before it allocates anything, when
+the matrix's 8n² bytes plus one block of its build,
+8*max(_SCREEN_ELEMENTS, n*d) bytes, exceed :func:`physical_memory`.
 """
 
 from __future__ import annotations
@@ -93,20 +97,21 @@ class _Rows(NamedTuple):
     """Rows prepared for :func:`_nearest`: ``raw``, which the exact
     kernel reads, and ``shifted`` = raw - center with its squared row norms
     ``sq`` and their largest, ``top``, which the screen reads. Both sides of
-    one search share the center."""
+    one search share the center. The searched side may hold g groups of m
+    rows: ``raw`` (g, m, d), ``sq`` (g, m) and ``top`` (g,), one per group."""
 
     raw: np.ndarray
     shifted: np.ndarray
     sq: np.ndarray
-    top: float
+    top: float | np.ndarray
 
 
 def _rows(raw, center) -> _Rows:
     """``raw`` prepared for the screen, shifted by ``center``."""
     with np.errstate(over="ignore", invalid="ignore"):  # the screen's overflow
         shifted = raw - center
-        sq = (shifted * shifted).sum(axis=1)
-    return _Rows(raw, shifted, sq, sq.max())
+        sq = (shifted * shifted).sum(axis=-1)
+    return _Rows(raw, shifted, sq, sq.max(axis=-1))
 
 
 def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
@@ -118,12 +123,15 @@ def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
 
 def _nearest(A: _Rows, B: _Rows, exclude=None):
     """Index of the nearest row of ``B`` to every row of ``A`` under squared
-    Euclidean distance, ties to the lowest index.
+    Euclidean distance, ties to the lowest index. When ``B`` holds g groups
+    of rows, each group is searched on its own and the result is the
+    (g, len(A)) array of indices within the groups.
 
-    ``exclude[i]``, when given, removes row ``exclude[i]`` of ``B`` from the
-    search for row i; ``B`` must then have at least two rows. The rows of
-    ``A`` are searched in blocks of ``_block_rows(len(B))``; a row's result
-    does not depend on the other rows of its block.
+    ``exclude[i]``, when given, removes row ``exclude[i]`` of ``B`` (one
+    group) from the search for row i; ``B`` must then have at least two
+    rows. The rows of ``A`` are searched in blocks of
+    ``_block_rows(B.sq.size)``; a row's result does not depend on the other
+    rows of its block.
 
     Screen: S[i, j] = |b'_j|^2 + (-2 a'_i).b'_j ranks the pairs with one GEMM,
     on the rows shifted by a common center, a' = a - c and b' = b - c
@@ -134,11 +142,12 @@ def _nearest(A: _Rows, B: _Rows, exclude=None):
     runs on each of them, and its values alone pick the index. Any finite
     center gives the same result; one near the data, such as its mean,
     keeps the slack small, because the slack grows with the shifted norms.
+    The layout of S and the order of the GEMM's sums change nothing below.
 
     Slack. Let u = eps/2, g(n) = n*u/(1 - n*u), M = max_i |a'_i|^2 +
-    max_j |b'_j|^2 (``top`` of both sides; one row's |a'|^2 would do),
-    T = |a - b|^2 in exact arithmetic, T' = |a' - b'|^2 for the rounded
-    shifted rows, and s = T' - |a'|^2.
+    max_j |b'_j|^2 (``top`` of both sides, of the group searched; one row's
+    |a'|^2 would do), T = |a - b|^2 in exact arithmetic, T' = |a' - b'|^2
+    for the rounded shifted rows, and s = T' - |a'|^2.
       - Shift error: each coordinate of a' - b' differs from a - b by at
         most 1.01*u*(|a'_k| + |b'_k|), so |T' - T| <= 4.1*u*M.
       - Screen error: (-2a').b' from the GEMM errs by at most
@@ -157,48 +166,82 @@ def _nearest(A: _Rows, B: _Rows, exclude=None):
     absolute term. Non-finite thresholds (overflow) make every pair a
     candidate, so the exact kernel decides alone.
     """
-    step = _block_rows(B.raw.shape[0])
+    if B.raw.ndim == 2:
+        return _nearest(A, _grouped(B), exclude)[0]
+    step = _block_rows(B.sq.size)
     if A.raw.shape[0] <= step:
         return _nearest_block(A, B, exclude)
-    idx = np.empty(A.raw.shape[0], dtype=np.intp)
-    for s in range(0, idx.size, step):
+    idx = np.empty((B.sq.shape[0], A.raw.shape[0]), dtype=np.intp)
+    for s in range(0, idx.shape[1], step):
         part = slice(s, s + step)
         block = _Rows(A.raw[part], A.shifted[part], A.sq[part], A.top)
-        idx[part] = _nearest_block(block, B, None if exclude is None else exclude[part])
+        idx[:, part] = _nearest_block(block, B, None if exclude is None else exclude[part])
     return idx
 
 
+def _grouped(B: _Rows) -> _Rows:
+    """``B`` as g groups of rows: one group, when it holds plain rows."""
+    if B.raw.ndim == 3:
+        return B
+    return _Rows(B.raw[None], B.shifted[None], B.sq[None], np.reshape(B.top, 1))
+
+
 def _nearest_block(A: _Rows, B: _Rows, exclude=None):
-    """:func:`_nearest` on one block of rows of ``A``."""
+    """:func:`_nearest` on one block of rows of ``A`` and the g groups of
+    ``B``: a (g, len(A)) array."""
     idx, cand = _candidates(A, B, exclude)
     if np.count_nonzero(cand) == idx.size:  # the usual case: each pick is its row's only candidate
         return idx
-    multi = np.flatnonzero(np.count_nonzero(cand, axis=1) > 1)
-    rows, cols = np.nonzero(cand[multi])  # their candidates, by row, then index
-    d2 = _rows_to_point(A.raw[multi[rows]], B.raw[cols], Metric.SQEUCLIDEAN)
-    order = np.lexsort((cols, d2, rows))  # by row, then exact d2, then index
+    multi = np.flatnonzero(np.count_nonzero(cand, axis=1) > 1)  # places in idx
+    group, rows = np.divmod(multi, idx.shape[1])
+    at, cols = np.nonzero(cand[group, :, rows])  # their candidates, by place, then index
+    d2 = _rows_to_point(A.raw[rows[at]], B.raw[group[at], cols], Metric.SQEUCLIDEAN)
+    order = np.lexsort((cols, d2, at))  # by place, then exact d2, then index
     lead = np.ones(order.size, dtype=bool)
-    lead[1:] = rows[order[1:]] != rows[order[:-1]]
-    idx[multi] = cols[order[lead]]  # each row's best candidate
+    lead[1:] = at[order[1:]] != at[order[:-1]]
+    idx.flat[multi[at[order[lead]]]] = cols[order[lead]]  # each row's best candidate
     return idx
 
 
 def _candidates(A: _Rows, B: _Rows, exclude=None):
-    """The screen of :func:`_nearest`: each row's pick ``idx`` and the
-    (len(A), len(B)) mask of the pairs it keeps, every row's pick among
-    them."""
-    q = A.raw.shape[0]
+    """The screen of :func:`_nearest`, on B's g groups of m rows: each row's
+    pick in each group, ``idx`` (g, len(A)), and the (g, m, len(A)) mask of
+    the pairs it keeps, every pick among them (in the first layout below, a
+    transposed view).
+
+    The layout of S follows the shapes. Rows of B many against rows of A
+    few (Hopkins' queries against the data, and any search with
+    exclusions): a row of S holds one row of A against all of B, and its
+    ``argmin`` is the pick. Rows of B few, in one or many groups, against
+    rows of A many (K-means' centres against the data): a row of S holds
+    one row of B against all of A, so the minimum over the rows of a group
+    runs across contiguous rows of S, and a row's pick is read off its one
+    candidate, the only case that keeps it.
+    """
+    B = _grouped(B)
+    (g, m, d), q = B.raw.shape, A.raw.shape[0]
+    rows_first = g == 1 and (q < m or exclude is not None)
+    top = A.top + (B.top[0] if rows_first else B.top)  # a scalar costs less per block
+    slack = 8 * (d + 2) * _EPS * top + 8 * (d + 2) * _SUBNORMAL
     with np.errstate(over="ignore", invalid="ignore"):  # the screen's overflow
-        if q <= B.raw.shape[0]:  # scale the smaller side; doubling is exact
-            S = (-2.0 * A.shifted) @ B.shifted.T
-        else:
-            S = A.shifted @ (-2.0 * B.shifted).T
-        S += B.sq
+        if not rows_first:
+            S = (-2.0 * B.shifted).reshape(g * m, d) @ A.shifted.T  # doubling is exact
+            S = S.reshape(g, m, q)
+            S += B.sq[:, :, None]
+            thresh = S.min(axis=1) + slack[:, None]
+            cand = S <= thresh[:, None, :]
+            if not np.isfinite(thresh).all():  # overflow: every pair of those rows is a candidate
+                cand |= ~np.isfinite(thresh)[:, None, :]
+            # a row's one candidate j is the sum of j over its candidates;
+            # rows with more are decided by the exact kernel
+            order = np.arange(m, dtype=np.min_scalar_type(m))
+            return np.einsum("gmq,m->gq", cand, order).astype(np.intp), cand
+        S = (-2.0 * A.shifted) @ B.shifted[0].T
+        S += B.sq[0]
         every = np.arange(q)
         if exclude is not None:
             S[every, exclude] = np.inf
         idx = S.argmin(axis=1)
-        slack = 8 * (A.raw.shape[1] + 2) * (_EPS * (A.top + B.top) + _SUBNORMAL)
         thresh = S[every, idx] + slack
         cand = S <= thresh[:, None]
     overflow = ~np.isfinite(thresh)
@@ -207,7 +250,7 @@ def _candidates(A: _Rows, B: _Rows, exclude=None):
         idx[overflow] = 0 if exclude is None else exclude[overflow] == 0
         if exclude is not None:
             cand[every, exclude] = False
-    return idx, cand
+    return idx[None], cand.T[None]
 
 
 def distance(a, b, metric=Metric.EUCLIDEAN) -> float:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
-from ._checks import as_feature_matrix, as_labels, resolve_seed
-from .distances import Metric, _nearest, _rows, _rows_to_point
+from ._checks import as_feature_matrix, as_integer, as_labels, resolve_seed
+from .distances import Metric, _block_rows, _nearest, _rows, _rows_to_point
 from .exceptions import AnalysisError, MissingCenterError, TooFewPointsError
 
 INIT_KMEANS_PP = "k-means++"
@@ -34,37 +34,54 @@ def _objective(X, labels, centers) -> float:
     return float(_point_d2(X, labels, centers).sum())
 
 
-def _init_centers(X, k, init, rng):
-    """The k starting centers, each point's nearest of them (ties to the
-    lower index) and its exact squared distance to it: the first
+def _starts(X, k, init, rngs):
+    """The k starting centers of each restart in a group, one per ``rng``,
+    (g, k, d), with each point's nearest of them (ties to the lower index)
+    and its exact squared distance to it, both (g, n): the first
     assignment, which k-means++ has on hand once it has drawn its seeds.
-    Random init returns ``(centers, None, None)``."""
+    Random init returns ``(centers, None, None)``.
+
+    k-means++ draws each restart's seeds from its own ``rng``, as a restart
+    on its own would, and computes the exact distances to each new seed of
+    the group together, ``_block_rows(n * d)`` restarts per call."""
     n = X.shape[0]
     if init == INIT_RANDOM:
-        return X[np.sort(rng.choice(n, size=k, replace=False))].copy(), None, None
-    if init != INIT_KMEANS_PP:
-        raise ValueError(f"unknown init {init!r}; use {INIT_KMEANS_PP!r} or {INIT_RANDOM!r}")
+        picks = [np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs]
+        return X[np.array(picks)], None, None
     # k-means++: first center uniform, then D^2 sampling
-    centers = np.empty((k, X.shape[1]), dtype=np.float64)
-    centers[0] = X[rng.integers(n)]
-    labels = np.zeros(n, dtype=np.intp)
+    centers = np.empty((len(rngs), k, X.shape[1]), dtype=np.float64)
+    centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
+    labels = np.zeros((len(rngs), n), dtype=np.intp)
     with np.errstate(over="ignore"):  # an infinite sum is refused below
-        d2 = _rows_to_point(X, centers[0], Metric.SQEUCLIDEAN)
+        d2 = _to_seeds(X, centers[:, 0])
         for j in range(1, k):
-            total = d2.sum()
-            if total == np.inf:  # the weights d2 / total would be NaN
-                raise AnalysisError(
-                    "k-means++ cannot seed: the squared distances to the first seed overflow "
-                    "float64; use --init random or normalise the data")
-            if total > 0:
-                idx = rng.choice(n, p=d2 / total)
-            else:
-                idx = rng.integers(n)  # all remaining mass at chosen centers
-            centers[j] = X[idx]
-            dj = _rows_to_point(X, centers[j], Metric.SQEUCLIDEAN)
-            labels[dj < d2] = j
-            d2 = np.minimum(d2, dj)
+            for r, rng in enumerate(rngs):
+                total = d2[r].sum()
+                if total == np.inf:  # the weights d2 / total would be NaN
+                    raise AnalysisError(
+                        "k-means++ cannot seed: the squared distances to the first seed "
+                        "overflow float64; use --init random or normalise the data")
+                if total > 0:
+                    idx = rng.choice(n, p=d2[r] / total)
+                else:
+                    idx = rng.integers(n)  # all remaining mass at chosen centers
+                centers[r, j] = X[idx]
+            dj = _to_seeds(X, centers[:, j])
+            np.putmask(labels, dj < d2, j)
+            np.minimum(d2, dj, out=d2)
     return centers, labels, d2
+
+
+def _to_seeds(X, seeds):
+    """Exact squared distances of every point to each restart's seed, (g, n),
+    in calls of about ``_SCREEN_ELEMENTS`` differences."""
+    step = _block_rows(X.size)
+    if seeds.shape[0] <= step:
+        return _rows_to_point(X, seeds[:, None], Metric.SQEUCLIDEAN)
+    d2 = np.empty((seeds.shape[0], X.shape[0]))
+    for s in range(0, d2.shape[0], step):
+        d2[s:s + step] = _rows_to_point(X, seeds[s:s + step, None], Metric.SQEUCLIDEAN)
+    return d2
 
 
 def _repair_empty(labels, point_d2, k):
@@ -85,54 +102,82 @@ def _repair_empty(labels, point_d2, k):
         point_d2[j] = -1.0
 
 
-def _center_means(X, labels, counts, offsets):
-    """Per-cluster coordinate means, bit-identical to
-    ``X[labels == j].mean(axis=0)`` for every j, given ``counts``, the
-    cluster sizes, and ``offsets``, ``np.tile(np.arange(d), n)``: the
-    coordinate of each element of ``X.ravel()``.
+def _means(X, keys, counts, columns, coordinate):
+    """Per-cluster coordinate means of each restart of a group, (g, k, d),
+    bit-identical to ``X[labels[r] == j].mean(axis=0)`` for every r and j,
+    given each point's bin ``keys[r] = r*k + labels[r]``, ``counts``, the
+    (g, k) cluster sizes, ``columns``, ``X.T`` repeated for
+    ``_block_rows(n * d)`` restarts (or fewer, when the group holds fewer),
+    and ``coordinate``, ``np.tile(np.arange(d), n)``: the coordinate of each
+    element of ``X.ravel()``.
 
     For d >= 2 that mean adds a cluster's rows in row order onto +0.0 (so a
-    coordinate whose members all read -0.0 sums to +0.0), exactly as one
-    ``bincount`` over (label, coordinate) bins does. A single column is
-    summed pairwise instead, so d = 1 keeps the per-cluster mean.
+    coordinate whose members all read -0.0 sums to +0.0), exactly as
+    ``bincount`` does: one call per coordinate for as many restarts as
+    ``columns`` holds, or, for one restart, one call over (label,
+    coordinate) bins, which costs less than d short calls. A single column
+    is summed pairwise instead, so d = 1 keeps the per-cluster mean.
     """
-    k, d = counts.size, X.shape[1]
+    (g, k), (n, d) = counts.shape, X.shape
     if d == 1:
-        return np.array([X[labels == j].mean(axis=0) for j in range(k)])
-    bins = (labels * d).repeat(d) + offsets
-    sums = np.bincount(bins, weights=X.ravel(), minlength=k * d).reshape(k, d)
-    return sums / counts[:, None]
+        return np.array([[X[part == j].mean(axis=0) for j in range(r * k, r * k + k)]
+                         for r, part in enumerate(keys)])
+    if g == 1:
+        bins = (keys[0] * d).repeat(d) + coordinate
+        sums = np.bincount(bins, weights=X.ravel(), minlength=k * d)
+        return sums.reshape(1, k, d) / counts[:, :, None]
+    sums = np.empty((d, g * k))
+    step = columns.shape[1] // n
+    for s in range(0, g, step):
+        e = min(s + step, g)
+        part = keys[s:e].ravel()
+        for c in range(d):
+            sums[c, s * k:e * k] = np.bincount(part, weights=columns[c, :part.size],
+                                               minlength=e * k)[s * k:]
+    return (sums / counts.ravel()).T.reshape(g, k, d)
 
 
-def _lloyd(rows, mean, offsets, k, init, rng, max_iter, tol):
-    """One restart on ``rows``, the data prepared for the screen around its
-    ``mean``: ``(labels, centers, objective, n_iter, converged)``. The
-    objective is computed once, on the final labels and centers."""
+def _restarts(rows, mean, k, init, seeds, max_iter, tol):
+    """A group of restarts on ``rows``, the data prepared for the screen
+    around its ``mean``, one per seed, in lockstep: each iteration screens
+    the centers of every restart still running in one call, counts their
+    clusters in one ``bincount``, sums them (see :func:`_means`) and
+    measures their shifts in one call. A restart leaves the group once it
+    converges or reaches ``max_iter``, and its objective is computed then,
+    on its final labels and centers. Returns each restart's ``(objective,
+    labels, centers, n_iter, converged)``, in the order of ``seeds``."""
     X = rows.raw
-    centers, labels, point_d2 = _init_centers(X, k, init, rng)
-    converged = False
-    previous = None
-    n_iter = 0
+    centers, labels, point_d2 = _starts(X, k, init, [np.random.default_rng(s) for s in seeds])
+    columns = np.tile(X.T, min(_block_rows(X.size), len(seeds))) if len(seeds) > 1 else None
+    coordinate = np.tile(np.arange(X.shape[1]), X.shape[0])
+    running = np.arange(len(seeds))  # the restarts still iterating
+    offsets = k * running[:, None]  # restart r's clusters are bins r*k to r*k + k - 1
+    done = [None] * len(seeds)
     for n_iter in range(1, max_iter + 1):
-        if n_iter > 1 or labels is None:  # k-means++ seeding made the first assignment
-            previous = labels
-            labels, point_d2 = _nearest(rows, _rows(centers, mean)), None
-        counts = np.bincount(labels, minlength=k)
+        if labels is None:  # else k-means++ seeding made the first assignment
+            labels = _nearest(rows, _rows(centers, mean))
+        g = running.size
+        keys = labels + offsets[:g]
+        counts = np.bincount(keys.ravel(), minlength=g * k).reshape(g, k)
         if counts.min() == 0:
-            if point_d2 is None:  # the repair's exact distances
-                point_d2 = _point_d2(X, labels, centers)
-            labels, counts = _repair_empty(labels, point_d2, k)
-        if previous is not None and (labels == previous).all():
-            new_centers = centers  # they depend on the labels alone
-        else:
-            new_centers = _center_means(X, labels, counts, offsets)
+            for r in np.flatnonzero(counts.min(axis=1) == 0):
+                d2 = _point_d2(X, labels[r], centers[r]) if point_d2 is None else point_d2[r]
+                labels[r], counts[r] = _repair_empty(labels[r], d2, k)
+                keys[r] = labels[r] + offsets[r]
+        new_centers = _means(X, keys, counts, columns, coordinate)
         # NaN at an inf center: no convergence
         shift_sq = _rows_to_point(new_centers, centers, Metric.SQEUCLIDEAN)
-        centers = new_centers
-        if np.sqrt(shift_sq.max()) <= tol:
-            converged = True
-            break
-    return labels, centers, _objective(X, labels, centers), n_iter, converged
+        converged = np.sqrt(shift_sq.max(axis=1)) <= tol
+        leaving = converged if n_iter < max_iter else np.ones(g, dtype=bool)
+        if leaving.any():
+            for r in np.flatnonzero(leaving):
+                part, center = labels[r].copy(), new_centers[r].copy()
+                done[running[r]] = (_objective(X, part, center), part, center, n_iter,
+                                    bool(converged[r]))
+            running, new_centers = running[~leaving], new_centers[~leaving]
+            if not running.size:
+                return done
+        centers, labels, point_d2 = new_centers, None, None
 
 
 class KMeans(BaseEstimator):
@@ -149,13 +194,20 @@ class KMeans(BaseEstimator):
     a derived rounding slack of their best (see ``distances._nearest``), so
     labels equal those of a full distance table bit for bit.
 
+    Restarts run in groups of ``distances._block_rows(n * k)``, so that a
+    group's screen, (g, k, n) values, is one block of about
+    ``_SCREEN_ELEMENTS`` (256 KB): the restarts of a group iterate in
+    lockstep, sharing each iteration's screen, cluster counts, centre sums
+    and shifts, and a restart leaves its group once it converges or reaches
+    ``max_iter``. Every other temporary of a group is a blocked walk of the
+    same budget, so memory does not grow with ``n_init``.
+
     A restart runs the exact kernel over all points once, on its final
     labels and centers, for the objective that ranks it; its iterations run
     it only where the screen leaves a point undecided. k-means++ seeding
     computes each point's exact distance to every seed, so it hands the
-    first iteration its assignment; the repair of an empty cluster computes
-    the distances it needs; and an iteration whose labels repeat the last
-    one's keeps its centers.
+    first iteration its assignment, and the repair of an empty cluster
+    computes the distances it needs.
 
     Attributes after fit: ``labels_``, ``cluster_centers_``, ``inertia_``
     (the within-cluster sum of squares), ``n_iter_``, ``converged_``,
@@ -183,28 +235,32 @@ class KMeans(BaseEstimator):
     def fit(self, X, y=None):
         X = as_feature_matrix(X)
         n = X.shape[0]
-        k = int(self.n_clusters)
+        k = as_integer(self.n_clusters, "n_clusters")
         if k < 1:
             raise ValueError("n_clusters must be at least 1")
         if n < k:
             raise TooFewPointsError(n, k)
-        if self.n_init < 1 or self.max_iter < 1:
+        n_init, max_iter = as_integer(self.n_init, "n_init"), as_integer(self.max_iter, "max_iter")
+        if n_init < 1 or max_iter < 1:
             raise ValueError("n_init and max_iter must be at least 1")
         if not 0 <= self.tol < np.inf:  # NaN fails both
             raise ValueError("tol must be non-negative")
+        if self.init not in (INIT_KMEANS_PP, INIT_RANDOM):
+            raise ValueError(
+                f"unknown init {self.init!r}; use {INIT_KMEANS_PP!r} or {INIT_RANDOM!r}")
         seed = resolve_seed(self.random_state)
         mean = X.mean(axis=0)
-        rows, offsets = _rows(X, mean), np.tile(np.arange(X.shape[1]), n)
-        max_iter, tol = int(self.max_iter), float(self.tol)
+        rows, tol = _rows(X, mean), float(self.tol)
+        group = _block_rows(n * k)  # restarts whose screen fills one block
         best, n_iters = None, []
-        for r in range(int(self.n_init)):
-            rng = np.random.default_rng(seed + r)
-            result = _lloyd(rows, mean, offsets, k, self.init, rng, max_iter, tol)
-            n_iters.append(result[3])
-            if best is None or result[2] < best[2]:
-                best, best_restart = result, r
+        for first in range(0, n_init, group):
+            seeds = range(seed + first, seed + min(first + group, n_init))
+            for result in _restarts(rows, mean, k, self.init, seeds, max_iter, tol):
+                n_iters.append(result[3])
+                if best is None or result[0] < best[0]:
+                    best, best_restart = result, len(n_iters) - 1
 
-        labels, centers, objective, n_iter, converged = best
+        objective, labels, centers, n_iter, converged = best
         self.labels_ = labels
         self.cluster_centers_ = centers
         self.inertia_ = objective  # the final objective is wss(X, labels, centers)

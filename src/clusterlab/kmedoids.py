@@ -44,6 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
+from ._checks import as_integer
 from .distances import _EPS, DistanceMatrix, Metric, _block_rows, pairwise_distances
 from .exceptions import InvalidMedoidError, TooFewPointsError
 
@@ -202,9 +203,9 @@ class KMedoids(BaseEstimator):
         return self._swap_from(dist.square(), _build(dist.square(), k))
 
     def _check_params(self):
-        if int(self.n_clusters) < 1:
+        if as_integer(self.n_clusters, "n_clusters") < 1:
             raise ValueError("n_clusters must be at least 1")
-        if int(self.max_swap_iters) < 0:
+        if as_integer(self.max_swap_iters, "max_swap_iters") < 0:
             raise ValueError(f"max_swap_iters must be non-negative, got {self.max_swap_iters}")
 
     def _swap_from(self, D, order):

@@ -60,6 +60,15 @@ class TestUsageAndErrors:
                        "--out", str(out)) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {out}: Not a directory"]
 
+    def test_negative_seed_exit_3_naming_it(self, synth_csv_path, tmp_path, capsys):
+        assert run_cli("kmeans", str(synth_csv_path), "--seed", "-1", "--restarts", "2") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "analysis error: seed must be non-negative, got -1"]
+        out = tmp_path / "results"
+        assert run_cli("analyze", str(synth_csv_path), "--seed", "-1", "--out", str(out)) == 3
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3\n")
@@ -140,7 +149,7 @@ class TestUsageAndErrors:
                                             (("silhouette", "--algorithm", "kmeans"), "tol")])
     def test_tol_not_finite_exit_3_before_any_fit(self, synth_csv_path, tmp_path, monkeypatch,
                                                   capsys, argv, flag, tol):
-        monkeypatch.setattr("clusterlab.kmeans._lloyd", lambda *args: pytest.fail("fitted"))
+        monkeypatch.setattr("clusterlab.kmeans._restarts", lambda *args: pytest.fail("fitted"))
         out = tmp_path / "results"
         assert run_cli(argv[0], str(synth_csv_path), *argv[1:], "--tol", tol,
                        "--out", str(out)) == 3

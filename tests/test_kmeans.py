@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlab import KMeans, distances, kmeans, wss
+from clusterlab import KMeans, distances, hopkins_statistic, kmeans, wss
 from clusterlab.distances import _candidates, _rows, _screened_nearest
 from clusterlab.exceptions import (
     AnalysisError,
@@ -12,7 +14,7 @@ from clusterlab.exceptions import (
     NotFittedError,
     TooFewPointsError,
 )
-from clusterlab.kmeans import INIT_RANDOM, _center_means, _init_centers
+from clusterlab.kmeans import INIT_RANDOM, _means, _starts
 
 
 def exhaustive_best_wss_k2(X):
@@ -178,9 +180,8 @@ def test_kmeanspp_seeding_distribution():
 
     counts = {pair: 0 for pair in expected}
     n_draws = 6000
-    for seed in range(n_draws):
-        rng = np.random.default_rng(seed)
-        centers = _init_centers(X, 2, "k-means++", rng)[0]
+    rngs = [np.random.default_rng(seed) for seed in range(n_draws)]
+    for centers in _starts(X, 2, "k-means++", rngs)[0]:  # one group, one stream each
         first = int(np.flatnonzero(X[:, 0] == centers[0, 0])[0])
         second = int(np.flatnonzero(X[:, 0] == centers[1, 0])[0])
         counts[(first, second)] += 1
@@ -207,6 +208,21 @@ class TestEstimatorApi:
     def test_tol_must_be_finite_and_non_negative(self, tol):
         with pytest.raises(ValueError, match="^tol must be non-negative$"):
             KMeans(tol=tol).fit(np.ones((4, 2)))
+
+    @pytest.mark.parametrize("name,value", [("n_clusters", 2.5), ("n_init", 2.5),
+                                            ("max_iter", 1.5), ("n_init", np.nan)])
+    def test_counts_must_be_integers(self, name, value):
+        # truncating them would fit 2 clusters, 2 restarts or 1 iteration
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            KMeans(**{name: value}).fit(grid(10, 2, 0))
+        assert KMeans(**{name: 2.0}).fit(grid(10, 2, 0)).labels_.size == 10
+
+    @pytest.mark.parametrize("fit", [lambda X: KMeans(random_state=-1, n_init=2).fit(X),
+                                     lambda X: hopkins_statistic(X, seed=-3)])
+    def test_negative_seed_is_refused_by_name(self, fit):
+        # numpy's generators would refuse it without naming the seed
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -\d$"):
+            fit(grid(10, 2, 0))
 
     def test_set_params_roundtrip(self):
         est = KMeans().set_params(n_clusters=7, random_state=3)
@@ -445,8 +461,8 @@ class TestLloydShortcuts:
         # center point exactly equidistant from both
         X = np.repeat([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 1.0]], 3, axis=0)
         ties = 0
-        for seed in range(20):
-            centers, labels, d2 = _init_centers(X, 2, "k-means++", np.random.default_rng(seed))
+        group = _starts(X, 2, "k-means++", [np.random.default_rng(seed) for seed in range(20)])
+        for seed, (centers, labels, d2) in enumerate(zip(*group)):
             ref_labels, ref_d2 = reference_assign(X, centers)
             assert np.array_equal(labels, ref_labels)
             assert d2.tobytes() == ref_d2.tobytes()
@@ -459,7 +475,7 @@ class TestLloydShortcuts:
         # three distinct points, four clusters: the fourth seed repeats one,
         # so the first assignment leaves its cluster empty
         X = np.repeat([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]], 4, axis=0)
-        labels = _init_centers(X, 4, "k-means++", np.random.default_rng(0))[1]
+        labels = _starts(X, 4, "k-means++", [np.random.default_rng(0)])[1][0]
         assert np.bincount(labels, minlength=4).min() == 0
         assert_fit_matches_reference(X, 4, 0, n_init=3)
 
@@ -473,34 +489,26 @@ class TestLloydShortcuts:
             assert KMeans(n_clusters=3, init=INIT_RANDOM, n_init=3,
                           random_state=1).fit(X).inertia_ == np.inf
 
-    def test_centers_holding_inf_never_converge(self, monkeypatch):
+    def test_centers_holding_inf_never_converge(self):
         # a cluster of several 1e308 points sums to inf: its center is inf,
         # the shift NaN, so the fit runs to max_iter though its labels repeat
         X = grid(6, 1, 1, levels=2, scale=1e308)
-        means = []
-        monkeypatch.setattr(kmeans, "_center_means", lambda *a: means.append(a) or
-                            _center_means(*a))
         with np.errstate(over="ignore", invalid="ignore"):
             est = KMeans(n_clusters=2, init=INIT_RANDOM, n_init=1, random_state=0).fit(X)
             assert est.cluster_centers_.tolist() == [[np.inf], [0.0]]
-            assert (est.converged_, est.n_iter_, len(means)) == (False, 100, 1)
+            assert (est.converged_, est.n_iter_) == (False, 100)
             assert_fit_matches_reference(X, 2, 0, n_init=1, init=INIT_RANDOM)
 
+    @pytest.mark.parametrize("n_init", [1, 3])
     @pytest.mark.parametrize("init,screens", [("k-means++", -1), (INIT_RANDOM, 0)])
-    def test_one_screen_per_later_iteration(self, monkeypatch, init, screens):
-        calls = {"_nearest": 0, "_center_means": 0}
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(kmeans, name, counting(name, getattr(kmeans, name)))
-        est = KMeans(n_clusters=5, init=init, n_init=1, random_state=3).fit(grid(200, 4, 18))
+    def test_one_screen_per_later_iteration(self, monkeypatch, init, screens, n_init):
+        # one group: its restarts share each iteration's screen
+        calls = []
+        nearest = kmeans._nearest
+        monkeypatch.setattr(kmeans, "_nearest", lambda *args: calls.append(0) or nearest(*args))
+        est = assert_fit_matches_reference(grid(200, 4, 18), 5, 3, n_init, init)
         assert est.converged_ and est.n_iter_ > 3
-        assert calls == {"_nearest": est.n_iter_ + screens, "_center_means": est.n_iter_ - 1}
+        assert len(calls) == max(est.n_iter_per_restart_) + screens
 
 
 class TestRestarts:
@@ -526,23 +534,26 @@ class TestRestarts:
             est = assert_fit_matches_reference(X, 2, 0, n_init, init=INIT_RANDOM)
         assert np.isinf(est.cluster_centers_).any()
 
-    @pytest.mark.parametrize("n_init", [1, 4])
-    def test_one_run_and_one_objective_per_restart(self, monkeypatch, n_init):
-        log = []  # one entry per run of _lloyd: the _objective calls it made
-        lloyd, objective = kmeans._lloyd, kmeans._objective
+    @pytest.mark.parametrize("n_init,group,runs", [(1, None, [1]), (4, None, [4]),
+                                                   (5, 2, [2, 2, 1])])
+    def test_one_run_and_one_objective_per_restart(self, monkeypatch, n_init, group, runs):
+        if group is not None:
+            monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", group * 200 * 5)
+        log = []  # one entry per group run: the _objective calls it made
+        restarts, objective = kmeans._restarts, kmeans._objective
 
-        def recording_lloyd(*args):
+        def recording_restarts(*args):
             log.append(0)
-            return lloyd(*args)
+            return restarts(*args)
 
         def counting_objective(*args):
             log[-1] += 1
             return objective(*args)
 
-        monkeypatch.setattr(kmeans, "_lloyd", recording_lloyd)
+        monkeypatch.setattr(kmeans, "_restarts", recording_restarts)
         monkeypatch.setattr(kmeans, "_objective", counting_objective)
         est = KMeans(n_clusters=5, n_init=n_init, random_state=3).fit(grid(200, 4, 18))
-        assert log == [1] * n_init
+        assert log == runs
         assert est.n_iter_ > 1 and not hasattr(est, "objective_path_")
 
     def test_iterations_per_restart(self):
@@ -561,6 +572,96 @@ class TestRestarts:
             KMeans(n_clusters=3, n_init=3, random_state=1).fit(X)
 
 
+class TestLockstep:
+    """A fit runs its restarts in groups of ``_block_rows(n * k)``, each
+    group in lockstep; every restart equals the dense-table Lloyd run on its
+    own, bit for bit. The block budget is patched to force small groups."""
+
+    @staticmethod
+    def fit(monkeypatch, X, k, seed, n_init, group, init="k-means++", max_iter=100):
+        """A fit in groups of ``group`` restarts, checked restart by restart:
+        the fitted estimator and the results of each group run."""
+        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", group * len(X) * k)
+        runs, restarts = [], kmeans._restarts
+
+        def recording_restarts(*args):
+            runs.append(restarts(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(kmeans, "_restarts", recording_restarts)
+        est = assert_fit_matches_reference(X, k, seed, n_init, init, max_iter)
+        assert [len(run) for run in runs] == ([group] * (n_init // group)
+                                              + [n_init % group] * (n_init % group > 0))
+        for r, (objective, labels, centers, n_iter, converged) in enumerate(
+                result for run in runs for result in run):
+            ref = reference_fit(X, k, seed + r, 1, init, max_iter)
+            assert np.array_equal(labels, ref[0])
+            assert centers.tobytes() == ref[1].tobytes()
+            assert (objective, n_iter) == (ref[2], ref[3]) == (ref[2], est.n_iter_per_restart_[r])
+            # converged at the cap when one more iteration would not have run
+            assert converged == (n_iter < max_iter or reference_fit(
+                X, k, seed + r, 1, init, max_iter + 1)[3] == max_iter)
+        return est, runs
+
+    # 7 restarts: groups of 2 and 3 leave a ragged last group
+    @pytest.mark.parametrize("max_iter", [1, 2, 100])
+    @pytest.mark.parametrize("init", ["k-means++", INIT_RANDOM])
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    def test_groups_match_reference(self, monkeypatch, group, init, max_iter):
+        est, runs = self.fit(monkeypatch, grid(150, 5, 20), 4, 9, 7, group, init, max_iter)
+        if max_iter == 100 and group > 1:  # restarts of one group finish apart
+            assert any(len({result[3] for result in run}) > 1 for run in runs)
+
+    def test_a_repair_in_one_restart_of_a_group(self, monkeypatch):
+        # random init may draw two of the eight equal points: one of their
+        # clusters stays empty and is repaired; restart 4 draws three distinct
+        X = np.array([[0.0, 0.0]] * 8 + [[5.0, 5.0]] * 2 + [[9.0, 0.0]])
+        calls, repair = [], kmeans._repair_empty
+        monkeypatch.setattr(kmeans, "_repair_empty", lambda *a: calls.append(0) or repair(*a))
+        repaired = []
+        for seed in range(6):
+            calls.clear()
+            KMeans(n_clusters=3, init=INIT_RANDOM, n_init=1, random_state=seed).fit(X)
+            repaired.append(bool(calls))
+        assert repaired == [True, True, True, True, False, True]
+        self.fit(monkeypatch, X, 3, 0, 6, 3, INIT_RANDOM)  # groups (0, 1, 2), (3, 4, 5)
+
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    def test_a_restart_holding_inf_runs_on_while_the_others_converge(self, monkeypatch, group):
+        # restarts 1 to 3 put two points of 1e308 in one cluster: its center
+        # is inf, its shift NaN, and it runs to max_iter
+        X = np.array([[6e307, 1e308], [1e308, 6e307], [1e308, 1e308], [0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            est, runs = self.fit(monkeypatch, X, 3, 0, 6, group, INIT_RANDOM)
+        assert est.n_iter_per_restart_ == (2, 100, 100, 100, 2, 2)
+        results = [result for run in runs for result in run]
+        holding_inf = [False, True, True, True, False, False]
+        assert [np.isinf(result[2]).any() for result in results] == holding_inf
+        assert [result[4] for result in results] == [not inf for inf in holding_inf]
+
+    @pytest.mark.parametrize("group", [2, 3])
+    def test_single_feature(self, monkeypatch, group):
+        # d = 1 keeps numpy's pairwise mean per cluster
+        self.fit(monkeypatch, grid(40, 1, 14, levels=50), 3, 2, 5, group)
+
+
+@pytest.mark.parametrize("n", [683, 20_000])
+def test_restarts_keep_memory_flat(n):
+    """Restarts share each group's temporaries, which a blocked walk bounds:
+    100 restarts peak no more than four 256 KB blocks above one restart."""
+    X = grid(n, 9, 21)
+
+    def peak(n_init):
+        tracemalloc.start()
+        try:
+            KMeans(n_clusters=2, n_init=n_init, max_iter=3, random_state=0).fit(X)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100) - peak(1) <= 4 * 8 * distances._SCREEN_ELEMENTS
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 25), st.integers(1, 6), st.integers(1, 5),
@@ -574,13 +675,17 @@ def test_fit_matches_reference_property(n, d, k, shift, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 30), st.integers(2, 6), st.integers(1, 5), st.integers(0, 2**16))
-def test_center_means_equal_per_cluster_means(n, d, k, seed):
+@given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 5), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 2**16))
+def test_center_means_equal_per_cluster_means(n, d, k, g, step, seed):
+    # g restarts summed ``step`` at a time; every cluster of every restart occupied
     rng = np.random.default_rng(seed)
-    X = grid(n, d, seed, levels=3) - 1.0 / 9.0
+    X = grid(n + k, d, seed, levels=3) - 1.0 / 9.0
     X[(X == 0.0) & (rng.random(X.shape) < 0.7)] = -0.0
-    labels = np.unique(rng.integers(0, k, size=n), return_inverse=True)[1]
-    k = int(labels.max()) + 1
-    got = _center_means(X, labels, np.bincount(labels), np.tile(np.arange(d), n))
-    want = np.array([X[labels == j].mean(axis=0) for j in range(k)])
+    labels = rng.integers(0, k, size=(g, n + k))
+    labels[:, rng.permutation(n + k)[:k]] = np.arange(k)
+    keys = labels + k * np.arange(g)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=g * k).reshape(g, k)
+    got = _means(X, keys, counts, np.tile(X.T, min(step, g)), np.tile(np.arange(d), n + k))
+    want = np.array([[X[part == j].mean(axis=0) for j in range(k)] for part in labels])
     assert got.tobytes() == want.tobytes()

@@ -107,7 +107,8 @@ class TestKMedoids:
         with pytest.raises(ValueError, match="max_swap_iters"):
             KMedoids(n_clusters=2, max_swap_iters=-1).fit(np.arange(6.0).reshape(3, 2))
 
-    @pytest.mark.parametrize("params", [{"n_clusters": 0}, {"max_swap_iters": -1}])
+    @pytest.mark.parametrize("params", [{"n_clusters": 0}, {"max_swap_iters": -1},
+                                        {"n_clusters": 2.7}, {"max_swap_iters": 1.5}])
     def test_invalid_settings_build_no_distances(self, monkeypatch, params):
         built = []
 
