@@ -10,11 +10,16 @@ pattern, and results match a naive per-pair computation exactly.
 
 The screened search, :func:`_nearest`, ranks pairs with a GEMM and returns
 indices alone; it runs the exact kernel only on the rows its screen leaves
-more than one candidate. It searches the centres of many K-means restarts
-at once, each group of centres on its own. :func:`_screened_nearest` adds
-one exact pass over the picks for callers that need the distances too
-(Hopkins); Lloyd's step needs them only to repair an empty cluster, and
-computes them then.
+more than one candidate. :func:`_rows` prepares each side of a search once,
+as one C-contiguous operand in the layout the GEMM reads: a row of ones, the
+rows shifted by a common center and transposed, and their squared norms.
+Each block of the screen then builds only the few side's small left
+operand, and one GEMM on contiguous operands yields the ranking values,
+norms included. It searches the centres of many K-means restarts at once,
+each group of centres on its own. :func:`_screened_nearest` adds one exact
+pass over the picks for callers that need the distances too (Hopkins);
+Lloyd's step needs them only to repair an empty cluster, and computes them
+then.
 
 Memory. This module alone sizes the package's temporaries. Every blocked
 walk (the screened nearest search here, the build of the dense matrix,
@@ -22,8 +27,12 @@ PAM's BUILD and SWAP over its rows, and K-means' groups of restarts, whose
 screen, seeding distances and centre sums each take a block) holds about
 ``_SCREEN_ELEMENTS`` float64 values (256 KB) per block, with row or restart
 counts from :func:`_block_rows` (one, when one alone is larger), so memory
-stays flat as n and the number of restarts grow. The dense (n, n) matrix is
-the one O(n^2) allocation: :func:`pairwise_distances` refuses n points of d
+stays flat as n and the number of restarts grow. The exact kernel's calls
+over many rows (the distances to the picks, K-means' objective, repair and
+seeding distances) walk blocks of ``_block_rows(d)`` rows. A search holds
+one prepared operand per side, (d + 2)*m values for m rows, beside the rows
+themselves, which it reads in place. The dense (n, n) matrix is the one
+O(n^2) allocation: :func:`pairwise_distances` refuses n points of d
 features, with :class:`AnalysisError` and before it allocates anything, when
 the matrix's 8n² bytes plus one block of its build,
 8*max(_SCREEN_ELEMENTS, n*d) bytes, exceed :func:`physical_memory`.
@@ -94,31 +103,48 @@ def _rows_to_point(X: np.ndarray, y: np.ndarray, metric: Metric) -> np.ndarray:
 
 
 class _Rows(NamedTuple):
-    """Rows prepared for :func:`_nearest`: ``raw``, which the exact
-    kernel reads, and ``shifted`` = raw - center with its squared row norms
-    ``sq`` and their largest, ``top``, which the screen reads. Both sides of
-    one search share the center. The searched side may hold g groups of m
-    rows: ``raw`` (g, m, d), ``sq`` (g, m) and ``top`` (g,), one per group."""
+    """Rows prepared for :func:`_nearest`: ``raw``, which the exact kernel
+    reads, and what the screen reads: ``operand``, the C-contiguous
+    (d + 2, m) array of a row of ones, the shifted rows raw - center
+    transposed, and their squared norms, and ``top``, the largest of those
+    norms. Both sides of one search share the center. The searched side may
+    hold g groups of m rows: ``raw`` (g, m, d), ``operand`` (g, d + 2, m)
+    and ``top`` (g,), one per group."""
 
     raw: np.ndarray
-    shifted: np.ndarray
-    sq: np.ndarray
+    operand: np.ndarray
     top: float | np.ndarray
 
 
 def _rows(raw, center) -> _Rows:
-    """``raw`` prepared for the screen, shifted by ``center``."""
+    """``raw``, (m, d) or (g, m, d), prepared for the screen around
+    ``center``: (d + 2) values per row, written once for the whole search."""
+    *groups, m, d = raw.shape
+    operand = np.empty((*groups, d + 2, m))
+    operand[..., 0, :] = 1.0
+    shifted, sq = operand[..., 1:d + 1, :], operand[..., d + 1, :]
     with np.errstate(over="ignore", invalid="ignore"):  # the screen's overflow
-        shifted = raw - center
-        sq = (shifted * shifted).sum(axis=-1)
-    return _Rows(raw, shifted, sq, sq.max(axis=-1))
+        np.subtract(raw, center, out=shifted.swapaxes(-1, -2))
+        np.einsum("...km,...km->...m", shifted, shifted, out=sq)
+    return _Rows(raw, operand, sq.max(axis=-1))
+
+
+def _d2_to_picks(X, Y, idx):
+    """Exact squared distance of each row i of ``X`` to row ``idx[i]`` of
+    ``Y``, in blocks of ``_block_rows(d)`` rows."""
+    d2 = np.empty(X.shape[0])
+    step = _block_rows(X.shape[1])
+    for s in range(0, d2.size, step):
+        d2[s:s + step] = _rows_to_point(X[s:s + step], np.take(Y, idx[s:s + step], axis=0),
+                                        Metric.SQEUCLIDEAN)
+    return d2
 
 
 def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
     """:func:`_nearest` and the exact squared distance of each row of ``A``
     to its pick: ``(index, d2)``, two arrays of length len(A)."""
     idx = _nearest(A, B, exclude)
-    return idx, _rows_to_point(A.raw, np.take(B.raw, idx, axis=0), Metric.SQEUCLIDEAN)
+    return idx, _d2_to_picks(A.raw, B.raw, idx)
 
 
 def _nearest(A: _Rows, B: _Rows, exclude=None):
@@ -129,13 +155,14 @@ def _nearest(A: _Rows, B: _Rows, exclude=None):
 
     ``exclude[i]``, when given, removes row ``exclude[i]`` of ``B`` (one
     group) from the search for row i; ``B`` must then have at least two
-    rows. The rows of ``A`` are searched in blocks of
-    ``_block_rows(B.sq.size)``; a row's result does not depend on the other
-    rows of its block.
+    rows. The rows of ``A`` are searched in blocks of ``_block_rows(g*m)``;
+    a row's result does not depend on the other rows of its block.
 
     Screen: S[i, j] = |b'_j|^2 + (-2 a'_i).b'_j ranks the pairs with one GEMM,
     on the rows shifted by a common center, a' = a - c and b' = b - c
-    (|a'_i|^2 is the same for a whole row, so it is left out). Decide: a
+    (|a'_i|^2 is the same for a whole row, so it is left out). The norm
+    |b'_j|^2 is one more term of the GEMM's sums, against a 1 on A's side
+    (see :func:`_candidates`). Decide: a
     row keeps the pairs whose screen value lies within ``slack`` of its
     smallest. A row left with one pair takes it; on a row left with more,
     the exact row kernel of this module, ((a - b)**2).sum() on the raw rows,
@@ -150,31 +177,39 @@ def _nearest(A: _Rows, B: _Rows, exclude=None):
     for the rounded shifted rows, and s = T' - |a'|^2.
       - Shift error: each coordinate of a' - b' differs from a - b by at
         most 1.01*u*(|a'_k| + |b'_k|), so |T' - T| <= 4.1*u*M.
-      - Screen error: (-2a').b' from the GEMM errs by at most
-        2*g(d)*sum|a'_k b'_k| <= g(d)*M, in any summation order and with or
-        without FMA; |b'|^2 errs by at most g(d)*M, and the final addition
-        rounds a value of size about |s| <= 2M. So |S - s| <= 2*g(d+1)*M.
+      - Screen error: the computed norm N errs from |b'|^2 by at most
+        g(d)*|b'|^2. The GEMM sums d + 1 terms, -2a'_k b'_k and 1*N, whose
+        magnitudes add up to at most |a'|^2 + |b'|^2 + N
+        <= M + (1 + g(d))*|b'|^2, and errs by at most g(d+1) times that, in
+        any summation order and with or without FMA (doubling and the
+        product by 1 are exact). With the norm's own error,
+        |S - s| <= g(d+1)*M + ((1 + g(d))*g(d+1) + g(d))*|b'|^2
+        <= (3 + g(d))*g(d+1)*M <= 3.01*g(d+1)*M.
       - Kernel error: each term takes three roundings (difference, square)
         and the sum d - 1 more, so |E - T| <= g(d+2)*T <= g(d+2)*2.01M.
     If j* minimises E and j0 minimises S, then T[j*] - T[j0] <= 4.03*g(d+2)*M,
-    hence S[j*] - S[j0] <= 8.03*g(d+2)*M + 8.2*u*M <= (4.06*(d+2) + 4.1)*eps*M
-    while (d+2)*u < 0.01. The slack, 8*(d+2)*eps*M, exceeds that by
-    (3.94*(d+2) - 4.1)*eps*M > 7.7*eps*M for every d >= 1, which also covers
-    the rounding of the norms and of S[j0] + slack. Sums and differences,
-    the shift's among them, are exact in gradual underflow, but each of the
-    at most 6d products above can lose half a subnormal more, hence the
-    absolute term. Non-finite thresholds (overflow) make every pair a
-    candidate, so the exact kernel decides alone.
+    hence S[j*] - S[j0] <= 10.05*g(d+2)*M + 8.2*u*M
+    <= (5.08*(d+2) + 4.1)*eps*M while (d+2)*u < 0.01. The slack,
+    8*(d+2)*eps*M, exceeds that by (2.92*(d+2) - 4.1)*eps*M >= 4.6*eps*M
+    for every d >= 1, which also covers the rounding of the norms in M, of
+    the slack and of S[j0] + slack (about 1.1*eps*M together). Sums and
+    differences, the shift's among them, are exact in gradual underflow,
+    but each of the at most 6d products above can lose half a subnormal
+    more (the product by 1 is exact), hence the absolute term. Overflow:
+    the GEMM's partial sums stay below 2*M*(1 + g(d+1)), so the slack is
+    computed from 4*M, and once that is not finite every threshold is
+    infinite and every pair a candidate, as it is when S itself overflows;
+    the exact kernel then decides alone.
     """
     if B.raw.ndim == 2:
         return _nearest(A, _grouped(B), exclude)[0]
-    step = _block_rows(B.sq.size)
+    step = _block_rows(B.raw.shape[0] * B.raw.shape[1])
     if A.raw.shape[0] <= step:
         return _nearest_block(A, B, exclude)
-    idx = np.empty((B.sq.shape[0], A.raw.shape[0]), dtype=np.intp)
+    idx = np.empty((B.raw.shape[0], A.raw.shape[0]), dtype=np.intp)
     for s in range(0, idx.shape[1], step):
         part = slice(s, s + step)
-        block = _Rows(A.raw[part], A.shifted[part], A.sq[part], A.top)
+        block = _Rows(A.raw[part], A.operand[:, part], A.top)
         idx[:, part] = _nearest_block(block, B, None if exclude is None else exclude[part])
     return idx
 
@@ -183,7 +218,7 @@ def _grouped(B: _Rows) -> _Rows:
     """``B`` as g groups of rows: one group, when it holds plain rows."""
     if B.raw.ndim == 3:
         return B
-    return _Rows(B.raw[None], B.shifted[None], B.sq[None], np.reshape(B.top, 1))
+    return _Rows(B.raw[None], B.operand[None], np.reshape(B.top, 1))
 
 
 def _nearest_block(A: _Rows, B: _Rows, exclude=None):
@@ -209,25 +244,30 @@ def _candidates(A: _Rows, B: _Rows, exclude=None):
     the pairs it keeps, every pick among them (in the first layout below, a
     transposed view).
 
-    The layout of S follows the shapes. Rows of B many against rows of A
-    few (Hopkins' queries against the data, and any search with
-    exclusions): a row of S holds one row of A against all of B, and its
-    ``argmin`` is the pick. Rows of B few, in one or many groups, against
-    rows of A many (K-means' centres against the data): a row of S holds
-    one row of B against all of A, so the minimum over the rows of a group
-    runs across contiguous rows of S, and a row's pick is read off its one
-    candidate, the only case that keeps it.
+    S comes from one GEMM whose right operand is one side's prepared
+    operand, read in place; only the other side's small left operand, (rows,
+    d + 1), is built here. The layout of S follows the shapes. Rows of B
+    many against rows of A few (Hopkins' queries against the data, and any
+    search with exclusions): [-2a', 1] against B's ``operand[1:]``, so a
+    row of S holds one row of A against all of B, and its ``argmin`` is the
+    pick. Rows of B few, in one or many groups, against rows of A many
+    (K-means' centres against the data): [|b'|^2, -2b'] against A's
+    ``operand[:d + 1]``, so a row of S holds one row of B against all of A,
+    the minimum over the rows of a group runs across contiguous rows of S,
+    and a row's pick is read off its one candidate, the only case that
+    keeps it.
     """
     B = _grouped(B)
     (g, m, d), q = B.raw.shape, A.raw.shape[0]
     rows_first = g == 1 and (q < m or exclude is not None)
     top = A.top + (B.top[0] if rows_first else B.top)  # a scalar costs less per block
-    slack = 8 * (d + 2) * _EPS * top + 8 * (d + 2) * _SUBNORMAL
     with np.errstate(over="ignore", invalid="ignore"):  # the screen's overflow
+        slack = 2 * (d + 2) * _EPS * (4 * top) + 8 * (d + 2) * _SUBNORMAL  # see _nearest
         if not rows_first:
-            S = (-2.0 * B.shifted).reshape(g * m, d) @ A.shifted.T  # doubling is exact
-            S = S.reshape(g, m, q)
-            S += B.sq[:, :, None]
+            left = np.empty((g, m, d + 1))
+            left[:, :, 0] = B.operand[:, d + 1]
+            np.multiply(B.operand[:, 1:d + 1].swapaxes(1, 2), -2.0, out=left[:, :, 1:])  # exact
+            S = (left.reshape(g * m, d + 1) @ A.operand[:d + 1]).reshape(g, m, q)
             thresh = S.min(axis=1) + slack[:, None]
             cand = S <= thresh[:, None, :]
             if not np.isfinite(thresh).all():  # overflow: every pair of those rows is a candidate
@@ -236,8 +276,10 @@ def _candidates(A: _Rows, B: _Rows, exclude=None):
             # rows with more are decided by the exact kernel
             order = np.arange(m, dtype=np.min_scalar_type(m))
             return np.einsum("gmq,m->gq", cand, order).astype(np.intp), cand
-        S = (-2.0 * A.shifted) @ B.shifted[0].T
-        S += B.sq[0]
+        left = np.empty((q, d + 1))
+        np.multiply(A.operand[1:d + 1].T, -2.0, out=left[:, :d])  # doubling is exact
+        left[:, d] = 1.0
+        S = left @ B.operand[0, 1:]
         every = np.arange(q)
         if exclude is not None:
             S[every, exclude] = np.inf

@@ -6,7 +6,7 @@ import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
 from ._checks import as_feature_matrix, as_integer, as_labels, resolve_seed
-from .distances import Metric, _block_rows, _nearest, _rows, _rows_to_point
+from .distances import Metric, _block_rows, _d2_to_picks, _nearest, _rows, _rows_to_point
 from .exceptions import AnalysisError, MissingCenterError, TooFewPointsError
 
 INIT_KMEANS_PP = "k-means++"
@@ -24,14 +24,9 @@ def wss(X, labels, centers) -> float:
     return _objective(X, labels, centers)
 
 
-def _point_d2(X, labels, centers):
-    """Each point's exact squared distance to the center of its cluster."""
-    return _rows_to_point(X, np.take(centers, labels, axis=0), Metric.SQEUCLIDEAN)
-
-
 def _objective(X, labels, centers) -> float:
     """:func:`wss` on arguments known to be valid."""
-    return float(_point_d2(X, labels, centers).sum())
+    return float(_d2_to_picks(X, centers, labels).sum())
 
 
 def _starts(X, k, init, rngs):
@@ -74,13 +69,16 @@ def _starts(X, k, init, rngs):
 
 def _to_seeds(X, seeds):
     """Exact squared distances of every point to each restart's seed, (g, n),
-    in calls of about ``_SCREEN_ELEMENTS`` differences."""
-    step = _block_rows(X.size)
-    if seeds.shape[0] <= step:
-        return _rows_to_point(X, seeds[:, None], Metric.SQEUCLIDEAN)
-    d2 = np.empty((seeds.shape[0], X.shape[0]))
-    for s in range(0, d2.shape[0], step):
-        d2[s:s + step] = _rows_to_point(X, seeds[s:s + step, None], Metric.SQEUCLIDEAN)
+    in calls of about ``_SCREEN_ELEMENTS`` differences: ``_block_rows(n * d)``
+    restarts per call, or one restart in blocks of ``_block_rows(d)`` rows."""
+    (n, d), g = X.shape, seeds.shape[0]
+    rows = min(n, _block_rows(d))
+    step = _block_rows(rows * d)
+    d2 = np.empty((g, n))
+    for s in range(0, g, step):
+        for r in range(0, n, rows):
+            d2[s:s + step, r:r + rows] = _rows_to_point(X[r:r + rows], seeds[s:s + step, None],
+                                                        Metric.SQEUCLIDEAN)
     return d2
 
 
@@ -161,7 +159,7 @@ def _restarts(rows, mean, k, init, seeds, max_iter, tol):
         counts = np.bincount(keys.ravel(), minlength=g * k).reshape(g, k)
         if counts.min() == 0:
             for r in np.flatnonzero(counts.min(axis=1) == 0):
-                d2 = _point_d2(X, labels[r], centers[r]) if point_d2 is None else point_d2[r]
+                d2 = _d2_to_picks(X, centers[r], labels[r]) if point_d2 is None else point_d2[r]
                 labels[r], counts[r] = _repair_empty(labels[r], d2, k)
                 keys[r] = labels[r] + offsets[r]
         new_centers = _means(X, keys, counts, columns, coordinate)

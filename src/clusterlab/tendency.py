@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_feature_matrix, resolve_seed
+from ._checks import as_feature_matrix, as_integer, resolve_seed
 from .distances import _rows, _screened_nearest
 from .exceptions import EmptyDatasetError, SampleTooLargeError
 
@@ -64,6 +64,9 @@ def hopkins_statistic(
     sampled point's own row is excluded; its duplicates are not, so they
     count at distance 0.
     """
+    if m is not None:
+        m = as_integer(m, "m")
+    trials = as_integer(trials, "trials")
     X = as_feature_matrix(X)
     n, d = X.shape
     if n < 2:

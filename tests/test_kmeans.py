@@ -322,7 +322,8 @@ def assignment_cases(draw):
     k = draw(st.integers(1, 8))
     d = draw(st.integers(1, 12))
     levels = draw(st.sampled_from([2, 3, 10]))
-    scale = draw(st.sampled_from([1.0, 1.0 / 9.0, 0.1, 1e-300]))
+    # at 1e-160 the screen's products and squares are subnormal
+    scale = draw(st.sampled_from([1.0, 1.0 / 9.0, 0.1, 1e-160, 1e-300]))
     shift = draw(st.sampled_from([0.0, 1e6, -3.5]))
     seed = draw(st.integers(0, 2**16))
     X = grid(n, d, seed, levels, scale, shift)
@@ -396,9 +397,22 @@ class TestScreenedAssignment:
             self.check(X, X[:4] * 0.5)
         self.check(X * 1e-154, X[:4] * 1e-154)
 
+    def test_values_whose_screen_sums_could_overflow(self):
+        # no distance overflows, but 4*M does: every pair is a candidate
+        X, C = grid(30, 3, 7, levels=4, scale=2e153), grid(4, 3, 8, levels=4, scale=1e153)
+        self.check(X, C)
+        center = X.mean(axis=0)
+        assert _candidates(_rows(X, center), _rows(C, center))[1].all()
+
     def test_subnormal_scale(self):
         X = grid(30, 3, 7, scale=1e-310)
         self.check(X, X[:5])
+
+    def test_subnormal_products(self):
+        # the screen's products round to multiples of the smallest subnormal,
+        # which the slack's absolute term covers
+        X = grid(30, 3, 14, scale=1e-160)
+        self.check(X, (grid(5, 3, 15, scale=1e-160) + grid(5, 3, 16, scale=1e-160)) / 2)
 
     # queries per block: all 50 at once, or 7 against the 4 centers
     @pytest.mark.parametrize("block", [None, 7])
@@ -652,14 +666,39 @@ def test_restarts_keep_memory_flat(n):
     X = grid(n, 9, 21)
 
     def peak(n_init):
-        tracemalloc.start()
-        try:
-            KMeans(n_clusters=2, n_init=n_init, max_iter=3, random_state=0).fit(X)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(
+            lambda: KMeans(n_clusters=2, n_init=n_init, max_iter=3, random_state=0).fit(X))
 
     assert peak(100) - peak(1) <= 4 * 8 * distances._SCREEN_ELEMENTS
+
+
+def traced_peak(run):
+    """Peak bytes traced by tracemalloc while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_restart_holds_no_exact_kernel_temporary_of_n_rows():
+    """The exact kernel (k-means++ distances, the objective) walks blocks of
+    ``_block_rows(d)`` rows. What a fit may hold beyond them: the prepared
+    operand, (d + 2) n values, and the centre sums' two (label, coordinate)
+    index arrays, 2 n d."""
+    n, d = 20_000, 9
+    X = grid(n, d, 21)
+    peak = traced_peak(lambda: KMeans(n_clusters=2, n_init=1, max_iter=3, random_state=0).fit(X))
+    assert peak <= 8 * ((d + 2) * n + 2 * n * d) + 4 * 8 * distances._SCREEN_ELEMENTS
+
+
+def test_screened_picks_take_their_distances_in_blocks():
+    X, C = grid(20_000, 9, 22), grid(4, 9, 23)
+    center = X.mean(axis=0)
+    A, B = _rows(X, center), _rows(C, center)
+    peak = traced_peak(lambda: _screened_nearest(A, B))
+    assert peak <= 2 * 8 * len(X) + 4 * 8 * distances._SCREEN_ELEMENTS  # idx, d2 and blocks
 
 
 @settings(max_examples=40, deadline=None)

@@ -74,6 +74,21 @@ class TestHopkins:
         with pytest.raises(ValueError):
             hopkins_statistic(np.ones((5, 2)), m=2, trials=0)
 
+    @pytest.mark.parametrize("name,value", [("m", 2.5), ("trials", 2.5), ("m", np.nan),
+                                            ("trials", "3")])
+    def test_counts_must_be_integers(self, name, value):
+        # checked by name before any compute; on identical points too, which
+        # would otherwise return at once
+        for X in (uniform_box(20, 2, seed=0), np.ones((5, 2))):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+                hopkins_statistic(X, **{"m": 2, "trials": 2, "seed": 0, name: value})
+
+    def test_integral_floats_count(self):
+        X = uniform_box(20, 2, seed=0)
+        got = hopkins_statistic(X, m=5.0, trials=2.0, seed=4)
+        assert got == hopkins_statistic(X, m=5, trials=2, seed=4)
+        assert type(got.m) is int and type(got.trials) is int
+
     @pytest.mark.parametrize("power", [0, -1])
     def test_power_below_one_rejected(self, power):
         # also on identical points, where H would read 1 without a check
@@ -141,10 +156,11 @@ def grid(n, d, seed, levels=10, scale=1.0 / 9.0, shift=0.0):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 40), st.integers(1, 10), st.sampled_from([2, 3, 10]),
-    st.sampled_from([0.0, 1e6]), st.integers(0, 2**16), st.integers(1, 3),
+    st.sampled_from([1.0, 1.0 / 9.0, 0.1, 1e-160, 1e-300]), st.sampled_from([0.0, 1e6]),
+    st.integers(0, 2**16), st.integers(1, 3),
 )
-def test_screened_hopkins_matches_reference(n, d, levels, shift, seed, power):
-    X = grid(n, d, seed, levels, shift=shift)
+def test_screened_hopkins_matches_reference(n, d, levels, scale, shift, seed, power):
+    X = grid(n, d, seed, levels, scale, shift)
     assume(not np.all(X.min(axis=0) == X.max(axis=0)))
     assert_matches_reference(X, max(1, n // 3), 3, seed, power)
 
@@ -175,14 +191,15 @@ class TestScreenedHopkins:
         assert_matches_reference(grid(400, 3, 3, levels=3), 40, 4, 6)
 
 
-@pytest.mark.parametrize("scale", [1.0 / 9.0, 1e154, 1e-310])
+@pytest.mark.parametrize("scale", [1.0 / 9.0, 2e153, 1e154, 1e-310])
 def test_screen_excludes_the_query_row(scale):
-    # 1e154 overflows some squares, so the screen hands every row to the
+    # 1e154 overflows some squares, and at 2e153 the screen's sums could
+    # overflow though no distance does, so the screen hands every row to the
     # exact kernel; the excluded row must still stay out
     X = grid(30, 3, 7, levels=4, scale=scale)
     sample = np.array([0, 3, 4, 17, 29, 1])
     center = X.mean(axis=0)
-    overflow = pytest.warns(RuntimeWarning, match="overflow") if scale > 1 else nullcontext()
+    overflow = pytest.warns(RuntimeWarning, match="overflow") if scale == 1e154 else nullcontext()
     with overflow:  # at 1e154 the exact squares overflow too
         idx, d2 = _screened_nearest(_rows(X[sample], center), _rows(X, center), sample)
         refs = [_rows_to_point(X, X[row], Metric.SQEUCLIDEAN) for row in sample]
