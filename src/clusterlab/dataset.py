@@ -232,9 +232,13 @@ def _decide(body: str, delimiter: str, marker: str, n_cols: int | None):
     With a plain format, a marker that follows no sign can only become a
     number by being a whole cell, so replacing it with ``nan`` makes exactly
     the marker cells NaN; the count check then finds any other non-finite
-    cell.
+    cell. Without the marker neither signed form can occur, so the scans
+    for them and the count are skipped.
     """
-    if not body or body.isspace() or f"-{marker}" in body or f"+{marker}" in body:
+    if not body or body.isspace():
+        return None
+    markers = body.count(marker) if marker in body else 0
+    if markers and (f"-{marker}" in body or f"+{marker}" in body):
         return None
     cells = _loadtxt(body, delimiter, marker)
     if cells is None:  # once more without the whitespace-only lines, which
@@ -242,7 +246,7 @@ def _decide(body: str, delimiter: str, marker: str, n_cols: int | None):
         kept = "\n".join(line for line in body.split("\n") if not line.isspace())
         cells = None if kept == body else _loadtxt(kept, delimiter, marker)
     if (cells is None or n_cols is not None and cells.shape[1] != n_cols
-            or np.count_nonzero(~np.isfinite(cells)) != body.count(marker)):
+            or np.count_nonzero(~np.isfinite(cells)) != markers):
         return None
     return cells
 
@@ -565,7 +569,7 @@ def build_dataset(
     row_ids: tuple
     if id_column is not None:
         idx = table.column_index(id_column)
-        row_ids = tuple(map(_row_id, table.cells[:, idx]))
+        row_ids = _row_ids(table.cells[:, idx])
         drop_idx.append(idx)
         columns_dropped.append(id_column)
     else:
@@ -613,9 +617,13 @@ def build_dataset(
     return dataset, report
 
 
-def _row_id(value):
-    """An id-column cell as a row id: an int when it is integral."""
-    return int(value) if float(value).is_integer() else float(value)
+def _row_ids(values) -> tuple:
+    """An id column's cells as row ids: an int when a cell is integral,
+    else the float. Cells are converted in blocks, so that one block's
+    Python floats exist at a time (see :func:`format_table`)."""
+    return tuple(int(v) if v.is_integer() else v
+                 for start in range(0, len(values), _FORMAT_BLOCK)
+                 for v in values[start:start + _FORMAT_BLOCK].tolist())
 
 
 def _decode_labels(values: np.ndarray) -> tuple[str, ...]:
@@ -654,7 +662,7 @@ def preprocess(
     kept, dropped_idx = drop_missing_rows(table)
     dataset, report = build_dataset(kept, id_column, label_column, normalize)
     if id_column is not None:
-        dropped_ids = tuple(map(_row_id, table.column(id_column)[dropped_idx]))
+        dropped_ids = _row_ids(table.column(id_column)[dropped_idx])
     else:
         dropped_ids = tuple(dropped_idx)
     return dataset, replace(report, rows_before=table.n_rows, rows_dropped=len(dropped_idx),

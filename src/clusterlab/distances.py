@@ -1,12 +1,15 @@
 """Distance kernels and the dense pairwise distance matrix.
 
-Every distance is computed by one shared row kernel: coordinate differences,
-then a numpy sum over each row. numpy sums a row pairwise (8-way unrolled
-once a row has 8 or more coordinates), not strictly left to right, but a
-row's sum depends only on that row's values, never on how many rows are in
-the call. So a distance computed in a batch, in a block of the dense
-pairwise matrix, for one pair, or in the screened search is the same bit
-pattern, and results match a naive per-pair computation exactly.
+Every distance is defined by one shared row kernel, :func:`_rows_to_point`:
+coordinate differences, then a numpy sum over each row. numpy sums a row
+pairwise (8-way unrolled once a row has 8 or more coordinates), not strictly
+left to right, but a row's sum depends only on that row's values, never on
+how many rows are in the call. So a distance computed in a batch, for one
+pair, or in the screened search is the same bit pattern, and results match
+a naive per-pair computation exactly. The dense pairwise matrix is built
+one coordinate at a time instead (see :func:`pairwise_distances`), adding
+the terms in the kernel's own order, :func:`_summation_order`, so its
+entries have the kernel's bits too.
 
 The screened search, :func:`_nearest`, ranks pairs with a GEMM and returns
 indices alone; it runs the exact kernel only on the rows its screen leaves
@@ -26,16 +29,17 @@ walk (the screened nearest search here, the build of the dense matrix,
 PAM's BUILD and SWAP over its rows, and K-means' groups of restarts, whose
 screen, seeding distances and centre sums each take a block) holds about
 ``_SCREEN_ELEMENTS`` float64 values (256 KB) per block, with row or restart
-counts from :func:`_block_rows` (one, when one alone is larger), so memory
-stays flat as n and the number of restarts grow. The exact kernel's calls
-over many rows (the distances to the picks, K-means' objective, repair and
-seeding distances) walk blocks of ``_block_rows(d)`` rows. A search holds
+counts from :func:`_block_rows` (one, when one alone is larger), and a few
+such blocks at once, so memory stays flat as n and the number of restarts
+grow. The exact kernel's calls over many rows (the distances to the picks,
+K-means' objective, repair and seeding distances) walk blocks of
+``_block_rows(d)`` rows. A search holds
 one prepared operand per side, (d + 2)*m values for m rows, beside the rows
 themselves, which it reads in place. The dense (n, n) matrix is the one
 O(n^2) allocation: :func:`pairwise_distances` refuses n points of d
 features, with :class:`AnalysisError` and before it allocates anything, when
-the matrix's 8n² bytes plus one block of its build,
-8*max(_SCREEN_ELEMENTS, n*d) bytes, exceed :func:`physical_memory`.
+the matrix's 8n² bytes plus 8*max(_SCREEN_ELEMENTS, n*d) bytes for its
+build exceed :func:`physical_memory`.
 """
 
 from __future__ import annotations
@@ -333,17 +337,70 @@ class DistanceMatrix:
         return self._square
 
 
+def _summation_order(lo, hi):
+    """The order in which numpy's ``sum`` over a contiguous last axis adds
+    terms ``lo`` to ``hi - 1`` of a row (its pairwise sum): a leaf is a
+    term's index, a pair ``(a, b)`` is a + b. Fewer than 8 terms add left to
+    right. Up to 128 terms add into eight interleaved partial sums r0..r7,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the
+    terms past the last multiple of 8 follow one by one. More terms split
+    in two at a multiple of 8, each half summed so."""
+    n = hi - lo
+    if n > 128:
+        half = lo + n // 2 - n // 2 % 8
+        return _summation_order(lo, half), _summation_order(half, hi)
+    if n < 8:
+        node, tail = lo, range(lo + 1, hi)
+    else:
+        r = []
+        for j in range(lo, lo + 8):
+            r.append(j)
+            for t in range(j + 8, hi - n % 8, 8):
+                r[-1] = r[-1], t
+        node = ((r[0], r[1]), (r[2], r[3])), ((r[4], r[5]), (r[6], r[7]))
+        tail = range(hi - n % 8, hi)
+    for t in tail:
+        node = node, t
+    return node
+
+
+def _summation_steps(node, reg=0, steps=None):
+    """``node``, a :func:`_summation_order`, as steps on registers: ``(r,
+    j)`` writes term j to register r, ``(r, None)`` adds register r + 1 to
+    register r. A pair's left side goes to its own register and its right
+    side to the next one, so the steps hold as few partial sums as the
+    order allows at once."""
+    steps = [] if steps is None else steps
+    if isinstance(node, int):
+        steps.append((reg, node))
+    else:
+        _summation_steps(node[0], reg, steps)
+        _summation_steps(node[1], reg + 1, steps)
+        steps.append((reg, None))
+    return steps
+
+
 def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
     """All pairwise distances.
 
     Accepts an (n, d) array or a Dataset. Entry (i, j) equals
     ``distance(X[i], X[j], metric)`` exactly. Rows are computed in blocks
-    of b rows from s on: the block's upper triangle, ``X[s:s+b]`` against
-    ``X[s:]`` (b*(n - s)*d differences, about ``_SCREEN_ELEMENTS``), is
-    written to its rows and mirrored into its columns. Negation is exact,
-    so the result is exactly symmetric. Raises :class:`AnalysisError`,
-    before allocating, when the matrix would not fit in memory (see the
-    module docstring).
+    of b rows from s on: ``X[s:s+b]`` against ``X[s:]`` is written to the
+    block's rows, and its part right of the block, mirrored, below it.
+    Negation is exact, so the result is exactly symmetric.
+
+    A block is built one coordinate at a time, never as a (b, n - s, d)
+    array: each coordinate's (b, n - s) differences, squared (or their
+    absolute values), are one term of every entry, and the d terms are
+    added in the order numpy's row sum in :func:`_rows_to_point` adds them
+    (:func:`_summation_order`, written once per call as register steps), so
+    the bits are the row kernel's; ``tests/test_distances.py`` pins this
+    for every d up to 300. The block's rows in the result are the first
+    register; each other one, half a block (``_SCREEN_ELEMENTS / 2``
+    values), holds a partial sum still open: 4 of them up to d = 128, and
+    one more each time d doubles. Raises :class:`AnalysisError`, before
+    allocating, when the matrix would not fit in memory (see the module
+    docstring).
     """
     metric = Metric.coerce(metric)
     X = as_feature_matrix(X)
@@ -353,11 +410,26 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
         raise AnalysisError(f"{n} points need {need / 1e6:.1f} MB for their pairwise distance "
                             f"matrix, more than the {have / 1e6:.1f} MB of physical memory")
     D = np.empty((n, n))
+    steps = _summation_steps(_summation_order(0, d))
+    spare = max(r for r, _ in steps)  # registers besides the block itself
+    term = np.abs if metric is Metric.MANHATTAN else np.square
+    columns = np.ascontiguousarray(X.T)
+    flat = np.empty(spare * min(max(_SCREEN_ELEMENTS // 2, n), n * n))
     s = 0
     while s < n:
-        e = s + _block_rows((n - s) * d)
-        block = _rows_to_point(X[s:e, None], X[None, s:], metric)
-        D[s:e, s:] = block
-        D[s:, s:e] = block.T
+        m = n - s
+        e = s + _block_rows(2 * m)  # half a block per register
+        b = min(e, n) - s
+        regs = [D[s:e, s:]] + [flat[i * b * m:(i + 1) * b * m].reshape(b, m)
+                               for i in range(spare)]
+        for r, j in steps:
+            if j is None:
+                np.add(regs[r], regs[r + 1], out=regs[r])
+            else:
+                np.subtract(columns[j, s:e, None], columns[j, None, s:], out=regs[r])
+                term(regs[r], out=regs[r])
+        if metric is Metric.EUCLIDEAN:
+            np.sqrt(regs[0], out=regs[0])
+        D[e:, s:e] = D[s:e, e:].T
         s = e
     return DistanceMatrix(D, metric)

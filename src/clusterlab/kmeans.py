@@ -100,14 +100,12 @@ def _repair_empty(labels, point_d2, k):
         point_d2[j] = -1.0
 
 
-def _means(X, keys, counts, columns, coordinate):
+def _means(X, keys, counts, columns):
     """Per-cluster coordinate means of each restart of a group, (g, k, d),
     bit-identical to ``X[labels[r] == j].mean(axis=0)`` for every r and j,
     given each point's bin ``keys[r] = r*k + labels[r]``, ``counts``, the
     (g, k) cluster sizes, ``columns``, ``X.T`` repeated for
-    ``_block_rows(n * d)`` restarts (or fewer, when the group holds fewer),
-    and ``coordinate``, ``np.tile(np.arange(d), n)``: the coordinate of each
-    element of ``X.ravel()``.
+    ``_block_rows(n * d)`` restarts (or fewer, when the group holds fewer).
 
     For d >= 2 that mean adds a cluster's rows in row order onto +0.0 (so a
     coordinate whose members all read -0.0 sums to +0.0), exactly as
@@ -121,7 +119,7 @@ def _means(X, keys, counts, columns, coordinate):
         return np.array([[X[part == j].mean(axis=0) for j in range(r * k, r * k + k)]
                          for r, part in enumerate(keys)])
     if g == 1:
-        bins = (keys[0] * d).repeat(d) + coordinate
+        bins = (keys[0][:, None] * d + np.arange(d)).ravel()  # (label, coordinate) of X.ravel()
         sums = np.bincount(bins, weights=X.ravel(), minlength=k * d)
         return sums.reshape(1, k, d) / counts[:, :, None]
     sums = np.empty((d, g * k))
@@ -147,7 +145,6 @@ def _restarts(rows, mean, k, init, seeds, max_iter, tol):
     X = rows.raw
     centers, labels, point_d2 = _starts(X, k, init, [np.random.default_rng(s) for s in seeds])
     columns = np.tile(X.T, min(_block_rows(X.size), len(seeds))) if len(seeds) > 1 else None
-    coordinate = np.tile(np.arange(X.shape[1]), X.shape[0])
     running = np.arange(len(seeds))  # the restarts still iterating
     offsets = k * running[:, None]  # restart r's clusters are bins r*k to r*k + k - 1
     done = [None] * len(seeds)
@@ -162,7 +159,7 @@ def _restarts(rows, mean, k, init, seeds, max_iter, tol):
                 d2 = _d2_to_picks(X, centers[r], labels[r]) if point_d2 is None else point_d2[r]
                 labels[r], counts[r] = _repair_empty(labels[r], d2, k)
                 keys[r] = labels[r] + offsets[r]
-        new_centers = _means(X, keys, counts, columns, coordinate)
+        new_centers = _means(X, keys, counts, columns)
         # NaN at an inf center: no convergence
         shift_sq = _rows_to_point(new_centers, centers, Metric.SQEUCLIDEAN)
         converged = np.sqrt(shift_sq.max(axis=1)) <= tol

@@ -8,7 +8,11 @@ deterministic; ties between equal-cost choices break toward the lowest
 
 Both phases read the dense matrix ``D = DistanceMatrix.square()`` one row
 block at a time (blocks sized by ``distances``), and allocate no n x n or
-n x (n - k) temporary.
+n x (n - k) temporary: a few blocks beside the O(n k) per-point arrays
+(``tests/test_kmedoids.py`` traces this at n = 1500). Each block's minimum
+runs against a bound written out in as many rows as the block, so both
+operands have one shape: on a 21 x 1500 block numpy takes 1.6 times as long
+against a broadcast row and 2.2 times against a broadcast column.
 
 BUILD prefixes. Greedy BUILD for k is the first k steps of BUILD for any
 larger k, so ``_build`` returns the medoids in the order it adds them and
@@ -23,20 +27,26 @@ columns F-ordered, so the sum runs pairwise down each contiguous column.
 same values in the same order and ``np.minimum(D[c], r).sum()`` has the same
 bits. Summing an n x n C-ordered buffer along axis 0 would not: it adds
 rows one after another, which rounds differently and picks other medoids on
-duplicate points. BUILD computes every candidate's cost this way, exactly.
+duplicate points. BUILD computes every row's cost this way, exactly, in
+contiguous row-block views of D against a (b, n) tile of r that it updates
+in place after each pick, and takes the argmin over the candidate rows.
 
 SWAP screens, then decides. Each iteration takes every point's nearest and
 second-nearest medoid distances dn and ds (ds = inf when k = 1). Removing
-medoid i leaves ds on i's own points and dn elsewhere, so two k x n GEMMs of
-the points' one-hot cluster matrix with each row block, SV[j, c] = sum over
-j's points o of min(D[o, c], dn[o]) and SU likewise with ds, give
-E[i, c] = sum_j SV[j, c] - SV[i, c] + SU[i, c], the cost of swapping medoid i
-for c up to rounding (FastPAM1: Schubert and Rousseeuw, "Faster k-Medoids
-Clustering", arXiv:1810.05691). The exact row kernel above then costs every
-pair whose E lies within a derived slack of the smallest (see
-``_best_swap``), and those exact costs alone pick the swap. The winner's row
-sum is the new total cost: it adds the same per-point minima, in the same
-order, as ``pam_cost`` of the swapped set.
+medoid i leaves ds on i's own points and dn elsewhere, so the per-cluster
+sums SV[c, j] = sum over j's points o of min(D[c, o], dn[o]), and SU
+likewise with ds, give E[i, c] = sum_j SV[c, j] - SV[c, i] + SU[c, i], the
+cost of swapping medoid i for c up to rounding (FastPAM1: Schubert and
+Rousseeuw, "Faster k-Medoids Clustering", arXiv:1810.05691). The screen
+walks row blocks of D with the candidates c as rows and all points o as
+columns (row c is column c). dn and ds are written once into one (2, b, n)
+operand, and each block takes one minimum into a (2, b, n) buffer and one
+(2b, n) @ (n, k) GEMM with the points' one-hot owner matrix: b candidates'
+rows of SV and SU. The exact row kernel above then costs every pair whose
+E lies within a derived slack of the smallest (see ``_best_swap``), and
+those exact costs alone pick the swap. The winner's row sum is the new
+total cost: it adds the same per-point minima, in the same order, as
+``pam_cost`` of the swapped set.
 """
 
 from __future__ import annotations
@@ -63,15 +73,26 @@ def pam_cost(dist, medoids) -> float:
     return float(D[:, idx].min(axis=1).sum())
 
 
-def _row_costs(D, rows, rest):
-    """``np.minimum(D[c], rest).sum()`` for every c in ``rows``, gathered one
-    row block at a time."""
-    step = _block_rows(D.shape[0])
-    costs = np.empty(rows.size)
-    for s in range(0, rows.size, step):
-        block = D[rows[s : s + step]]
-        costs[s : s + step] = np.minimum(block, rest, out=block).sum(axis=1)
+def _row_costs(D, tile, rows=None):
+    """``np.minimum(D[c], bound).sum()`` for every row c of D, or for every
+    c in the index array ``rows``, one block of rows at a time against
+    ``tile``, the bound repeated in each of its rows, so that the minimum
+    runs on operands of one shape. Blocks of every row are views of D;
+    blocks of ``rows`` are gathered."""
+    step = tile.shape[0]
+    costs = np.empty(D.shape[0] if rows is None else rows.size)
+    buf = np.empty_like(tile)
+    for s in range(0, costs.size, step):
+        block = D[s : s + step] if rows is None else D[rows[s : s + step]]
+        b = block.shape[0]
+        costs[s : s + b] = np.minimum(block, tile[:b], out=buf[:b]).sum(axis=1)
     return costs
+
+
+def _tile(bound, rows):
+    """A (b, n) operand whose b rows each hold the n-vector ``bound``: one
+    block of ``_block_rows(n)`` rows, or ``rows`` when fewer."""
+    return np.tile(bound, (min(_block_rows(bound.size), rows), 1))
 
 
 def _build(D, k):
@@ -81,15 +102,38 @@ def _build(D, k):
     the module docstring). The first k of BUILD for any larger k are these."""
     n = D.shape[0]
     order = [int(np.argmin(D.sum(axis=1)))]
-    nearest = D[order[0]].copy()
+    nearest = _tile(D[order[0]], n)  # each row: every point's distance to its nearest medoid
+    in_set = np.zeros(n, dtype=bool)
+    in_set[order] = True
     for _ in range(1, k):
-        in_set = np.zeros(n, dtype=bool)
-        in_set[order] = True
         cands = np.flatnonzero(~in_set)
-        chosen = int(cands[np.argmin(_row_costs(D, cands, nearest))])
+        chosen = int(cands[np.argmin(_row_costs(D, nearest)[cands])])
         order.append(chosen)
-        nearest = np.minimum(nearest, D[chosen])
+        in_set[chosen] = True
+        np.minimum(nearest, D[chosen], out=nearest)
     return order
+
+
+def _cluster_sums(D, owner, dn, ds, k):
+    """SV and SU of the SWAP screen, candidate-major: (n, k) arrays with
+    SV[c, j] the sum over cluster j's points o of min(D[c, o], dn[o]), and
+    SU likewise with ds. Each block of b candidate rows takes one minimum
+    of the block, repeated twice, against dn and ds written once in as many
+    rows, and one GEMM of the (2b, n) result with the one-hot (n, k) owner
+    matrix; the bounds and the result are one block each."""
+    n = D.shape[0]
+    step = min(_block_rows(2 * n), n)
+    bounds = np.empty((2, step, n))
+    bounds[0], bounds[1] = dn, ds
+    buf = np.empty(2 * step * n)
+    onehot = (owner[:, None] == np.arange(k)).astype(np.float64)
+    sums = np.empty((2, n, k))
+    for s in range(0, n, step):
+        block = D[s : s + step]
+        b = block.shape[0]
+        part = np.minimum(block, bounds[:, :b], out=buf[: 2 * b * n].reshape(2, b, n))
+        sums[:, s : s + b] = (part.reshape(2 * b, n) @ onehot).reshape(2, b, k)
+    return sums
 
 
 def _best_swap(D, medoids, valid):
@@ -100,16 +144,15 @@ def _best_swap(D, medoids, valid):
     ranks every pair first (see the module docstring).
 
     Slack. Let u = eps/2, g(m) = m*u/(1 - m*u), C the exact sum of a pair's
-    terms, K the kernel's value and M = max_c sum_j SV[j, c] + max SU as
+    terms, K the kernel's value and M = max_c sum_j SV[c, j] + max SU as
     computed; every term is non-negative.
       - Kernel error: K sums n terms in some order, so |K - C| <= g(n)*C,
-        and C <= sum_j SV[j, c] + SU[i, c] <= 1.01*M.
+        and C <= sum_j SV[c, j] + SU[c, i] <= 1.01*M.
       - Screen error: the GEMM products are by 0 or 1, so exact; each SV and
-        SU entry sums n terms through at most n roundings, blocks and
-        accumulator included, in any order and with or without FMA;
-        sum_j adds k - 1 more, and the subtraction and the addition round
-        once each, every value involved below 1.01*M. So
-        |E - C| <= 1.03*(3n + k + 2)*u*M.
+        SU entry is one GEMM entry, a sum of n terms, so at most n
+        roundings, in any order and with or without FMA; sum_j adds k - 1
+        more, and the subtraction and the addition round once each, every
+        value involved below 1.01*M. So |E - C| <= 1.03*(3n + k + 2)*u*M.
     If p minimises K and q minimises E, then C[p] - C[q] <= 2.05*n*u*M and
     E[p] - E[q] <= (4.12*n + 1.03*k + 2.06)*eps*M <= 4.12*(n + k + 2)*eps*M
     while (4n + k + 2)*u < 0.01. The slack is 8*(n + k + 2)*eps*M; the excess
@@ -123,23 +166,14 @@ def _best_swap(D, medoids, valid):
     Dm = D[:, medoids]
     owner = Dm.argmin(axis=1)
     if k > 1:
-        two = np.partition(Dm, 1, axis=1)
-        dn, ds = two[:, 0], two[:, 1]
+        Dm.partition(1, axis=1)
+        dn, ds = Dm[:, 0], Dm[:, 1]
     else:
         dn, ds = Dm[:, 0], np.full(n, np.inf)
-    onehot = (owner == np.arange(k)[:, None]).astype(np.float64)
-    SV = np.zeros((k, n))
-    SU = np.zeros((k, n))
-    step = _block_rows(n)
-    buf = np.empty((min(step, n), n))
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, inf - inf
-        for s in range(0, n, step):
-            blk = D[s : s + step]
-            part = buf[: blk.shape[0]]
-            SV += onehot[:, s : s + step] @ np.minimum(blk, dn[s : s + step, None], out=part)
-            SU += onehot[:, s : s + step] @ np.minimum(blk, ds[s : s + step, None], out=part)
-        total = SV.sum(axis=0)
-        E = total - SV + SU
+        SV, SU = _cluster_sums(D, owner, dn, ds, k)
+        total = SV.sum(axis=1)
+        E = (total[:, None] - SV + SU).T
         slack = 8 * (n + k + 2) * _EPS * (total.max() + SU.max())
         thresh = E[:, valid].min() + slack
     if np.isfinite(thresh):
@@ -151,7 +185,7 @@ def _best_swap(D, medoids, valid):
         rows = np.flatnonzero(screened[pos])
         if rows.size == 0:
             continue
-        costs = _row_costs(D, rows, np.where(owner == pos, ds, dn))
+        costs = _row_costs(D, _tile(np.where(owner == pos, ds, dn), rows.size), rows)
         j = int(np.argmin(costs))
         if best is None or costs[j] < best[0]:
             best = (float(costs[j]), pos, int(rows[j]))

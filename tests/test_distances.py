@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -150,7 +151,7 @@ class TestPairwise:
         rng = np.random.default_rng(d)
         X = np.vstack([rng.normal(size=(40, d)), np.floor(rng.random((20, d)) * 3)]) + 1e6
         if rows is not None:
-            monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", rows * X.shape[0] * d)
+            monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", 2 * rows * X.shape[0])
         D = pairwise_distances(X, metric).square()
         naive = [[distance(a, b, metric) for b in X] for a in X]
         assert D.tolist() == naive
@@ -164,6 +165,34 @@ class TestPairwise:
                      lambda: sweep_k(X, algorithm="pam")):
             with pytest.raises(AnalysisError, match="683 points need 4.0 MB"):
                 call()
+
+
+#: per-cell scales of the data: mixed magnitudes, squares in the subnormal
+#: range, and squares that overflow
+SCALES = {
+    "mixed": lambda rng, shape: rng.choice([1e-3, 1.0, 1e3], size=shape),
+    "subnormal": lambda rng, shape: 1e-160,
+    "overflow": lambda rng, shape: 1e154,
+}
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_build_adds_coordinates_in_the_row_kernels_order(monkeypatch, scale, metric):
+    """The build adds a block's d terms one coordinate at a time, in the
+    order numpy's row sum adds them; every entry equals the row kernel on
+    its pair bit for bit, for every d up to 300. 100 elements per block
+    against 23 points: blocks of 2 to 6 rows, the last cut short."""
+    monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", 100)
+    n, rng = 23, np.random.default_rng(5)
+    overflow = scale == "overflow" and metric is not Metric.MANHATTAN
+    for d in range(1, 301):
+        X = rng.normal(size=(n, d)) * SCALES[scale](rng, (n, d))
+        with pytest.warns(RuntimeWarning, match="overflow") if overflow else contextlib.nullcontext():
+            D = pairwise_distances(X, metric).square()
+        with np.errstate(over="ignore"):
+            want = np.column_stack([distances._rows_to_point(X, y, metric) for y in X])
+        assert D.tobytes() == want.tobytes(), d
 
 
 class TestNearestNeighbor:

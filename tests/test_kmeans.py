@@ -685,12 +685,12 @@ def traced_peak(run):
 def test_one_restart_holds_no_exact_kernel_temporary_of_n_rows():
     """The exact kernel (k-means++ distances, the objective) walks blocks of
     ``_block_rows(d)`` rows. What a fit may hold beyond them: the prepared
-    operand, (d + 2) n values, and the centre sums' two (label, coordinate)
-    index arrays, 2 n d."""
+    operand, (d + 2) n values, and the centre sums' one (label, coordinate)
+    index array, n d."""
     n, d = 20_000, 9
     X = grid(n, d, 21)
     peak = traced_peak(lambda: KMeans(n_clusters=2, n_init=1, max_iter=3, random_state=0).fit(X))
-    assert peak <= 8 * ((d + 2) * n + 2 * n * d) + 4 * 8 * distances._SCREEN_ELEMENTS
+    assert peak <= 8 * ((d + 2) * n + n * d) + 4 * 8 * distances._SCREEN_ELEMENTS
 
 
 def test_screened_picks_take_their_distances_in_blocks():
@@ -725,6 +725,6 @@ def test_center_means_equal_per_cluster_means(n, d, k, g, step, seed):
     labels[:, rng.permutation(n + k)[:k]] = np.arange(k)
     keys = labels + k * np.arange(g)[:, None]
     counts = np.bincount(keys.ravel(), minlength=g * k).reshape(g, k)
-    got = _means(X, keys, counts, np.tile(X.T, min(step, g)), np.tile(np.arange(d), n + k))
+    got = _means(X, keys, counts, np.tile(X.T, min(step, g)))
     want = np.array([[X[part == j].mean(axis=0) for j in range(k)] for part in labels])
     assert got.tobytes() == want.tobytes()

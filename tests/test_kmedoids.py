@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -338,6 +339,33 @@ class TestScreenedPamMatchesReference:
         for X in (grid(70, 9, 31), grid(50, 3, 32, levels=3, shift=1e6)):
             D = pairwise_distances(X, metric).square()
             assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
+
+
+def traced_peak(run):
+    """Peak bytes traced by tracemalloc while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pam_path_holds_a_few_blocks():
+    """The distance build, BUILD and the SWAP screen walk blocks of rows: at
+    n = 1500 (an 18 MB matrix, 69 blocks of 256 KB) each holds at most six
+    blocks, its O(n k) per-point arrays included, beside the matrix it reads
+    or returns; none holds an n x n or n x (n - k) temporary."""
+    n, k = 1500, 10
+    X = grid(n, 9, 41)
+    few = 6 * 8 * distances._SCREEN_ELEMENTS
+    assert traced_peak(lambda: pairwise_distances(X)) - 8 * n * n <= few
+    D = pairwise_distances(X).square()
+    assert traced_peak(lambda: kmedoids._build(D, k)) <= few
+    medoids = sorted(kmedoids._build(D, k))
+    valid = np.ones(n, dtype=bool)
+    valid[medoids] = False
+    assert traced_peak(lambda: kmedoids._best_swap(D, medoids, valid)) <= few
 
 
 @st.composite
