@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from .exceptions import EmptyDatasetError
+from .exceptions import AnalysisError, EmptyDatasetError
+
+_EPS, _FLOAT64_MAX = np.finfo(np.float64).eps, np.finfo(np.float64).max
 
 
 def as_feature_matrix(X, name="X", allow_empty=False):
@@ -22,6 +24,53 @@ def as_feature_matrix(X, name="X", allow_empty=False):
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     return arr
+
+
+def check_domain(*parts, power=2):
+    """Refuse, with :class:`AnalysisError`, rows on which a squared-distance
+    path could overflow float64: the one statement of the package's float64
+    domain. ``parts`` are (n_i, d) arrays of finite values, all the rows a
+    path reads; ``power`` is the highest power of a distance it forms (see
+    below). Returns the per-feature minima and maxima of the rows, all that
+    the check reads of them.
+
+    Let n be the number of rows, A_k the largest |value| of feature k and D
+    the diagonal of the rows' bounding box, each side widened by
+    n*eps*A_k: D^2 = sum_k (max_k - min_k + 2*n*eps*A_k)^2. Every point a
+    path forms lies in that box: rows, means of rows (K-means' centres, a
+    screen's common centre), whose rounding the widening covers, and
+    Hopkins' synthetic points. On accepted rows, then, the largest values
+    each path forms are these:
+      - an exact squared distance, each of its partial sums and a row's
+        shifted norm |x - c|^2 in a screen's operand: at most D^2;
+      - the screen of ``distances._nearest``: M = max|a'|^2 + max|b'|^2 is
+        at most 2*D^2, the GEMM's partial sums stay below 2*M*(1 + g(d+1))
+        and the slack is computed from 4*M, at most 8*D^2;
+      - a sum over the n rows of squared distances: the k-means++ weights'
+        total, the objective, n - 1 times a covariance entry, and PAM's and
+        the silhouette's sums on a squared-Euclidean matrix: at most n*D^2,
+        and 2*n*D^2 in PAM's screen, which adds two of them;
+      - sums of distances raised to ``power``: Hopkins' two sums of its
+        m < n nearest-neighbour distances, at most 2*m*D^power, and the
+        squares of the covariance entries that PCA's Jacobi sweep adds up,
+        at most 4*D^4 (``power=4``);
+      - the centre sums, the data means among them: at most n*max_k A_k,
+        which D >= 2*n*eps*A_k and the bound below keep under 1e170.
+    Accepted: 4*(n + 4)*max(D^2, D^power) is below the largest float64.
+    That keeps every value above below half of it, which leaves room for
+    their rounding, and it accepts 30 rows reading 0 or 1e153, whose n*D^2
+    is 3e307. Manhattan distances square nothing and are not bounded here.
+    """
+    lo = np.min([part.min(axis=0) for part in parts], axis=0)
+    hi = np.max([part.max(axis=0) for part in parts], axis=0)
+    n = sum(len(part) for part in parts)
+    with np.errstate(over="ignore"):  # an overflow here is a refusal
+        d2 = np.square(hi - lo + 2 * n * _EPS * np.maximum(hi, -lo)).sum()
+        accepted = 4 * (n + 4) * max(d2, d2 ** (power / 2)) < _FLOAT64_MAX
+    if not accepted:
+        raise AnalysisError("the features are too large for float64: their squared distances "
+                            "or the sums of those could overflow; normalise the data")
+    return lo, hi
 
 
 def as_labels(labels, n, name="labels"):

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import as_feature_matrix
+from ._checks import as_feature_matrix, check_domain
 from .exceptions import AnalysisError, DimensionMismatchError
 
 
@@ -127,9 +127,8 @@ def _rows(raw, center) -> _Rows:
     operand = np.empty((*groups, d + 2, m))
     operand[..., 0, :] = 1.0
     shifted, sq = operand[..., 1:d + 1, :], operand[..., d + 1, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # the screen's overflow
-        np.subtract(raw, center, out=shifted.swapaxes(-1, -2))
-        np.einsum("...km,...km->...m", shifted, shifted, out=sq)
+    np.subtract(raw, center, out=shifted.swapaxes(-1, -2))
+    np.einsum("...km,...km->...m", shifted, shifted, out=sq)
     return _Rows(raw, operand, sq.max(axis=-1))
 
 
@@ -199,11 +198,10 @@ def _nearest(A: _Rows, B: _Rows, exclude=None):
     the slack and of S[j0] + slack (about 1.1*eps*M together). Sums and
     differences, the shift's among them, are exact in gradual underflow,
     but each of the at most 6d products above can lose half a subnormal
-    more (the product by 1 is exact), hence the absolute term. Overflow:
-    the GEMM's partial sums stay below 2*M*(1 + g(d+1)), so the slack is
-    computed from 4*M, and once that is not finite every threshold is
-    infinite and every pair a candidate, as it is when S itself overflows;
-    the exact kernel then decides alone.
+    more (the product by 1 is exact), hence the absolute term. The GEMM's
+    partial sums stay below 2*M*(1 + g(d+1)), and the slack is computed
+    from 4*M; on rows that ``_checks.check_domain`` accepts, no value here
+    overflows.
     """
     if B.raw.ndim == 2:
         return _nearest(A, _grouped(B), exclude)[0]
@@ -265,37 +263,26 @@ def _candidates(A: _Rows, B: _Rows, exclude=None):
     (g, m, d), q = B.raw.shape, A.raw.shape[0]
     rows_first = g == 1 and (q < m or exclude is not None)
     top = A.top + (B.top[0] if rows_first else B.top)  # a scalar costs less per block
-    with np.errstate(over="ignore", invalid="ignore"):  # the screen's overflow
-        slack = 2 * (d + 2) * _EPS * (4 * top) + 8 * (d + 2) * _SUBNORMAL  # see _nearest
-        if not rows_first:
-            left = np.empty((g, m, d + 1))
-            left[:, :, 0] = B.operand[:, d + 1]
-            np.multiply(B.operand[:, 1:d + 1].swapaxes(1, 2), -2.0, out=left[:, :, 1:])  # exact
-            S = (left.reshape(g * m, d + 1) @ A.operand[:d + 1]).reshape(g, m, q)
-            thresh = S.min(axis=1) + slack[:, None]
-            cand = S <= thresh[:, None, :]
-            if not np.isfinite(thresh).all():  # overflow: every pair of those rows is a candidate
-                cand |= ~np.isfinite(thresh)[:, None, :]
-            # a row's one candidate j is the sum of j over its candidates;
-            # rows with more are decided by the exact kernel
-            order = np.arange(m, dtype=np.min_scalar_type(m))
-            return np.einsum("gmq,m->gq", cand, order).astype(np.intp), cand
-        left = np.empty((q, d + 1))
-        np.multiply(A.operand[1:d + 1].T, -2.0, out=left[:, :d])  # doubling is exact
-        left[:, d] = 1.0
-        S = left @ B.operand[0, 1:]
-        every = np.arange(q)
-        if exclude is not None:
-            S[every, exclude] = np.inf
-        idx = S.argmin(axis=1)
-        thresh = S[every, idx] + slack
-        cand = S <= thresh[:, None]
-    overflow = ~np.isfinite(thresh)
-    if overflow.any():  # every row is a candidate; pick the lowest allowed one
-        cand[overflow] = True
-        idx[overflow] = 0 if exclude is None else exclude[overflow] == 0
-        if exclude is not None:
-            cand[every, exclude] = False
+    slack = 2 * (d + 2) * _EPS * (4 * top) + 8 * (d + 2) * _SUBNORMAL  # see _nearest
+    if not rows_first:
+        left = np.empty((g, m, d + 1))
+        left[:, :, 0] = B.operand[:, d + 1]
+        np.multiply(B.operand[:, 1:d + 1].swapaxes(1, 2), -2.0, out=left[:, :, 1:])  # exact
+        S = (left.reshape(g * m, d + 1) @ A.operand[:d + 1]).reshape(g, m, q)
+        cand = S <= (S.min(axis=1) + slack[:, None])[:, None, :]
+        # a row's one candidate j is the sum of j over its candidates;
+        # rows with more are decided by the exact kernel
+        order = np.arange(m, dtype=np.min_scalar_type(m))
+        return np.einsum("gmq,m->gq", cand, order).astype(np.intp), cand
+    left = np.empty((q, d + 1))
+    np.multiply(A.operand[1:d + 1].T, -2.0, out=left[:, :d])  # doubling is exact
+    left[:, d] = 1.0
+    S = left @ B.operand[0, 1:]
+    every = np.arange(q)
+    if exclude is not None:
+        S[every, exclude] = np.inf
+    idx = S.argmin(axis=1)
+    cand = S <= (S[every, idx] + slack)[:, None]
     return idx[None], cand.T[None]
 
 
@@ -322,7 +309,7 @@ class DistanceMatrix:
         D = np.asarray(square, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise ValueError(f"expected a square distance matrix, got shape {D.shape}")
-        if D.size and D.min() < 0:
+        if D.size and not D.min() >= 0:  # NaN fails too
             raise ValueError("distances must be non-negative")
         D.setflags(write=False)
         self.n, self.metric, self._square = D.shape[0], Metric.coerce(metric), D
@@ -400,10 +387,13 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
     values), holds a partial sum still open: 4 of them up to d = 128, and
     one more each time d doubles. Raises :class:`AnalysisError`, before
     allocating, when the matrix would not fit in memory (see the module
-    docstring).
+    docstring), and for the two squared metrics when the features lie
+    outside ``_checks.check_domain``.
     """
     metric = Metric.coerce(metric)
     X = as_feature_matrix(X)
+    if metric is not Metric.MANHATTAN:
+        check_domain(X)
     n, d = X.shape
     need, have = 8 * n * n + 8 * max(_SCREEN_ELEMENTS, n * d), physical_memory()
     if need > have:

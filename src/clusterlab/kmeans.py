@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
-from ._checks import as_feature_matrix, as_integer, as_labels, resolve_seed
+from ._checks import as_feature_matrix, as_integer, as_labels, check_domain, resolve_seed
 from .distances import Metric, _block_rows, _d2_to_picks, _nearest, _rows, _rows_to_point
-from .exceptions import AnalysisError, MissingCenterError, TooFewPointsError
+from .exceptions import MissingCenterError, TooFewPointsError
 
 INIT_KMEANS_PP = "k-means++"
 INIT_RANDOM = "random"
@@ -47,23 +47,18 @@ def _starts(X, k, init, rngs):
     centers = np.empty((len(rngs), k, X.shape[1]), dtype=np.float64)
     centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
     labels = np.zeros((len(rngs), n), dtype=np.intp)
-    with np.errstate(over="ignore"):  # an infinite sum is refused below
-        d2 = _to_seeds(X, centers[:, 0])
-        for j in range(1, k):
-            for r, rng in enumerate(rngs):
-                total = d2[r].sum()
-                if total == np.inf:  # the weights d2 / total would be NaN
-                    raise AnalysisError(
-                        "k-means++ cannot seed: the squared distances to the first seed "
-                        "overflow float64; use --init random or normalise the data")
-                if total > 0:
-                    idx = rng.choice(n, p=d2[r] / total)
-                else:
-                    idx = rng.integers(n)  # all remaining mass at chosen centers
-                centers[r, j] = X[idx]
-            dj = _to_seeds(X, centers[:, j])
-            np.putmask(labels, dj < d2, j)
-            np.minimum(d2, dj, out=d2)
+    d2 = _to_seeds(X, centers[:, 0])
+    for j in range(1, k):
+        for r, rng in enumerate(rngs):
+            total = d2[r].sum()
+            if total > 0:
+                idx = rng.choice(n, p=d2[r] / total)
+            else:
+                idx = rng.integers(n)  # all remaining mass at chosen centers
+            centers[r, j] = X[idx]
+        dj = _to_seeds(X, centers[:, j])
+        np.putmask(labels, dj < d2, j)
+        np.minimum(d2, dj, out=d2)
     return centers, labels, d2
 
 
@@ -160,7 +155,6 @@ def _restarts(rows, mean, k, init, seeds, max_iter, tol):
                 labels[r], counts[r] = _repair_empty(labels[r], d2, k)
                 keys[r] = labels[r] + offsets[r]
         new_centers = _means(X, keys, counts, columns)
-        # NaN at an inf center: no convergence
         shift_sq = _rows_to_point(new_centers, centers, Metric.SQEUCLIDEAN)
         converged = np.sqrt(shift_sq.max(axis=1)) <= tol
         leaving = converged if n_iter < max_iter else np.ones(g, dtype=bool)
@@ -202,7 +196,10 @@ class KMeans(BaseEstimator):
     it only where the screen leaves a point undecided. k-means++ seeding
     computes each point's exact distance to every seed, so it hands the
     first iteration its assignment, and the repair of an empty cluster
-    computes the distances it needs.
+    computes the distances it needs. ``fit`` and ``predict`` (the new rows
+    and the centers together) raise :class:`AnalysisError` on rows outside
+    ``_checks.check_domain``, where no squared distance or sum of them
+    overflows.
 
     Attributes after fit: ``labels_``, ``cluster_centers_``, ``inertia_``
     (the within-cluster sum of squares), ``n_iter_``, ``converged_``,
@@ -244,6 +241,7 @@ class KMeans(BaseEstimator):
             raise ValueError(
                 f"unknown init {self.init!r}; use {INIT_KMEANS_PP!r} or {INIT_RANDOM!r}")
         seed = resolve_seed(self.random_state)
+        check_domain(X)
         mean = X.mean(axis=0)
         rows, tol = _rows(X, mean), float(self.tol)
         group = _block_rows(n * k)  # restarts whose screen fills one block
@@ -273,6 +271,7 @@ class KMeans(BaseEstimator):
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {self.cluster_centers_.shape[1]}"
             )
+        check_domain(X, self.cluster_centers_)
         mean = self.cluster_centers_.mean(axis=0)
         return _nearest(_rows(X, mean), _rows(self.cluster_centers_, mean))
 

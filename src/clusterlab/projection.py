@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
-from ._checks import as_feature_matrix
+from ._checks import as_feature_matrix, check_domain
 
 def jacobi_eigh(A, tol: float = 1e-13, max_sweeps: int = 100):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
@@ -72,7 +72,8 @@ class PCA2D(BaseEstimator):
     ``explained_variance_`` (top-2 eigenvalues),
     ``explained_variance_ratio_``, ``eigenvalues_`` (all, descending),
     ``degenerate_`` (True when the data has zero total variance, in which
-    case every projected coordinate is 0).
+    case every projected coordinate is 0). ``fit`` raises
+    :class:`AnalysisError` on rows outside ``_checks.check_domain``.
     """
 
     def fit(self, X, y=None):
@@ -80,6 +81,7 @@ class PCA2D(BaseEstimator):
         n, d = X.shape
         if n < 2 or d < 2:
             raise ValueError(f"PCA2D needs at least 2 rows and 2 columns, got {X.shape}")
+        check_domain(X, power=4)  # jacobi_eigh adds up squared covariances
         self.mean_ = X.mean(axis=0)
         centered = X - self.mean_
         cov = centered.T @ centered / (n - 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_feature_matrix, as_integer, resolve_seed
+from ._checks import as_feature_matrix, as_integer, check_domain, resolve_seed
 from .distances import _rows, _screened_nearest
 from .exceptions import EmptyDatasetError, SampleTooLargeError
 
@@ -62,11 +62,12 @@ def hopkins_statistic(
     slack of each query's best (see ``distances._screened_nearest``); the
     distances equal those of a one-query-at-a-time search bit for bit. A
     sampled point's own row is excluded; its duplicates are not, so they
-    count at distance 0.
+    count at distance 0. Rows outside ``_checks.check_domain`` at this
+    ``power`` raise :class:`AnalysisError`.
     """
     if m is not None:
         m = as_integer(m, "m")
-    trials = as_integer(trials, "trials")
+    trials, power = as_integer(trials, "trials"), as_integer(power, "power")
     X = as_feature_matrix(X)
     n, d = X.shape
     if n < 2:
@@ -82,9 +83,7 @@ def hopkins_statistic(
     if power < 1:
         raise ValueError(f"power must be at least 1, got {power}")
     seed = resolve_seed(seed)
-
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
+    lo, hi = check_domain(X, power=power)
     if np.all(lo == hi):
         # all points identical: every real nearest-neighbor distance is 0
         return HopkinsResult(

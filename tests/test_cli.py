@@ -23,6 +23,11 @@ ARTIFACTS = [
 ]
 
 
+#: the one stderr line of a run on features outside the float64 domain
+OUT_OF_RANGE = ("analysis error: the features are too large for float64: their squared "
+                "distances or the sums of those could overflow; normalise the data")
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -167,16 +172,33 @@ class TestUsageAndErrors:
                        "--restarts", "3", "--init", "random") == 0
         assert json.loads(capsys.readouterr().out)["k"] == 3
 
-    def test_kmeans_pp_overflow_exit_3(self, tmp_path, capsys):
-        # the squared distances to the first seed sum past the float64 range
+    def test_kmeans_pp_overflow_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the squared distances to the first seed would sum past the float64
+        # range: the rows are refused before any seed is drawn
+        monkeypatch.setattr("clusterlab.kmeans._starts", lambda *args: pytest.fail("seeded"))
         X = np.random.default_rng(6).integers(0, 10, (30, 3)) * 1e154
         f = _table_file(tmp_path / "huge.csv", X)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning on the way
             assert run_cli("kmeans", f, "--no-normalize", "--k", "3", "--seed", "1") == 3
-        err = capsys.readouterr().err
-        assert "analysis error: k-means++ cannot seed" in err
-        assert "overflow" in err and "--init random" in err
+        assert capsys.readouterr().err.splitlines() == [OUT_OF_RANGE]
+
+    @pytest.mark.parametrize("argv", [
+        ("tendency",), ("kmeans",), ("kmeans", "--init", "random"), ("pam",), ("silhouette",),
+        ("sweep",), ("sweep", "--algorithm", "pam"), ("analyze",)])
+    def test_overflowing_table_exit_3_with_one_line(self, tmp_path, argv):
+        # every analysis subcommand refuses the table before any squared
+        # distance overflows: no warning, which -W error would turn into a
+        # traceback, and no output
+        X = np.random.default_rng(6).integers(0, 10, (30, 3)) * 1e154
+        f, out = tmp_path / "huge.csv", tmp_path / "results"
+        f.write_text("".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "clusterlab.cli", *argv,
+                               str(f), "--no-normalize", "--id-column", "none",
+                               "--label-column", "none", "--seed", "1", "--out", str(out)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr.splitlines(), proc.stdout) == (3, [OUT_OF_RANGE], "")
+        assert not out.exists()
 
     def test_distance_matrix_beyond_memory_is_refused(self, synth_csv_path, tmp_path,
                                                       monkeypatch, capsys):

@@ -1,5 +1,5 @@
-import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterlab import (
+    PCA2D,
     DistanceMatrix,
+    KMeans,
     KMedoids,
     Metric,
     distance,
+    hopkins_statistic,
     pairwise_distances,
     sweep_k,
 )
@@ -122,9 +125,10 @@ class TestPairwise:
             for j in range(9):
                 assert sq[i, j] == dm.get(i, j)
 
-    def test_negative_values_rejected(self):
+    @pytest.mark.parametrize("entry", [-0.5, np.nan])
+    def test_negative_values_rejected(self, entry):
         with pytest.raises(ValueError, match="non-negative"):
-            DistanceMatrix(np.array([[0.0, -0.5], [-0.5, 0.0]]))
+            DistanceMatrix(np.array([[0.0, entry], [entry, 0.0]]))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -168,7 +172,7 @@ class TestPairwise:
 
 
 #: per-cell scales of the data: mixed magnitudes, squares in the subnormal
-#: range, and squares that overflow
+#: range, and squares that would overflow (the squared metrics refuse them)
 SCALES = {
     "mixed": lambda rng, shape: rng.choice([1e-3, 1.0, 1e3], size=shape),
     "subnormal": lambda rng, shape: 1e-160,
@@ -182,17 +186,79 @@ def test_build_adds_coordinates_in_the_row_kernels_order(monkeypatch, scale, met
     """The build adds a block's d terms one coordinate at a time, in the
     order numpy's row sum adds them; every entry equals the row kernel on
     its pair bit for bit, for every d up to 300. 100 elements per block
-    against 23 points: blocks of 2 to 6 rows, the last cut short."""
+    against 23 points: blocks of 2 to 6 rows, the last cut short. Points
+    whose squares would overflow are refused, before any square."""
     monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", 100)
     n, rng = 23, np.random.default_rng(5)
-    overflow = scale == "overflow" and metric is not Metric.MANHATTAN
+    refused = scale == "overflow" and metric is not Metric.MANHATTAN
     for d in range(1, 301):
         X = rng.normal(size=(n, d)) * SCALES[scale](rng, (n, d))
-        with pytest.warns(RuntimeWarning, match="overflow") if overflow else contextlib.nullcontext():
-            D = pairwise_distances(X, metric).square()
-        with np.errstate(over="ignore"):
-            want = np.column_stack([distances._rows_to_point(X, y, metric) for y in X])
+        if refused:
+            with pytest.raises(AnalysisError, match="too large for float64"):
+                pairwise_distances(X, metric)
+            continue
+        D = pairwise_distances(X, metric).square()
+        want = np.column_stack([distances._rows_to_point(X, y, metric) for y in X])
         assert D.tobytes() == want.tobytes(), d
+
+
+# -- the float64 domain ------------------------------------------------------------
+
+#: 30 rows of 3 integer-grid features: scaled by 1e154 their squares overflow
+TABLE = np.random.default_rng(6).integers(0, 10, (30, 3)).astype(np.float64)
+UNIT_FIT = KMeans(n_clusters=3, n_init=2, random_state=0).fit(TABLE)
+
+#: every entry point where squared distances begin, as a call on the rows
+ENTRY_POINTS = {
+    "kmeans-k-means++": lambda X: KMeans(n_clusters=3, n_init=3, random_state=1).fit(X),
+    "kmeans-random": lambda X: KMeans(n_clusters=3, init="random", n_init=3,
+                                      random_state=1).fit(X),
+    "predict": UNIT_FIT.predict,  # the new rows and the unit-scale centers together
+    "hopkins": lambda X: hopkins_statistic(X, m=5, trials=3, seed=2),
+    "hopkins-power-3": lambda X: hopkins_statistic(X, m=5, trials=3, seed=2, power=3),
+    "euclidean": lambda X: pairwise_distances(X, Metric.EUCLIDEAN),
+    "sqeuclidean": lambda X: KMedoids(n_clusters=3, metric=Metric.SQEUCLIDEAN).fit(X),
+    "sweep-kmeans": lambda X: sweep_k(X, (2, 4), seed=3, n_init=3),
+    "sweep-pam": lambda X: sweep_k(X, (2, 4), algorithm="pam", metric=Metric.SQEUCLIDEAN),
+    "pca": lambda X: PCA2D().fit(X),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_rows_outside_the_float64_domain(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any overflow
+        with pytest.raises(AnalysisError, match="too large for float64"):
+            ENTRY_POINTS[entry](TABLE * 1e154)
+
+
+#: tables whose sums of squared distances come near their bound: TABLE, and
+#: half of the rows at each of two opposite corners
+EDGE_TABLES = {"grid": TABLE, "corners": np.repeat([[0.0, 0.0, 0.0], [9.0, 9.0, 9.0]], 15, axis=0)}
+
+
+@pytest.mark.parametrize("table", sorted(EDGE_TABLES))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_overflow_nothing_at_the_edge_of_the_domain(entry, table):
+    # the largest scale 0.9**j * 1e154 of the table that the entry point
+    # accepts: no value any of its paths forms overflows there
+    scale = 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while True:
+            try:
+                ENTRY_POINTS[entry](EDGE_TABLES[table] * scale)
+                break
+            except AnalysisError:
+                scale *= 0.9
+    assert scale < 1e154
+
+
+def test_manhattan_keeps_its_full_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D = pairwise_distances(TABLE * 1e154, Metric.MANHATTAN).square()
+    assert np.isfinite(D).all() and D.max() > 1e155
 
 
 class TestNearestNeighbor:

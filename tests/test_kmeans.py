@@ -392,17 +392,27 @@ class TestScreenedAssignment:
         assert near.sum() == len(X) < far.sum()
 
     def test_values_that_overflow_the_expansion(self):
+        # the exact squares would overflow: fit and predict refuse the rows
         X = grid(30, 3, 6, scale=1e154)
-        with pytest.warns(RuntimeWarning, match="overflow"):  # the exact squares
-            self.check(X, X[:4] * 0.5)
+        with pytest.raises(AnalysisError, match="too large for float64"):
+            KMeans(n_clusters=4, n_init=1, random_state=0).fit(X)
+        est = KMeans(n_clusters=4, n_init=1, random_state=0).fit(X * 1e-154)
+        with pytest.raises(AnalysisError, match="too large for float64"):
+            est.predict(X)
         self.check(X * 1e-154, X[:4] * 1e-154)
 
     def test_values_whose_screen_sums_could_overflow(self):
-        # no distance overflows, but 4*M does: every pair is a candidate
-        X, C = grid(30, 3, 7, levels=4, scale=2e153), grid(4, 3, 8, levels=4, scale=1e153)
-        self.check(X, C)
-        center = X.mean(axis=0)
-        assert _candidates(_rows(X, center), _rows(C, center))[1].all()
+        # no distance overflows, but 4*M would: the rows are refused
+        X = grid(30, 3, 7, levels=4, scale=2e153)
+        with pytest.raises(AnalysisError, match="too large for float64"):
+            KMeans(n_clusters=4, n_init=1, random_state=0).fit(X)
+        # predict checks the new rows and the centers together: either alone
+        # lies in the domain, both do not
+        X = grid(30, 3, 7, levels=4, scale=1.5e152)
+        KMeans(n_clusters=4, n_init=1, random_state=0).fit(X)
+        est = KMeans(n_clusters=4, n_init=1, random_state=0).fit(-X)
+        with pytest.raises(AnalysisError, match="too large for float64"):
+            est.predict(X)
 
     def test_subnormal_scale(self):
         X = grid(30, 3, 7, scale=1e-310)
@@ -495,23 +505,21 @@ class TestLloydShortcuts:
 
     @pytest.mark.parametrize("d", [3, 9])
     def test_data_scaled_by_1e154(self, d):
-        # exact distances overflow to inf and the screen's thresholds
-        # are not finite; k-means++ cannot draw its seeds from such weights
+        # exact distances would overflow to inf: refused by either init,
+        # before any restart runs
         X = grid(30, d, 6, scale=1e154)
-        with np.errstate(over="ignore"):
-            assert_fit_matches_reference(X, 3, 1, n_init=3, init=INIT_RANDOM)
-            assert KMeans(n_clusters=3, init=INIT_RANDOM, n_init=3,
-                          random_state=1).fit(X).inertia_ == np.inf
+        for init in ("k-means++", INIT_RANDOM):
+            with pytest.raises(AnalysisError, match="too large for float64"):
+                KMeans(n_clusters=3, init=init, n_init=3, random_state=1).fit(X)
+        assert_fit_matches_reference(X * 1e-154, 3, 1, n_init=3, init=INIT_RANDOM)
 
-    def test_centers_holding_inf_never_converge(self):
-        # a cluster of several 1e308 points sums to inf: its center is inf,
-        # the shift NaN, so the fit runs to max_iter though its labels repeat
-        X = grid(6, 1, 1, levels=2, scale=1e308)
-        with np.errstate(over="ignore", invalid="ignore"):
-            est = KMeans(n_clusters=2, init=INIT_RANDOM, n_init=1, random_state=0).fit(X)
-            assert est.cluster_centers_.tolist() == [[np.inf], [0.0]]
-            assert (est.converged_, est.n_iter_) == (False, 100)
-            assert_fit_matches_reference(X, 2, 0, n_init=1, init=INIT_RANDOM)
+    def test_centers_holding_inf_never_converge(self, monkeypatch):
+        # a cluster of several 1e308 points would sum to an inf center; the
+        # rows are refused, so no restart runs on them
+        monkeypatch.setattr(kmeans, "_restarts", lambda *args: pytest.fail("fitted"))
+        for X in (grid(6, 1, 1, levels=2, scale=1e308), np.full((6, 1), 1e308)):
+            with pytest.raises(AnalysisError, match="too large for float64"):
+                KMeans(n_clusters=2, init=INIT_RANDOM, n_init=1, random_state=0).fit(X)
 
     @pytest.mark.parametrize("n_init", [1, 3])
     @pytest.mark.parametrize("init,screens", [("k-means++", -1), (INIT_RANDOM, 0)])
@@ -542,11 +550,12 @@ class TestRestarts:
         assert_fit_matches_reference(X, 4, 0, n_init)
 
     @pytest.mark.parametrize("n_init", [1, 2, 25])
-    def test_replay_of_centers_holding_inf(self, n_init):
+    def test_replay_of_centers_holding_inf(self, monkeypatch, n_init):
+        # rows whose centers would hold inf are refused whatever the restarts
+        monkeypatch.setattr(kmeans, "_restarts", lambda *args: pytest.fail("fitted"))
         X = grid(6, 1, 1, levels=2, scale=1e308)
-        with np.errstate(over="ignore", invalid="ignore"):
-            est = assert_fit_matches_reference(X, 2, 0, n_init, init=INIT_RANDOM)
-        assert np.isinf(est.cluster_centers_).any()
+        with pytest.raises(AnalysisError, match="too large for float64"):
+            KMeans(n_clusters=2, init=INIT_RANDOM, n_init=n_init, random_state=0).fit(X)
 
     @pytest.mark.parametrize("n_init,group,runs", [(1, None, [1]), (4, None, [4]),
                                                    (5, 2, [2, 2, 1])])
@@ -580,9 +589,12 @@ class TestRestarts:
                                                 for r in range(6))
         assert len(set(est.n_iter_per_restart_)) > 1
 
-    def test_kmeans_pp_refuses_squared_distances_that_overflow(self):
+    def test_kmeans_pp_refuses_squared_distances_that_overflow(self, monkeypatch):
+        # refused before any seed is drawn
+        monkeypatch.setattr(kmeans, "_starts", lambda *args: pytest.fail("seeded"))
         X = grid(30, 3, 6, scale=1e154)
-        with pytest.raises(AnalysisError, match="overflow float64; use --init random"):
+        with pytest.raises(AnalysisError, match="squared distances or the sums of those "
+                                                "could overflow; normalise the data"):
             KMeans(n_clusters=3, n_init=3, random_state=1).fit(X)
 
 
@@ -642,16 +654,13 @@ class TestLockstep:
 
     @pytest.mark.parametrize("group", [1, 2, 3])
     def test_a_restart_holding_inf_runs_on_while_the_others_converge(self, monkeypatch, group):
-        # restarts 1 to 3 put two points of 1e308 in one cluster: its center
-        # is inf, its shift NaN, and it runs to max_iter
+        # restarts 1 to 3 would put two points of 1e308 in one cluster, whose
+        # center would be inf: the rows are refused before any group runs
+        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", group * 4 * 3)
+        monkeypatch.setattr(kmeans, "_restarts", lambda *args: pytest.fail("fitted"))
         X = np.array([[6e307, 1e308], [1e308, 6e307], [1e308, 1e308], [0.0, 0.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            est, runs = self.fit(monkeypatch, X, 3, 0, 6, group, INIT_RANDOM)
-        assert est.n_iter_per_restart_ == (2, 100, 100, 100, 2, 2)
-        results = [result for run in runs for result in run]
-        holding_inf = [False, True, True, True, False, False]
-        assert [np.isinf(result[2]).any() for result in results] == holding_inf
-        assert [result[4] for result in results] == [not inf for inf in holding_inf]
+        with pytest.raises(AnalysisError, match="too large for float64"):
+            KMeans(n_clusters=3, init=INIT_RANDOM, n_init=6, random_state=0).fit(X)
 
     @pytest.mark.parametrize("group", [2, 3])
     def test_single_feature(self, monkeypatch, group):

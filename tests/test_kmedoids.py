@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlab import (KMedoids, Metric, distances, kmedoids, pairwise_distances, pam_cost,
-                        silhouette_report, sweep_k)
-from clusterlab.exceptions import InvalidMedoidError, TooFewPointsError
+from clusterlab import (DistanceMatrix, KMedoids, Metric, distance, distances, kmedoids,
+                        pairwise_distances, pam_cost, silhouette_report, sweep_k)
+from clusterlab.exceptions import AnalysisError, InvalidMedoidError, TooFewPointsError
 
 
 def exhaustive_best_medoids(D, k):
@@ -245,6 +245,15 @@ def grid(n, d, seed, levels=10, scale=1.0 / 9.0, shift=0.0):
     return rng.integers(0, levels, size=(n, d)) * scale + shift
 
 
+def raw_matrix(X, metric):
+    """The distance matrix of rows that ``pairwise_distances`` refuses, each
+    entry the scalar kernel's, as a caller would pass it in."""
+    with pytest.raises(AnalysisError, match="too large for float64"):
+        pairwise_distances(X, metric)
+    with np.errstate(over="ignore"):
+        return DistanceMatrix([[distance(a, b, metric) for b in X] for a in X], metric)
+
+
 def assert_fit_matches_reference(X, metric, k, max_swap_iters=200):
     assert_matches_reference(pairwise_distances(X, metric), k, max_swap_iters)
 
@@ -288,11 +297,13 @@ class TestScreenedPamMatchesReference:
     @pytest.mark.parametrize("metric", list(Metric))
     def test_sweep_matches_fits_at_every_k(self, family, metric):
         # one BUILD for the largest k serves every k of the sweep
-        if family == "infinite":  # Euclidean distances overflow to inf
+        if family == "infinite":  # 1e200 apart: squared distances overflow to inf
             X = np.array([[0.0], [1.0], [2.0], [1e200], [-1e200], [3.0], [2.0]])
         else:
             X = FAMILIES[family]()
-        with np.errstate(over="ignore"):
+        if family == "infinite" and metric is not Metric.MANHATTAN:
+            dist = raw_matrix(X, metric)  # pairwise_distances refuses these rows
+        else:
             dist = pairwise_distances(X, metric)
         D = dist.square()
         k_hi = min(X.shape[0] - 1, 8)
@@ -325,10 +336,10 @@ class TestScreenedPamMatchesReference:
             assert_fit_matches_reference(X, Metric.EUCLIDEAN, k)
 
     def test_infinite_distances_go_to_the_exact_kernel(self):
-        # 1e200 apart, so the Euclidean distances overflow to inf
+        # 1e200 apart, so the Euclidean distances overflow to inf: a matrix
+        # passed in is the one way such distances reach PAM
         X = np.array([[0.0], [1.0], [2.0], [1e200], [-1e200], [3.0]])
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            dist = pairwise_distances(X)
+        dist = raw_matrix(X, Metric.EUCLIDEAN)
         assert np.isinf(dist.square()).any()
         for k in (1, 2, 3, 5):
             assert_matches_reference(dist, k)

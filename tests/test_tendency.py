@@ -1,15 +1,13 @@
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterlab import distances, hopkins_statistic
-from clusterlab.distances import Metric, _rows, _rows_to_point, _screened_nearest
-from clusterlab.exceptions import EmptyDatasetError, SampleTooLargeError
+from clusterlab.distances import Metric, _rows, _screened_nearest
+from clusterlab.exceptions import AnalysisError, EmptyDatasetError, SampleTooLargeError
 from clusterlab.tendency import default_sample_size
-from oracles import nearest_neighbor
+from oracles import nearest_neighbor, row_distances
 
 
 def uniform_box(n, d, seed):
@@ -75,7 +73,7 @@ class TestHopkins:
             hopkins_statistic(np.ones((5, 2)), m=2, trials=0)
 
     @pytest.mark.parametrize("name,value", [("m", 2.5), ("trials", 2.5), ("m", np.nan),
-                                            ("trials", "3")])
+                                            ("trials", "3"), ("power", 1.5)])
     def test_counts_must_be_integers(self, name, value):
         # checked by name before any compute; on identical points too, which
         # would otherwise return at once
@@ -131,7 +129,7 @@ def reference_per_trial(X, m, trials, seed, power=1):
         rng = np.random.default_rng(seed + t)
         synthetic = lo + rng.random((m, d)) * (hi - lo)
         u = np.array(
-            [_rows_to_point(X, s, Metric.EUCLIDEAN).min() for s in synthetic]
+            [row_distances(X, s, Metric.EUCLIDEAN).min() for s in synthetic]
         )
         sample = rng.choice(n, size=m, replace=False)
         w = np.array(
@@ -193,16 +191,18 @@ class TestScreenedHopkins:
 
 @pytest.mark.parametrize("scale", [1.0 / 9.0, 2e153, 1e154, 1e-310])
 def test_screen_excludes_the_query_row(scale):
-    # 1e154 overflows some squares, and at 2e153 the screen's sums could
-    # overflow though no distance does, so the screen hands every row to the
-    # exact kernel; the excluded row must still stay out
+    # the excluded row stays out of the search; 1e154 would overflow some
+    # squares, and at 2e153 the screen's sums could overflow though no
+    # distance does: Hopkins refuses both
     X = grid(30, 3, 7, levels=4, scale=scale)
+    if scale > 1e153:
+        with pytest.raises(AnalysisError, match="too large for float64"):
+            hopkins_statistic(X, m=6, trials=2, seed=0)
+        return
     sample = np.array([0, 3, 4, 17, 29, 1])
     center = X.mean(axis=0)
-    overflow = pytest.warns(RuntimeWarning, match="overflow") if scale == 1e154 else nullcontext()
-    with overflow:  # at 1e154 the exact squares overflow too
-        idx, d2 = _screened_nearest(_rows(X[sample], center), _rows(X, center), sample)
-        refs = [_rows_to_point(X, X[row], Metric.SQEUCLIDEAN) for row in sample]
+    idx, d2 = _screened_nearest(_rows(X[sample], center), _rows(X, center), sample)
+    refs = [row_distances(X, X[row], Metric.SQEUCLIDEAN) for row in sample]
     for i, (row, ref) in enumerate(zip(sample, refs)):
         ref[row] = np.inf
         assert idx[i] == np.argmin(ref)
