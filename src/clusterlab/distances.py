@@ -1,15 +1,23 @@
 """Distance kernels and the dense pairwise distance matrix.
 
-Every distance is defined by one shared row kernel, :func:`_rows_to_point`:
+Every distance has the bits of one row kernel, :func:`_rows_to_point`:
 coordinate differences, then a numpy sum over each row. numpy sums a row
 pairwise (8-way unrolled once a row has 8 or more coordinates), not strictly
 left to right, but a row's sum depends only on that row's values, never on
 how many rows are in the call. So a distance computed in a batch, for one
 pair, or in the screened search is the same bit pattern, and results match
-a naive per-pair computation exactly. The dense pairwise matrix is built
-one coordinate at a time instead (see :func:`pairwise_distances`), adding
-the terms in the kernel's own order, :func:`_summation_order`, so its
-entries have the kernel's bits too.
+a naive per-pair computation exactly. Two kernels compute it:
+  - the row kernel itself, for small and gathered calls: a Lloyd step's
+    centre shifts, the distances to picks (:func:`_d2_to_picks`) and the
+    screen's recheck. A call costs a few ufunc calls, where the executor
+    below would cost two or three per coordinate;
+  - a coordinate-major executor, :func:`_sum_in_row_order`, for the wide
+    passes: the dense pairwise matrix (:func:`pairwise_distances`) and the
+    k-means++ seeding distances of a group of restarts
+    (``kmeans._seed_pass``). It adds the d terms of many entries one
+    coordinate at a time, in numpy's row-sum order
+    (:func:`_summation_order`), on contiguous registers, where numpy's sum
+    over a short last axis is slow; the entries keep the row kernel's bits.
 
 The screened search, :func:`_nearest`, ranks pairs with a GEMM and returns
 indices alone; it runs the exact kernel only on the rows its screen leaves
@@ -31,20 +39,21 @@ screen, seeding distances and centre sums each take a block) holds about
 ``_SCREEN_ELEMENTS`` float64 values (256 KB) per block, with row or restart
 counts from :func:`_block_rows` (one, when one alone is larger), and a few
 such blocks at once, so memory stays flat as n and the number of restarts
-grow. The exact kernel's calls over many rows (the distances to the picks,
-K-means' objective, repair and seeding distances) walk blocks of
-``_block_rows(d)`` rows. A search holds
-one prepared operand per side, (d + 2)*m values for m rows, beside the rows
-themselves, which it reads in place. The dense (n, n) matrix is the one
-O(n^2) allocation: :func:`pairwise_distances` refuses n points of d
-features, with :class:`AnalysisError` and before it allocates anything, when
-the matrix's 8n² bytes plus 8*max(_SCREEN_ELEMENTS, n*d) bytes for its
-build exceed :func:`physical_memory`.
+grow. The executor's registers take half a block each. The row kernel's
+calls over many rows (the distances to the picks: K-means' objective and
+repair, Hopkins' distances) walk blocks of ``_block_rows(d)`` rows. A
+search holds one prepared operand per side, (d + 2)*m values for m rows,
+beside the rows themselves, which it reads in place. The dense (n, n)
+matrix is the one O(n^2) allocation: :func:`pairwise_distances` refuses n
+points of d features, with :class:`AnalysisError` and before it allocates
+anything, when the matrix's 8n² bytes plus 8*max(_SCREEN_ELEMENTS, n*d)
+bytes for its build exceed :func:`physical_memory`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import os
 from typing import NamedTuple
 
@@ -351,20 +360,43 @@ def _summation_order(lo, hi):
     return node
 
 
-def _summation_steps(node, reg=0, steps=None):
-    """``node``, a :func:`_summation_order`, as steps on registers: ``(r,
-    j)`` writes term j to register r, ``(r, None)`` adds register r + 1 to
-    register r. A pair's left side goes to its own register and its right
-    side to the next one, so the steps hold as few partial sums as the
-    order allows at once."""
-    steps = [] if steps is None else steps
-    if isinstance(node, int):
-        steps.append((reg, node))
-    else:
-        _summation_steps(node[0], reg, steps)
-        _summation_steps(node[1], reg + 1, steps)
-        steps.append((reg, None))
-    return steps
+@functools.cache
+def _register_steps(d):
+    """:func:`_summation_order` of d terms as steps on registers, and the
+    number of registers besides the first that they use: ``(r, j)`` writes
+    term j to register r, ``(r, None)`` adds register r + 1 to register r.
+    A pair's left side goes to its own register and its right side to the
+    next one, so the steps hold as few partial sums as the order allows at
+    once."""
+    steps = []
+
+    def walk(node, reg):
+        if isinstance(node, int):
+            steps.append((reg, node))
+        else:
+            walk(node[0], reg)
+            walk(node[1], reg + 1)
+            steps.append((reg, None))
+
+    walk(_summation_order(0, d), 0)
+    return tuple(steps), max(r for r, _ in steps)
+
+
+def _sum_in_row_order(out, scratch, d, term):
+    """Write to ``out`` the sum of d terms, added in the order numpy's row
+    sum in :func:`_rows_to_point` adds a row of d values, so each entry has
+    that row sum's bits. ``term(j, reg)`` writes term j into ``reg``, an
+    array of ``out``'s shape; ``out`` is the first register, and the others
+    are carved from ``scratch``, which must hold ``_register_steps(d)[1] *
+    out.size`` values."""
+    steps, spare = _register_steps(d)
+    size = out.size
+    regs = [out] + [scratch[i * size:(i + 1) * size].reshape(out.shape) for i in range(spare)]
+    for r, j in steps:
+        if j is None:
+            np.add(regs[r], regs[r + 1], out=regs[r])
+        else:
+            term(j, regs[r])
 
 
 def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
@@ -378,12 +410,11 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
 
     A block is built one coordinate at a time, never as a (b, n - s, d)
     array: each coordinate's (b, n - s) differences, squared (or their
-    absolute values), are one term of every entry, and the d terms are
-    added in the order numpy's row sum in :func:`_rows_to_point` adds them
-    (:func:`_summation_order`, written once per call as register steps), so
-    the bits are the row kernel's; ``tests/test_distances.py`` pins this
-    for every d up to 300. The block's rows in the result are the first
-    register; each other one, half a block (``_SCREEN_ELEMENTS / 2``
+    absolute values), are one term of every entry, and
+    :func:`_sum_in_row_order` adds the d terms in the order numpy's row sum
+    adds them, so the bits are the row kernel's; ``tests/test_distances.py``
+    pins this for every d up to 300. The block's rows in the result are the
+    first register; each other one, half a block (``_SCREEN_ELEMENTS / 2``
     values), holds a partial sum still open: 4 of them up to d = 128, and
     one more each time d doubles. Raises :class:`AnalysisError`, before
     allocating, when the matrix would not fit in memory (see the module
@@ -400,26 +431,20 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
         raise AnalysisError(f"{n} points need {need / 1e6:.1f} MB for their pairwise distance "
                             f"matrix, more than the {have / 1e6:.1f} MB of physical memory")
     D = np.empty((n, n))
-    steps = _summation_steps(_summation_order(0, d))
-    spare = max(r for r, _ in steps)  # registers besides the block itself
-    term = np.abs if metric is Metric.MANHATTAN else np.square
+    magnitude = np.abs if metric is Metric.MANHATTAN else np.square
     columns = np.ascontiguousarray(X.T)
-    flat = np.empty(spare * min(max(_SCREEN_ELEMENTS // 2, n), n * n))
+    scratch = np.empty(_register_steps(d)[1] * min(max(_SCREEN_ELEMENTS // 2, n), n * n))
     s = 0
     while s < n:
-        m = n - s
-        e = s + _block_rows(2 * m)  # half a block per register
-        b = min(e, n) - s
-        regs = [D[s:e, s:]] + [flat[i * b * m:(i + 1) * b * m].reshape(b, m)
-                               for i in range(spare)]
-        for r, j in steps:
-            if j is None:
-                np.add(regs[r], regs[r + 1], out=regs[r])
-            else:
-                np.subtract(columns[j, s:e, None], columns[j, None, s:], out=regs[r])
-                term(regs[r], out=regs[r])
+        e = s + _block_rows(2 * (n - s))  # half a block per register
+
+        def term(j, reg):
+            np.subtract(columns[j, s:e, None], columns[j, None, s:], out=reg)
+            magnitude(reg, out=reg)
+
+        _sum_in_row_order(D[s:e, s:], scratch, d, term)
         if metric is Metric.EUCLIDEAN:
-            np.sqrt(regs[0], out=regs[0])
+            np.sqrt(D[s:e, s:], out=D[s:e, s:])
         D[e:, s:e] = D[s:e, e:].T
         s = e
     return DistanceMatrix(D, metric)

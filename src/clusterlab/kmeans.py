@@ -6,7 +6,8 @@ import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
 from ._checks import as_feature_matrix, as_integer, as_labels, check_domain, resolve_seed
-from .distances import Metric, _block_rows, _d2_to_picks, _nearest, _rows, _rows_to_point
+from .distances import (Metric, _block_rows, _d2_to_picks, _nearest, _register_steps, _rows,
+                        _rows_to_point, _sum_in_row_order)
 from .exceptions import MissingCenterError, TooFewPointsError
 
 INIT_KMEANS_PP = "k-means++"
@@ -15,12 +16,17 @@ INIT_RANDOM = "random"
 
 def wss(X, labels, centers) -> float:
     """Within-cluster sum of squares: sum of squared Euclidean distances
-    from each point to the center of its assigned cluster."""
+    from each point to the center of its assigned cluster. Raises
+    ValueError on non-finite centers, and :class:`AnalysisError` when the
+    points and centers lie outside ``_checks.check_domain``, where the sum
+    could overflow."""
     X = as_feature_matrix(X, allow_empty=True)
-    centers = np.asarray(centers, dtype=np.float64)
+    centers = as_feature_matrix(centers, "centers", allow_empty=True)
     labels = as_labels(labels, X.shape[0])
     if labels.size and labels.max() >= centers.shape[0]:
         raise MissingCenterError(int(labels.max()))
+    if labels.size:
+        check_domain(X, centers)
     return _objective(X, labels, centers)
 
 
@@ -36,45 +42,82 @@ def _starts(X, k, init, rngs):
     assignment, which k-means++ has on hand once it has drawn its seeds.
     Random init returns ``(centers, None, None)``.
 
-    k-means++ draws each restart's seeds from its own ``rng``, as a restart
-    on its own would, and computes the exact distances to each new seed of
-    the group together, ``_block_rows(n * d)`` restarts per call."""
-    n = X.shape[0]
+    k-means++ draws each restart's seeds from its own ``rng``, exactly as
+    ``rng.choice`` draws them for a restart on its own, in one inverse-CDF
+    step for the whole group (see :func:`_draw`), and computes the exact
+    distances of every point to the group's new seeds in one pass (see
+    :func:`_seed_pass`). Beside d2, labels and the seed distances, (g, n)
+    each, it holds the pass's buffers, under three blocks of
+    ``_SCREEN_ELEMENTS`` up to d = 128."""
+    (n, d), g = X.shape, len(rngs)
     if init == INIT_RANDOM:
         picks = [np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs]
         return X[np.array(picks)], None, None
     # k-means++: first center uniform, then D^2 sampling
-    centers = np.empty((len(rngs), k, X.shape[1]), dtype=np.float64)
+    to_seeds = _seed_pass(X, g)
+    centers = np.empty((g, k, d), dtype=np.float64)
     centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
-    labels = np.zeros((len(rngs), n), dtype=np.intp)
-    d2 = _to_seeds(X, centers[:, 0])
+    labels = np.zeros((g, n), dtype=np.intp)
+    d2, dj = np.empty((g, n)), np.empty((g, n))
+    to_seeds(centers[:, 0], d2)
     for j in range(1, k):
-        for r, rng in enumerate(rngs):
-            total = d2[r].sum()
-            if total > 0:
-                idx = rng.choice(n, p=d2[r] / total)
-            else:
-                idx = rng.integers(n)  # all remaining mass at chosen centers
-            centers[r, j] = X[idx]
-        dj = _to_seeds(X, centers[:, j])
+        centers[:, j] = X[_draw(d2, rngs, dj)]  # dj holds the draw's cdf until the pass
+        to_seeds(centers[:, j], dj)
         np.putmask(labels, dj < d2, j)
         np.minimum(d2, dj, out=d2)
     return centers, labels, d2
 
 
-def _to_seeds(X, seeds):
-    """Exact squared distances of every point to each restart's seed, (g, n),
-    in calls of about ``_SCREEN_ELEMENTS`` differences: ``_block_rows(n * d)``
-    restarts per call, or one restart in blocks of ``_block_rows(d)`` rows."""
-    (n, d), g = X.shape, seeds.shape[0]
-    rows = min(n, _block_rows(d))
-    step = _block_rows(rows * d)
-    d2 = np.empty((g, n))
-    for s in range(0, g, step):
-        for r in range(0, n, rows):
-            d2[s:s + step, r:r + rows] = _rows_to_point(X[r:r + rows], seeds[s:s + step, None],
-                                                        Metric.SQEUCLIDEAN)
-    return d2
+def _seed_pass(X, g):
+    """A function ``to_seeds(seeds, out)`` writing to ``out``, (g, n), the
+    exact squared distance of every point to each of the g ``seeds``, (g,
+    d), with the bits of :func:`distances._rows_to_point`.
+
+    It walks blocks of b rows, each read from its own transposed copy, (d,
+    b), and sums a block's d coordinates for all g seeds at once in numpy's
+    row-sum order (:func:`distances._sum_in_row_order`), on registers of g*b
+    values: b makes a register half a block and the copy at most one block.
+    The buffers are allocated here, once for all the group's seeds; up to d
+    = 128 the registers besides ``out`` are three, so the buffers hold under
+    three blocks of ``_SCREEN_ELEMENTS``, and never an n*d copy."""
+    n, d = X.shape
+    b = min(n, _block_rows(max(2 * g, d)))
+    columns, scratch = np.empty((d, b)), np.empty(_register_steps(d)[1] * g * b)
+
+    def to_seeds(seeds, out):
+        for s in range(0, n, b):
+            block = columns[:, :min(b, n - s)]
+            np.copyto(block, X[s:s + b].T)
+
+            def term(j, reg):
+                np.subtract(block[j], seeds[:, j, None], out=reg)
+                np.square(reg, out=reg)
+
+            _sum_in_row_order(out[:, s:s + b], scratch, d, term)
+
+    return to_seeds
+
+
+def _draw(d2, rngs, cdf):
+    """Each restart's next k-means++ seed, drawn with weights ``d2[r]``:
+    the index ``rngs[r].choice(n, p=d2[r] / d2[r].sum())`` returns, with
+    the generator left in the same state, or ``rngs[r].integers(n)`` when
+    every weight is 0 (every point sits on a seed). ``cdf``, (g, n), is
+    overwritten.
+
+    ``choice`` divides the cumulative sum of p by its last entry and
+    returns ``searchsorted(cdf, rng.random(), side="right")``; here each of
+    those steps but the last is one call for the whole group. ``choice``'s
+    checks on p (no entry negative or NaN, a sum within sqrt(eps) of 1)
+    always pass on exact squared distances of rows that
+    ``_checks.check_domain`` accepts, so they are left out."""
+    total = d2.sum(axis=1)  # numpy's pairwise sum of each row, as d2[r].sum()
+    live = total > 0
+    np.divide(d2, np.where(live, total, 1.0)[:, None], out=cdf)  # zeros stay zeros
+    np.add.accumulate(cdf, axis=1, out=cdf)
+    np.divide(cdf, np.where(live, cdf[:, -1], 1.0)[:, None], out=cdf)
+    return [row.searchsorted(rng.random(), side="right") if ok else rng.integers(row.size)
+            for row, ok, rng in zip(cdf, live, rngs)]
 
 
 def _repair_empty(labels, point_d2, k):

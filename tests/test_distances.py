@@ -16,6 +16,7 @@ from clusterlab import (
     hopkins_statistic,
     pairwise_distances,
     sweep_k,
+    wss,
 )
 from clusterlab import distances
 from clusterlab.exceptions import AnalysisError, DimensionMismatchError
@@ -221,6 +222,7 @@ ENTRY_POINTS = {
     "sweep-kmeans": lambda X: sweep_k(X, (2, 4), seed=3, n_init=3),
     "sweep-pam": lambda X: sweep_k(X, (2, 4), algorithm="pam", metric=Metric.SQEUCLIDEAN),
     "pca": lambda X: PCA2D().fit(X),
+    "wss": lambda X: wss(X, np.zeros(len(X), dtype=int), X[:1]),
 }
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterlab import KMeans, distances, hopkins_statistic, kmeans, wss
-from clusterlab.distances import _candidates, _rows, _screened_nearest
+from clusterlab.distances import Metric, _candidates, _rows, _screened_nearest
 from clusterlab.exceptions import (
     AnalysisError,
     EmptyDatasetError,
@@ -14,7 +14,8 @@ from clusterlab.exceptions import (
     NotFittedError,
     TooFewPointsError,
 )
-from clusterlab.kmeans import INIT_RANDOM, _means, _starts
+from clusterlab.kmeans import INIT_RANDOM, _draw, _means, _seed_pass, _starts
+from oracles import row_distances
 
 
 def exhaustive_best_wss_k2(X):
@@ -57,6 +58,12 @@ class TestWss:
     def test_missing_center(self):
         with pytest.raises(MissingCenterError):
             wss(np.ones((2, 2)), [0, 5], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_centers_are_refused_by_name(self, value):
+        # not as values too large for float64, which the domain check says
+        with pytest.raises(ValueError, match="centers contains NaN or infinite values"):
+            wss(np.ones((3, 2)), [0, 0, 0], [[value, 1.0]])
 
 
 class TestKMeansBasics:
@@ -708,6 +715,95 @@ def test_screened_picks_take_their_distances_in_blocks():
     A, B = _rows(X, center), _rows(C, center)
     peak = traced_peak(lambda: _screened_nearest(A, B))
     assert peak <= 2 * 8 * len(X) + 4 * 8 * distances._SCREEN_ELEMENTS  # idx, d2 and blocks
+
+
+# -- k-means++ seeding, a group at a time -------------------------------------
+
+@st.composite
+def weight_groups(draw):
+    """A group's k-means++ weights, (g, n): rows with leading, trailing and
+    interior zeros and repeated values at one of four scales, some rows all
+    zero, and a seed per restart."""
+    n, g = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-300, 1e-160, 1.0, 1e300]))
+    value = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0]) | st.floats(0.0, 1.0)
+    rows = []
+    for _ in range(g):
+        lead = draw(st.integers(0, n - 1))
+        trail = draw(st.integers(0, n - 1 - lead))
+        body = draw(st.lists(value, min_size=n - lead - trail, max_size=n - lead - trail))
+        zero = draw(st.integers(0, 3)) == 0  # a restart whose points all sit on seeds
+        rows.append([0.0] * n if zero else [0.0] * lead + body + [0.0] * trail)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=g, max_size=g))
+    return np.array(rows) * scale, seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_groups())
+def test_group_draw_matches_rng_choice(case):
+    d2, seeds = case
+    rngs = [np.random.default_rng(s) for s in seeds]
+    idx, n = _draw(d2, rngs, np.empty_like(d2)), d2.shape[1]
+    for r, seed in enumerate(seeds):
+        oracle, total = np.random.default_rng(seed), d2[r].sum()
+        assert idx[r] == (oracle.choice(n, p=d2[r] / total) if total > 0 else oracle.integers(n))
+        assert rngs[r].bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("g", [1, 2, 23])
+def test_seed_distances_have_the_row_kernels_bits(monkeypatch, g):
+    """One seeding pass equals numpy's row sum on every (point, seed) pair,
+    for every d up to 300, on mixed-scale data: the budget is patched so
+    that the pass walks blocks of 7 of the 30 rows, the last cut short."""
+    n, rng = 30, np.random.default_rng(g)
+    for d in range(1, 301):
+        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", 7 * max(2 * g, d))
+        X, seeds = (rng.normal(size=(m, d)) * rng.choice([1e-3, 1.0, 1e3], size=(m, d))
+                    for m in (n, g))
+        out = np.empty((g, n))
+        _seed_pass(X, g)(seeds, out)
+        want = np.array([row_distances(X, seed, Metric.SQEUCLIDEAN) for seed in seeds])
+        assert out.tobytes() == want.tobytes(), d
+
+
+class NoChoice:
+    """A generator whose ``choice`` fails the test."""
+
+    def __init__(self, rng):
+        self.random, self.integers = rng.random, rng.integers
+
+    def choice(self, *args, **kwargs):
+        pytest.fail("rng.choice drew a k-means++ seed")
+
+
+def test_kmeans_pp_draws_without_rng_choice(monkeypatch):
+    starts = kmeans._starts
+    monkeypatch.setattr(kmeans, "_starts", lambda X, k, init, rngs: starts(
+        X, k, init, [NoChoice(rng) for rng in rngs]))
+    assert_fit_matches_reference(grid(150, 5, 20), 4, 9, n_init=25)
+
+
+def test_a_group_runs_one_exact_pass_per_seed(monkeypatch):
+    # 23 restarts of 683 points: every seed's distances in one pass of one
+    # block, and none by the row kernel
+    calls, sum_in_row_order = [], kmeans._sum_in_row_order
+    monkeypatch.setattr(kmeans, "_sum_in_row_order",
+                        lambda *args: calls.append(0) or sum_in_row_order(*args))
+    monkeypatch.setattr(kmeans, "_rows_to_point", lambda *args: pytest.fail("row kernel"))
+    X, k = grid(683, 9, 24), 10
+    _starts(X, k, "k-means++", [np.random.default_rng(s) for s in range(23)])
+    assert len(calls) == k
+
+
+@pytest.mark.parametrize("n,g", [(683, 23), (20_000, 1)])
+def test_seeding_holds_a_few_blocks_beyond_its_outputs(n, g):
+    """Beyond d2, labels and the seed distances, (g, n) each, and the
+    centers, seeding holds its registers and one block's transposed copy:
+    no n*d copy, no (g, n, d) difference."""
+    X, k = grid(n, 9, 25), 10
+    rngs = [np.random.default_rng(s) for s in range(g)]
+    peak = traced_peak(lambda: _starts(X, k, "k-means++", rngs))
+    assert peak <= 8 * (3 * g * n + g * k * 9) + 3 * 8 * distances._SCREEN_ELEMENTS
 
 
 @settings(max_examples=40, deadline=None)
