@@ -181,8 +181,11 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
         "hopkins_power": o.hopkins_power,
         "sweep_k_min": o.k_min,
         "sweep_k_max": o.k_max,
-        # a constant that no option sets: the key stays for byte-identical
-        # reports until the next versioned change of the report format
+        # a constant that no option sets, and not the run's process count:
+        # the sweep and Hopkins' trials may run in one forked process per
+        # usable CPU (see _parallel.fork_map). The key keeps its bytes for
+        # byte-identical reports until the next versioned change of the
+        # report format drops it.
         "threads": 1,
     }
     report = AnalysisReport(

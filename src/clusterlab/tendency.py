@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_feature_matrix, as_integer, check_domain, resolve_seed
+from ._parallel import fork_map
 from .distances import _rows, _screened_nearest
 from .exceptions import EmptyDatasetError, SampleTooLargeError
 
@@ -64,6 +65,11 @@ def hopkins_statistic(
     sampled point's own row is excluded; its duplicates are not, so they
     count at distance 0. Rows outside ``_checks.check_domain`` at this
     ``power`` raise :class:`AnalysisError`.
+
+    The trials are independent and may run in forked processes, one per
+    usable CPU (see ``_parallel.fork_map``); the data's prepared rows are
+    made once and shared, and every value is the same bit for bit whatever
+    the process count.
     """
     if m is not None:
         m = as_integer(m, "m")
@@ -93,8 +99,8 @@ def hopkins_statistic(
 
     center = X.mean(axis=0)
     rows = _rows(X, center)
-    per_trial = []
-    for t in range(trials):
+
+    def trial(t):
         rng = np.random.default_rng(seed + t)
         synthetic = lo + rng.random((m, d)) * (hi - lo)
         sample = rng.choice(n, size=m, replace=False)
@@ -102,8 +108,9 @@ def hopkins_statistic(
         w = np.sqrt(_screened_nearest(_rows(X[sample], center), rows, sample)[1])
         su = float(np.sum(u**power))
         sw = float(np.sum(w**power))
-        per_trial.append(1.0 if su + sw == 0.0 else su / (su + sw))
+        return 1.0 if su + sw == 0.0 else su / (su + sw)
 
+    per_trial = fork_map(trial, range(trials))
     return HopkinsResult(
         h=float(np.mean(per_trial)),
         m=int(m),

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_feature_matrix, as_labels, resolve_seed
+from ._parallel import fork_map
 from .distances import DistanceMatrix, Metric, pairwise_distances
 from .exceptions import SingleClusterError
 from .kmeans import KMeans
@@ -136,6 +137,12 @@ def sweep_k(
 
     ``dist`` is the pairwise distance matrix of ``X`` under ``metric``, when
     the caller already holds it; otherwise it is computed here.
+
+    The points of the sweep are independent: each k's fit and silhouette
+    may run in a forked process, one per usable CPU (see
+    ``_parallel.fork_map``). The distance matrix and PAM's BUILD are made
+    first and shared; the result is the same bit for bit whatever the
+    process count, and an error is the one a serial sweep would raise.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -153,8 +160,8 @@ def sweep_k(
     ks = tuple(range(k_lo, k_hi + 1))
     if algorithm == "pam":  # one BUILD: each k's is a prefix of k_hi's
         order = _build(dist.square(), k_hi)
-    sils, objectives = [], []
-    for k in ks:
+
+    def point(k):
         if algorithm == "kmeans":
             est = KMeans(
                 n_clusters=k, n_init=n_init, max_iter=max_iter, tol=tol,
@@ -164,10 +171,9 @@ def sweep_k(
             est = KMedoids(
                 n_clusters=k, max_swap_iters=max_swap_iters, metric=metric
             )._swap_from(dist.square(), order)
-        sils.append(silhouette_report(dist, est.labels_).overall)
-        objectives.append(float(est.inertia_))
+        return silhouette_report(dist, est.labels_).overall, float(est.inertia_)
 
+    # both algorithms' fits take longer as k grows
+    sils, objectives = zip(*fork_map(point, ks, cost=lambda k: k))
     best_k = ks[int(np.argmax(sils))]
-    return KSweepResult(
-        ks=ks, avg_silhouette=tuple(sils), wss=tuple(objectives), best_k=best_k
-    )
+    return KSweepResult(ks=ks, avg_silhouette=sils, wss=objectives, best_k=best_k)

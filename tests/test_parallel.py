@@ -1,0 +1,300 @@
+"""The fork-join map behind the k-sweep and Hopkins' trials: results never
+depend on the process count, failures fall back to the serial path, and no
+child or descriptor outlives a call."""
+
+import _thread
+import errno
+import itertools
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from clusterlab import KMeans, _parallel, hopkins_statistic, sweep_k, tendency, validation
+from clusterlab._parallel import fork_map
+from clusterlab.cli import main
+from clusterlab.distances import Metric
+from conftest import REPO_ROOT
+from test_kmedoids import FAMILIES
+
+CASES = {
+    "duplicates": FAMILIES["duplicates"],
+    # four corners and the centre of a square, each three times: the centre
+    # lies exactly as far from every corner (TestLloydShortcuts' tie case)
+    "exact-ties": lambda: np.repeat(
+        [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 1.0]], 3, axis=0),
+}
+
+PARENT = os.getpid()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids forked while the test runs; ``os.fork`` still forks."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def with_cpus(monkeypatch, count):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: count)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_same_sweeps(results):
+    first = results[0]
+    for other in results[1:]:
+        assert (other.ks, other.best_k) == (first.ks, first.best_k)
+        assert bits(other.avg_silhouette) == bits(first.avg_silhouette)
+        assert bits(other.wss) == bits(first.wss)
+
+
+def assert_same_hopkins(results):
+    first = results[0]
+    for other in results[1:]:
+        assert bits(other.per_trial) == bits(first.per_trial)
+        assert bits(other.h) == bits(first.h)
+        assert other == first
+
+
+def test_cpus_are_the_affinity_mask():
+    assert _parallel._cpus() == len(os.sched_getaffinity(0))
+
+
+class TestWorkerCountChangesNothing:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("algorithm", ["kmeans", "pam"])
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.MANHATTAN])
+    def test_sweep(self, monkeypatch, forks, case, algorithm, metric):
+        X, results = CASES[case](), []
+        for cpus in (1, 2, 3):
+            with_cpus(monkeypatch, cpus)
+            forks.clear()
+            results.append(sweep_k(X, (2, 8), algorithm=algorithm, metric=metric,
+                                   seed=5, n_init=4))
+            assert len(forks) == cpus - 1
+        assert_same_sweeps(results)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("power", [1, 3])
+    def test_hopkins(self, monkeypatch, forks, case, power):
+        X, results = CASES[case](), []
+        for cpus in (1, 2, 3):
+            with_cpus(monkeypatch, cpus)
+            forks.clear()
+            results.append(hopkins_statistic(X, m=5, trials=7, seed=1, power=power))
+            assert len(forks) == cpus - 1
+        assert_same_hopkins(results)
+
+    def test_more_items_than_tickets(self, monkeypatch):
+        # 600 items in 256 tickets: consecutive items share a ticket
+        with_cpus(monkeypatch, 3)
+        assert fork_map(lambda i: i * i, range(600), cost=lambda i: i % 7) == [
+            i * i for i in range(600)]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_cli_bytes_on_one_cpu_and_on_all(synth_csv_path, tmp_path):
+    """Every output byte of the three commands that fork is the same when
+    the process may use one CPU only. On a one-CPU machine both sides run
+    inline, and the test shows only that the inline path is deterministic."""
+    one_cpu = min(os.sched_getaffinity(0))
+    commands = {
+        "analyze": ("analyze", "--trials", "8", "--restarts", "4", "--k-max", "6"),
+        "pam-sweep": ("sweep", "--algorithm", "pam", "--k-max", "6"),
+        "tendency": ("tendency", "--trials", "8"),
+    }
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    for name, argv in commands.items():
+        seen = []
+        for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None):
+            cwd = tmp_path / f"{name}-{len(seen)}"
+            cwd.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "clusterlab.cli", argv[0], str(synth_csv_path),
+                 "--seed", "3", "--out", "out", *argv[1:]],
+                cwd=cwd, env=env, preexec_fn=pin, capture_output=True, timeout=300)
+            files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+            seen.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert seen[0][0] == 0
+        assert seen[0] == seen[1]
+
+
+class TestFailures:
+    @staticmethod
+    def broken_in_children(monkeypatch, module, name, how):
+        """Make ``module.name`` fail in a forked child only."""
+        real = getattr(module, name)
+
+        def failing(*args, **kwargs):
+            if os.getpid() != PARENT:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("only in a child")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+
+    @pytest.mark.parametrize("how", ["raise", "kill"])
+    def test_child_failure_gives_the_serial_results(self, monkeypatch, forks, how):
+        X = CASES["duplicates"]()
+        with_cpus(monkeypatch, 1)
+        serial = (sweep_k(X, (2, 8), algorithm="pam", seed=2),
+                  sweep_k(X, (2, 8), seed=2, n_init=3),
+                  hopkins_statistic(X, m=6, trials=6, seed=2))
+        with_cpus(monkeypatch, 3)
+        self.broken_in_children(monkeypatch, validation, "silhouette_report", how)
+        self.broken_in_children(monkeypatch, tendency, "_screened_nearest", how)
+        forked = (sweep_k(X, (2, 8), algorithm="pam", seed=2),
+                  sweep_k(X, (2, 8), seed=2, n_init=3),
+                  hopkins_statistic(X, m=6, trials=6, seed=2))
+        assert len(forks) == 6
+        assert_same_sweeps(serial[:1] + forked[:1])
+        assert_same_sweeps(serial[1:2] + forked[1:2])
+        assert_same_hopkins(serial[2:] + forked[2:])
+
+    @staticmethod
+    def break_fits_from_k3(monkeypatch):
+        fit = KMeans.fit
+
+        def failing(self, X, y=None):
+            if self.n_clusters >= 3:
+                raise ValueError(f"no fit at k={self.n_clusters}")
+            return fit(self, X, y)
+
+        monkeypatch.setattr(KMeans, "fit", failing)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failure_everywhere_is_the_serial_error(self, monkeypatch, cpus):
+        # serially, k = 3 fails first; the forked sweep claims k = 8 first
+        with_cpus(monkeypatch, cpus)
+        self.break_fits_from_k3(monkeypatch)
+        with pytest.raises(ValueError, match=r"^no fit at k=3$"):
+            sweep_k(CASES["duplicates"](), (2, 8), seed=2, n_init=2)
+
+    def test_failure_everywhere_through_the_cli(self, monkeypatch, capsys, synth_csv_path):
+        self.break_fits_from_k3(monkeypatch)
+        seen = []
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
+            code = main(["sweep", str(synth_csv_path), "--seed", "1", "--restarts", "2"])
+            seen.append((code, capsys.readouterr()))
+        assert seen[0][0] == 3
+        assert seen[0][1].err == "analysis error: no fit at k=3\n"
+        assert seen[0] == seen[1]
+
+    def test_keyboard_interrupt_in_the_parent_propagates(self, monkeypatch, forks):
+        with_cpus(monkeypatch, 2)
+
+        def interrupted(i):
+            if os.getpid() == PARENT:
+                raise KeyboardInterrupt
+            return i
+
+        with pytest.raises(KeyboardInterrupt):
+            fork_map(interrupted, range(4))
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_a_record_cut_short_is_dropped():
+    # a child killed while it writes leaves part of a record in its pipe
+    frames = [len(r).to_bytes(8, "little") + r
+              for r in (pickle.dumps((i, float(i))) for i in range(3))]
+    ends, data = list(itertools.accumulate(map(len, frames))), b"".join(frames)
+    for cut in range(len(data) + 1):
+        results = [_parallel._MISSING] * 3
+        _parallel._receive(data[:cut], results)
+        whole = sum(end <= cut for end in ends)
+        assert results == [0.0, 1.0, 2.0][:whole] + [_parallel._MISSING] * (3 - whole)
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_refused_fork_or_pipe_leaves_the_work_to_the_parent(monkeypatch, call):
+    with_cpus(monkeypatch, 3)
+
+    def refused():
+        raise OSError(errno.EAGAIN if call == "fork" else errno.EMFILE, "refused")
+
+    monkeypatch.setattr(os, call, refused)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert fork_map(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2]
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_no_child_or_descriptor_outlives_a_call(monkeypatch, forks):
+    with_cpus(monkeypatch, 3)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        assert fork_map(abs, range(-3, 3), cost=abs) == [3, 2, 1, 0, 1, 2]
+    for _ in range(20):
+        with pytest.raises(ZeroDivisionError):
+            fork_map(lambda i: 1 // i, range(-2, 3))
+    assert len(forks) == 80
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_fork_beside_a_native_thread_warns_nothing(monkeypatch, forks):
+    """From Python 3.12 on, ``os.fork`` warns when another OS thread is alive,
+    as OpenBLAS's pool is once numpy is loaded; fork_map silences exactly
+    that warning. Before 3.12 there is no such warning to silence."""
+    with_cpus(monkeypatch, 2)
+    lock = _thread.allocate_lock()
+    lock.acquire()
+    _thread.start_new_thread(lock.acquire, ())  # an OS thread threading does not count
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert fork_map(abs, range(-2, 2)) == [2, 1, 0, 1]
+    finally:
+        lock.release()
+    assert len(forks) == 1
+    assert caught == []
+
+
+class TestInline:
+    def test_while_another_thread_is_alive(self, monkeypatch, forks):
+        with_cpus(monkeypatch, 2)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert fork_map(abs, range(-2, 2)) == [2, 1, 0, 1]
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_inside_a_worker(self, monkeypatch, forks):
+        with_cpus(monkeypatch, 2)
+        assert fork_map(lambda i: fork_map(abs, range(-i, i)), range(3)) == [
+            [], [1, 0], [2, 1, 0, 1]]
+        assert len(forks) == 1  # the nested calls forked nothing
+
+    @pytest.mark.parametrize("cpus, items", [(1, 5), (4, 1), (4, 0)])
+    def test_one_cpu_or_one_item(self, monkeypatch, forks, cpus, items):
+        with_cpus(monkeypatch, cpus)
+        assert fork_map(abs, range(items)) == list(range(items))
+        assert forks == []
