@@ -10,7 +10,7 @@ ARFF row parser, then ``float`` on every cell) are the reference. They read
 the text once and raise at the first malformed row or non-numeric cell; the
 first cell that reads as NaN or infinity without being the missing marker is
 reported only if the text holds no such error. A numeric table of the common
-shape is instead read whole by numpy's C reader:
+shape is instead read by numpy's C reader:
 
 - **Screen.** C-speed ``str`` searches put the text in doubt when it holds a
   quote, NUL, ``{`` or ``%`` (ARFF data only), a ``str.splitlines`` line
@@ -32,7 +32,8 @@ shape is instead read whole by numpy's C reader:
   non-finite cells that differs from the count of markers (a ``nan``,
   ``inf`` or ``1e999`` cell) means a cell the reference rejects. Either way
   the reference parser reads the whole text again, so every error, message
-  and line number is its own.
+  and line number is its own. Both steps run on items of the text cut at
+  line ends, on every usable CPU (see :func:`_decide`).
 
 Only data rows go to numpy: the CSV header names and the ARFF declarations
 are read from the original text on both paths. A CSV header line may hold
@@ -53,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._parallel import fork_map
 from .exceptions import (
     ArffSyntaxError,
     InputError,
@@ -225,9 +227,43 @@ def _plain_format(delimiter: str, marker: str) -> bool:
             and not any(c.isspace() or c == delimiter for c in marker))
 
 
-def _decide(body: str, delimiter: str, marker: str, n_cols: int | None):
-    """The cells of the screened ``body`` as numpy's C reader parses them,
-    marker cells NaN, or None when the per-cell parser must read the text.
+#: the characters of data text in one parse item; items end at a line end
+_PARSE_CHUNK = 1 << 20
+
+
+def _decide(body: str, delimiter: str, marker: str, n_cols: int | None,
+            doubtful: str = _DOUBTFUL):
+    """The cells of ``body`` as numpy's C reader parses them, marker cells
+    NaN, or None when the per-cell parser must read the text.
+
+    The text is cut after a ``\n`` into items of about :data:`_PARSE_CHUNK`
+    characters, which :func:`._parallel.fork_map` hands to
+    :func:`_chunk_cells`. A cut after ``\n`` splits no cell, no ``\r\n``
+    pair and no signed marker, so the items pass its tests exactly when the
+    whole text would, and their cells stack to the whole text's when each
+    has as many columns as the first, or ``n_cols``.
+    """
+    if not body or body.isspace():
+        return None
+    starts = [0]
+    while 0 < (end := body.find("\n", starts[-1] + _PARSE_CHUNK) + 1) < len(body):
+        starts.append(end)
+    starts.append(len(body))
+    parts = fork_map(lambda i: _chunk_cells(body[starts[i]:starts[i + 1]], delimiter,
+                                            marker, doubtful),
+                     range(len(starts) - 1))
+    if any(cells is None for cells in parts):
+        return None
+    parts = [cells for cells in parts if len(cells)]
+    width = parts[0].shape[1] if n_cols is None else n_cols
+    if any(cells.shape[1] != width for cells in parts):
+        return None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _chunk_cells(text, delimiter, marker, doubtful):
+    """The cells of one item of :func:`_decide`, none for a text of only
+    whitespace, or None when the text is in doubt or numpy's reader rejects it.
 
     With a plain format, a marker that follows no sign can only become a
     number by being a whole cell, so replacing it with ``nan`` makes exactly
@@ -235,18 +271,19 @@ def _decide(body: str, delimiter: str, marker: str, n_cols: int | None):
     cell. Without the marker neither signed form can occur, so the scans
     for them and the count are skipped.
     """
-    if not body or body.isspace():
+    if not _screened(text, doubtful):
         return None
-    markers = body.count(marker) if marker in body else 0
-    if markers and (f"-{marker}" in body or f"+{marker}" in body):
+    if text.isspace():  # the per-cell parsers skip it, numpy warns of no data
+        return np.empty((0, 0))
+    markers = text.count(marker) if marker in text else 0
+    if markers and (f"-{marker}" in text or f"+{marker}" in text):
         return None
-    cells = _loadtxt(body, delimiter, marker)
+    cells = _loadtxt(text, delimiter, marker)
     if cells is None:  # once more without the whitespace-only lines, which
         # numpy rejects and the per-cell parsers skip
-        kept = "\n".join(line for line in body.split("\n") if not line.isspace())
-        cells = None if kept == body else _loadtxt(kept, delimiter, marker)
-    if (cells is None or n_cols is not None and cells.shape[1] != n_cols
-            or np.count_nonzero(~np.isfinite(cells)) != markers):
+        kept = "\n".join(line for line in text.split("\n") if not line.isspace())
+        cells = None if kept == text else _loadtxt(kept, delimiter, marker)
+    if cells is None or np.count_nonzero(~np.isfinite(cells)) != markers:
         return None
     return cells
 
@@ -315,8 +352,6 @@ def _fast_csv(text, fmt) -> RawTable | None:
         if names is None or not _screened(text[:start]):
             return None
         body = text[end + 1:]
-    if not _screened(body):
-        return None
     cells = _decide(body, fmt.delimiter, fmt.missing, None if names is None else len(names))
     if cells is None:
         return None
@@ -394,8 +429,8 @@ def parse_arff(source) -> RawTable:
     marks a missing cell; every other numeric cell must be finite.
     """
     names, nominal, data, line_no = _arff_header(_read_text(source))
-    if not nominal and _screened(data, _DOUBTFUL + "{%"):
-        cells = _decide(data, ",", "?", len(names))
+    if not nominal:
+        cells = _decide(data, ",", "?", len(names), _DOUBTFUL + "{%")
         if cells is not None:
             return RawTable(names, cells)
     return _arff_table(data, line_no, names, nominal)
@@ -500,13 +535,13 @@ def format_table(head: list[str], cells: np.ndarray, missing: str = "nan") -> by
     """``head``, then a line per row of ``cells``: each float by ``repr``,
     which reads back to the same float64, comma-separated, and NaN as
     ``missing`` (``repr`` spells no other float with "nan"). Rows are
-    formatted in blocks, so that one block's Python floats exist at a time."""
-    parts = ["".join(line + "\n" for line in head).encode()]
-    for start in range(0, len(cells), _FORMAT_BLOCK):
-        block = cells[start:start + _FORMAT_BLOCK].tolist()
-        rows = "".join([",".join(map(repr, row)) + "\n" for row in block])
-        parts.append(rows.replace("nan", missing).encode())
-    return b"".join(parts)
+    formatted in blocks, the items of :func:`._parallel.fork_map`, so that
+    one block per process holds Python floats at a time."""
+    row = ",".join(["%r"] * cells.shape[1]) + "\n"  # %r is repr
+    blocks = [cells[start:start + _FORMAT_BLOCK] for start in range(0, len(cells), _FORMAT_BLOCK)]
+    lines = fork_map(lambda block: (row * len(block) % tuple(block.ravel().tolist()))
+                     .replace("nan", missing).encode(), blocks)
+    return b"".join(["".join(line + "\n" for line in head).encode(), *lines])
 
 
 def write_arff(table: RawTable, relation_name: str = "data") -> bytes:
@@ -619,8 +654,11 @@ def build_dataset(
 
 def _row_ids(values) -> tuple:
     """An id column's cells as row ids: an int when a cell is integral,
-    else the float. Cells are converted in blocks, so that one block's
+    else the float. A column of integral cells below 2**63 in magnitude
+    converts at once; any other is converted in blocks, so that one block's
     Python floats exist at a time (see :func:`format_table`)."""
+    if (np.abs(values) < 2.0 ** 63).all() and (np.trunc(values) == values).all():
+        return tuple(values.astype(np.int64).tolist())
     return tuple(int(v) if v.is_integer() else v
                  for start in range(0, len(values), _FORMAT_BLOCK)
                  for v in values[start:start + _FORMAT_BLOCK].tolist())

@@ -29,6 +29,7 @@ from clusterlab.exceptions import (
     UnknownColumnError,
     UnsupportedAttributeTypeError,
 )
+from test_parallel import with_cpus
 
 
 class TestParseCsv:
@@ -332,7 +333,9 @@ def test_arff_names_round_trip_or_are_refused(names):
         assert parse_arff(write_arff(table)) == table
 
 
-def test_format_table_writes_repr_of_every_cell():
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_format_table_writes_repr_of_every_cell(monkeypatch, cpus):
+    with_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(3)
     cells = rng.standard_normal((2 * dataset._FORMAT_BLOCK + 5, 3)) * 10.0 ** rng.integers(-30, 30, 3)
     cells[7, 1] = math.nan
@@ -538,6 +541,7 @@ ARFF_HEAD = "@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n"
     "@relation r\n@attribute a numeric\n@attribute c {2,4}\n@data\n1,4\n?,2\n",
     *(ARFF_HEAD.replace("\n", sep) + "1,2" + sep + "3,4\n" for sep in ODD_SEPARATORS),
     *(ARFF_HEAD + "1,2" + sep + "3,4\n" for sep in ODD_SEPARATORS),
+    *(ARFF_HEAD + "1" + sep + ",2\n" for sep in ODD_SEPARATORS),
 ])
 def test_arff_edge_cases_match_the_per_cell_path(text):
     assert_arff_paths_agree(text)
@@ -597,6 +601,93 @@ def test_wbc_shaped_tables_take_the_fast_path(synth_csv, monkeypatch):
     assert table == expected
     assert parse_arff(write_arff(table, "wbc")) == expected
     assert parse_csv(synth_csv.replace(b"?", b"NA"), CsvFormat(missing="NA")) == expected
+
+
+def per_cell_arff(text):
+    """``text`` read by the per-cell ARFF path alone."""
+    names, nominal, data, line_no = dataset._arff_header(text)
+    return dataset._arff_table(data, line_no, names, nominal)
+
+
+def arff_head(n_cols):
+    return "@relation r\n" + "".join(f"@attribute a{i} numeric\n" for i in range(n_cols)) + "@data\n"
+
+
+class TestChunkedParse:
+    """Data text cut into parse items of every size from one character up:
+    each parse gives the per-cell path's table or error, and a text the
+    fast path reads whole is read by it in items too."""
+
+    @staticmethod
+    def outcomes(monkeypatch, text, n_cols, fast, cpus=1):
+        """The CSV and ARFF outcomes of ``text`` at every item size, checked
+        against the per-cell path's; with ``fast``, that path never runs."""
+        fmt = CsvFormat()
+        expected = (_outcome(dataset._csv_table, text, fmt),
+                    _outcome(per_cell_arff, arff_head(n_cols) + text))
+        with monkeypatch.context() as patch:
+            with_cpus(patch, cpus)
+            if fast:
+                def refuse(*args):
+                    raise AssertionError("the per-cell parser ran")
+
+                patch.setattr(dataset, "_csv_table", refuse)
+                patch.setattr(dataset, "_arff_table", refuse)
+            for size in range(1, len(text) + 2):
+                patch.setattr(dataset, "_PARSE_CHUNK", size)
+                assert (_outcome(parse_csv, text, fmt),
+                        _outcome(parse_arff, arff_head(n_cols) + text)) == expected
+        return expected
+
+    @pytest.mark.parametrize("blank", ["  ", "\t", "\u3000"])
+    def test_a_whitespace_only_line_at_every_cut(self, monkeypatch, blank):
+        rows = [f"{i},{i + 0.5}" for i in range(6)]
+        for at in range(len(rows) + 1):
+            text = "\n".join(rows[:at] + [blank] + rows[at:]) + "\n"
+            assert self.outcomes(monkeypatch, text, 2, fast=True)[0][1] == (6, 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("tail", ["\n\n\n", " \n\t\n\n", "   "])
+    def test_a_tail_of_blank_lines(self, monkeypatch, tail, cpus):
+        text = "".join(f"{i},-{i}e3\n" for i in range(10)) + tail
+        assert self.outcomes(monkeypatch, text, 2, fast=True, cpus=cpus)[0][1] == (10, 2)
+
+    @pytest.mark.parametrize("later", ["1,2,3", "4", "5,?,6"])
+    def test_a_later_item_with_another_column_count(self, monkeypatch, later):
+        text = "1,2\n" * 5 + f"{later}\n" * 5
+        expected = self.outcomes(monkeypatch, text, 2, fast=False)
+        assert expected[0] == (MalformedRowError, str(MalformedRowError(6, 2, later.count(",") + 1)))
+        assert expected[1][0] is MalformedRowError
+
+    @pytest.mark.parametrize("text, n_cols", [
+        ("1,2\r\n3,?\r\n\r\n?,4\r\n", 2),
+        ("?,?\n1,2\n?,3\n", 2),
+        ("1\n?\n2.5\n\n-3\n", 1),
+        ("1,2\n3,4\n5,-?\n", 2),
+        ("1,2\n3,4\n+?,5\n", 2),
+        ("1,2\n3,4\n5,nan\n", 2),
+        ("1,2\n3,4\n5,x\n", 2),
+    ])
+    def test_line_ends_markers_and_one_column(self, monkeypatch, text, n_cols):
+        fast = not any(s in text for s in ("-?", "+?", "nan", "x"))
+        self.outcomes(monkeypatch, text, n_cols, fast)
+
+
+def old_row_ids(values):
+    """``dataset._row_ids`` one value at a time, as it was before the
+    integral columns were converted at once."""
+    return tuple(int(v) if v.is_integer() else v for v in values.tolist())
+
+
+@pytest.mark.parametrize("values", [
+    [1_000_000.0, 1_000_001.0, 7.0], [-0.0, 0.0, -5.0], [2.0 ** 63 - 1024, -(2.0 ** 63 - 1024)],
+    [2.0 ** 63, 1.0], [-(2.0 ** 63), 1.0], [math.nan, 3.0], [math.inf, 3.0], [-math.inf],
+    [1.5, 2.0], [2.0, 1e300], [], list(range(5000)),
+])
+def test_row_ids_match_the_per_value_conversion(values):
+    values = np.array(values, dtype=np.float64)
+    assert [(type(v), repr(v)) for v in dataset._row_ids(values)] == [
+        (type(v), repr(v)) for v in old_row_ids(values)]
 
 
 class TestDropMissingRows:

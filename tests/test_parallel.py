@@ -11,12 +11,13 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from clusterlab import KMeans, _parallel, hopkins_statistic, sweep_k, tendency, validation
+from clusterlab import KMeans, _parallel, dataset, hopkins_statistic, sweep_k, tendency, validation
 from clusterlab._parallel import fork_map
 from clusterlab.cli import main
 from clusterlab.distances import Metric
@@ -109,16 +110,41 @@ class TestWorkerCountChangesNothing:
             i * i for i in range(600)]
 
 
+@pytest.fixture(scope="module")
+def large_tables(tmp_path_factory):
+    """A WBC-shaped CSV of more than two parse items, with a '?' in some
+    rows, and the same table as ARFF."""
+    rng = np.random.default_rng(4)
+    features = rng.random((20_000, 9)) * 10.0
+    features[:, ::2] = features[:, ::2].round(2)
+    rows = [[str(1_000_000 + i), *map(repr, row), str(2 + 2 * (i % 3 == 0))]
+            for i, row in enumerate(features.tolist())]
+    for i in rng.choice(len(rows), 300, replace=False):
+        rows[i][1 + i % 9] = "?"
+    text = "".join(",".join(row) + "\n" for row in rows)
+    assert len(text) > 2 * dataset._PARSE_CHUNK
+    root = tmp_path_factory.mktemp("large")
+    (root / "table.csv").write_text(text)
+    (root / "table.arff").write_bytes(dataset.write_arff(dataset.parse_csv(text)))
+    return root
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
-def test_cli_bytes_on_one_cpu_and_on_all(synth_csv_path, tmp_path):
-    """Every output byte of the three commands that fork is the same when
-    the process may use one CPU only. On a one-CPU machine both sides run
+def test_cli_bytes_on_one_cpu_and_on_all(synth_csv_path, large_tables, tmp_path):
+    """Every output byte of the commands that fork is the same when the
+    process may use one CPU only. On a one-CPU machine both sides run
     inline, and the test shows only that the inline path is deterministic."""
     one_cpu = min(os.sched_getaffinity(0))
+    synth, table = str(synth_csv_path), str(large_tables / "table.csv")
     commands = {
-        "analyze": ("analyze", "--trials", "8", "--restarts", "4", "--k-max", "6"),
-        "pam-sweep": ("sweep", "--algorithm", "pam", "--k-max", "6"),
-        "tendency": ("tendency", "--trials", "8"),
+        "analyze": ("analyze", synth, "--seed", "3", "--out", "out", "--trials", "8",
+                    "--restarts", "4", "--k-max", "6"),
+        "pam-sweep": ("sweep", synth, "--seed", "3", "--out", "out", "--algorithm", "pam",
+                      "--k-max", "6"),
+        "tendency": ("tendency", synth, "--seed", "3", "--out", "out", "--trials", "8"),
+        "export-arff": ("preprocess", table, "--out", "out", "--export", "arff"),
+        "export-csv": ("preprocess", table, "--out", "out", "--export", "csv"),
+        "inspect": ("inspect", str(large_tables / "table.arff"), "--json"),
     }
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
@@ -127,14 +153,27 @@ def test_cli_bytes_on_one_cpu_and_on_all(synth_csv_path, tmp_path):
         for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None):
             cwd = tmp_path / f"{name}-{len(seen)}"
             cwd.mkdir()
-            proc = subprocess.run(
-                [sys.executable, "-m", "clusterlab.cli", argv[0], str(synth_csv_path),
-                 "--seed", "3", "--out", "out", *argv[1:]],
-                cwd=cwd, env=env, preexec_fn=pin, capture_output=True, timeout=300)
-            files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+            proc = subprocess.run([sys.executable, "-m", "clusterlab.cli", *argv],
+                                  cwd=cwd, env=env, preexec_fn=pin, capture_output=True,
+                                  timeout=300)
+            files = {p.name: p.read_bytes() for p in sorted((cwd / "out").glob("*"))}
             seen.append((proc.returncode, proc.stdout, proc.stderr, files))
         assert seen[0][0] == 0
         assert seen[0] == seen[1]
+
+
+def test_a_child_never_stalls_on_a_full_pipe(monkeypatch):
+    # each result is larger than a pipe's buffer; a child that wrote it as
+    # soon as it was computed would wait for the parent to run dry of items
+    # and compute only its first one
+    with_cpus(monkeypatch, 2)
+
+    def slow(i):
+        time.sleep(0.1)
+        return os.getpid(), bytes(1 << 18)
+
+    pids = [pid for pid, _ in fork_map(slow, range(8))]
+    assert len(pids) - pids.count(os.getpid()) > 1
 
 
 class TestFailures:
