@@ -13,14 +13,16 @@ reported only if the text holds no such error. A numeric table of the common
 shape is instead read by numpy's C reader:
 
 - **Screen.** C-speed ``str`` searches put the text in doubt when it holds a
-  quote, NUL, ``{`` or ``%`` (ARFF data only), a ``str.splitlines`` line
-  boundary that ``csv`` and numpy read as an ordinary character (``\x0b
-  \x0c \x1c-\x1e \x85 \u2028 \u2029``, and ``\x1f`` with them), or a
-  ``\r`` outside ``\r\n``; when the delimiter is not one character, is
-  whitespace, a quote or NUL, or may occur in a number; when the missing
-  marker is empty, holds whitespace or the delimiter, or follows a sign
-  (``-?`` would read as ``-nan``); when an ARFF header declares a nominal
-  attribute; and when there are no data rows (numpy warns on empty input).
+  quote, a ``str.splitlines`` line boundary that ``csv`` and numpy read as
+  an ordinary character (``\x0b \x0c \x1c-\x1e \x85 \u2028 \u2029``, and
+  ``\x1f`` with them), or a ``\r`` outside ``\r\n``; when the delimiter is
+  not one character, is whitespace or one of those characters; when the
+  missing marker is empty, holds whitespace or the delimiter, or follows a
+  sign (``-?`` would read as ``-nan``); when an ARFF header declares a
+  nominal attribute; and when there are no data rows (numpy warns on empty
+  input). NUL, ARFF's sparse rows and comments (``{``, ``%``) and a
+  delimiter that a number may hold need no screen: numpy splits a row where
+  ``csv`` does, and rejects every cell they leave unlike a number.
 - **Decide.** Otherwise every marker becomes ``nan`` and ``np.loadtxt``
   parses the rest. Its C reader converts each token with
   ``PyOS_string_to_double``, the routine behind ``float``, so every cell it
@@ -204,11 +206,9 @@ def _read_text(source) -> str:
         raise InvalidEncodingError(exc.start, exc.reason) from None
 
 
-#: characters that put a text in doubt: quotes, NUL, and the line boundaries
-#: of ``str.splitlines`` that ``csv`` and numpy read as ordinary characters
-_DOUBTFUL = "\"'\0\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
-#: characters that may occur in a number as ``float`` reads it
-_NUMBER_CHARS = frozenset("0123456789+-._eEnNaAiIfFtTyY")
+#: characters that put a text in doubt: quotes, and the line boundaries of
+#: ``str.splitlines`` that ``csv`` and numpy read as ordinary characters
+_DOUBTFUL = "\"'\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
 def _screened(text: str, doubtful: str = _DOUBTFUL) -> bool:
@@ -219,20 +219,18 @@ def _screened(text: str, doubtful: str = _DOUBTFUL) -> bool:
 
 
 def _plain_format(delimiter: str, marker: str) -> bool:
-    """Whether the delimiter is one character that is no whitespace, no
-    character of :data:`_DOUBTFUL` and none a number may hold, and the
-    marker is not empty and holds neither whitespace nor the delimiter."""
+    """Whether the delimiter is one character that is no whitespace and no
+    character of :data:`_DOUBTFUL`, and the marker is not empty and holds
+    neither whitespace nor the delimiter."""
     return (len(delimiter) == 1 and not delimiter.isspace() and delimiter not in _DOUBTFUL
-            and delimiter not in _NUMBER_CHARS and marker != ""
-            and not any(c.isspace() or c == delimiter for c in marker))
+            and marker != "" and not any(c.isspace() or c == delimiter for c in marker))
 
 
 #: the characters of data text in one parse item; items end at a line end
 _PARSE_CHUNK = 1 << 20
 
 
-def _decide(body: str, delimiter: str, marker: str, n_cols: int | None,
-            doubtful: str = _DOUBTFUL):
+def _decide(body: str, delimiter: str, marker: str, n_cols: int | None):
     """The cells of ``body`` as numpy's C reader parses them, marker cells
     NaN, or None when the per-cell parser must read the text.
 
@@ -249,8 +247,7 @@ def _decide(body: str, delimiter: str, marker: str, n_cols: int | None,
     while 0 < (end := body.find("\n", starts[-1] + _PARSE_CHUNK) + 1) < len(body):
         starts.append(end)
     starts.append(len(body))
-    parts = fork_map(lambda i: _chunk_cells(body[starts[i]:starts[i + 1]], delimiter,
-                                            marker, doubtful),
+    parts = fork_map(lambda i: _chunk_cells(body[starts[i]:starts[i + 1]], delimiter, marker),
                      range(len(starts) - 1))
     if any(cells is None for cells in parts):
         return None
@@ -261,7 +258,7 @@ def _decide(body: str, delimiter: str, marker: str, n_cols: int | None,
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _chunk_cells(text, delimiter, marker, doubtful):
+def _chunk_cells(text, delimiter, marker):
     """The cells of one item of :func:`_decide`, none for a text of only
     whitespace, or None when the text is in doubt or numpy's reader rejects it.
 
@@ -271,7 +268,7 @@ def _chunk_cells(text, delimiter, marker, doubtful):
     cell. Without the marker neither signed form can occur, so the scans
     for them and the count are skipped.
     """
-    if not _screened(text, doubtful):
+    if not _screened(text):
         return None
     if text.isspace():  # the per-cell parsers skip it, numpy warns of no data
         return np.empty((0, 0))
@@ -430,7 +427,7 @@ def parse_arff(source) -> RawTable:
     """
     names, nominal, data, line_no = _arff_header(_read_text(source))
     if not nominal:
-        cells = _decide(data, ",", "?", len(names), _DOUBTFUL + "{%")
+        cells = _decide(data, ",", "?", len(names))
         if cells is not None:
             return RawTable(names, cells)
     return _arff_table(data, line_no, names, nominal)
@@ -548,7 +545,8 @@ def write_arff(table: RawTable, relation_name: str = "data") -> bytes:
     """Serialize a table as ARFF with all-numeric attributes; NaN becomes "?".
 
     Raises ValueError for a name that ``parse_arff`` could not read back:
-    one that needs quotes and holds both quote characters.
+    one that holds a ``str.splitlines`` line boundary, or needs quotes and
+    holds both quote characters.
     """
     head = [f"@relation {_quote_name(relation_name)}"]
     head += [f"@attribute {_quote_name(name)} numeric" for name in table.column_names]
@@ -557,14 +555,15 @@ def write_arff(table: RawTable, relation_name: str = "data") -> bytes:
 
 def _quote_name(name: str) -> str:
     """``name`` as an ARFF name: bare unless it is empty, holds whitespace or
-    a comma, or starts with a quote; then in the quote character it lacks."""
+    a comma, or starts with a quote; then in the quote character it lacks.
+    Every line boundary is whitespace, so only a quoted name can hold one."""
     if name and name[0] not in "'\"" and not any(ch.isspace() or ch == "," for ch in name):
         return name
     for quote in "'\"":
-        if quote not in name:
+        if quote not in name and not _LINE_END.search(name):
             return f"{quote}{name}{quote}"
-    raise ValueError(f"cannot write the name {name!r} to ARFF: it needs "
-                     "quoting and holds both quote characters")
+    raise ValueError(f"cannot write the name {name!r} to ARFF: it holds a line boundary, "
+                     "or needs quoting and holds both quote characters")
 
 
 # -- preprocessing ----------------------------------------------------------
@@ -594,7 +593,8 @@ def build_dataset(
     A table with no other column is refused with :class:`InputError`.
     With ``normalize``, each remaining column is mapped by
     (x - min) / (max - min) using its observed extremes; constant columns
-    map to 0.0.
+    map to 0.0, and a column whose max - min overflows float64 is refused
+    with :class:`InputError`.
     """
     if table.missing_mask().any():
         raise ValueError("table still has missing cells; drop or impute them first")
@@ -629,6 +629,9 @@ def build_dataset(
             lo = float(features[:, j].min())
             hi = float(features[:, j].max())
             norm_params[name] = (lo, hi)
+            if hi - lo == math.inf:
+                raise InputError(f"feature {name!r} spans {lo!r} to {hi!r}: the width of that "
+                                 "range overflows float64, so it cannot be normalised")
             if hi > lo:
                 features[:, j] = (features[:, j] - lo) / (hi - lo)
             else:

@@ -1,13 +1,13 @@
 """Report assembly, majority-label cluster naming, and serialization.
 
 The JSON form is canonical (sorted keys, two-space indent, trailing newline)
-so identical analyses serialize to identical bytes, and every emission is
-validated against the packaged schema document.
+so identical analyses serialize to identical bytes. The packaged schema
+document describes it; :func:`validate_report_dict` checks a document
+against it, and needs ``jsonschema``, which only the tests install.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -219,26 +219,13 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
-@functools.cache
-def _validator():
-    """The report schema's validator, its schema checked once per process."""
-    from jsonschema.validators import validator_for
-
-    schema = _load_schema()
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
 def validate_report_dict(document: dict) -> None:
-    """Raise the ``jsonschema.ValidationError`` that ``jsonschema.validate``
-    raises when ``document`` breaks the report schema. ``jsonschema`` is
-    imported here, on first use, not with the package."""
-    from jsonschema.exceptions import best_match
+    """Raise ``jsonschema.ValidationError`` when ``document`` breaks the
+    report schema. ``jsonschema`` is imported here, on first use, not with
+    the package."""
+    import jsonschema
 
-    error = best_match(_validator().iter_errors(document))
-    if error is not None:
-        raise error
+    jsonschema.validate(document, _load_schema())
 
 
 def canonical_json(document) -> bytes:
@@ -249,10 +236,9 @@ def canonical_json(document) -> bytes:
 
 
 def emit_report(report: AnalysisReport, fmt: str = "json") -> bytes:
-    """Serialize the report; JSON output is canonical and schema-validated."""
+    """Serialize the report; JSON output is canonical."""
     document = report.to_dict()
     if fmt == "json":
-        validate_report_dict(document)
         return canonical_json(document)
     if fmt in ("markdown", "md"):
         return render_markdown(document).encode("utf-8")

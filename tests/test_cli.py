@@ -200,6 +200,19 @@ class TestUsageAndErrors:
         assert (proc.returncode, proc.stderr.splitlines(), proc.stdout) == (3, [OUT_OF_RANGE], "")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["preprocess", "analyze"])
+    def test_feature_range_past_float64_exit_2_with_one_line(self, tmp_path, command):
+        # max - min of col1 overflows: the column is refused before any
+        # division, so no RuntimeWarning turns into a traceback under -W error
+        f, out = tmp_path / "wide.csv", tmp_path / "results"
+        f.write_text("1,-1e308,5,2\n2,1e308,6,4\n3,0.0,7,2\n")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "clusterlab.cli", command,
+                               str(f), "--out", str(out)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr.splitlines(), proc.stdout) == (2, [
+            "input error: feature 'col1' spans -1e+308 to 1e+308: the width of that range "
+            "overflows float64, so it cannot be normalised"], "")
+        assert not out.exists()
+
     def test_distance_matrix_beyond_memory_is_refused(self, synth_csv_path, tmp_path,
                                                       monkeypatch, capsys):
         monkeypatch.setattr("clusterlab.distances.physical_memory", lambda: 1_000_000)
@@ -303,6 +316,16 @@ class TestPreprocess:
         out = tmp_path / "prep"
         assert run_cli("preprocess", str(src), "--out", str(out), "--export", export) == 0
         assert (out / f"preprocessed.{export}").read_text().splitlines()[-1] == last_line
+
+    def test_arff_export_of_a_name_holding_a_line_break_exit_3(self, tmp_path, capsys):
+        src, out = tmp_path / "t.csv", tmp_path / "prep"
+        src.write_text('id,"two\nlines",class\n1,0.5,2\n2,0.7,4\n')
+        assert run_cli("preprocess", str(src), "--header", "--out", str(out),
+                       "--export", "arff") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "analysis error: cannot write the name 'two\\nlines' to ARFF: it holds a line "
+            "boundary, or needs quoting and holds both quote characters"]
+        assert not out.exists()
 
     def test_stdout_json_without_out(self, synth_csv_path, capsys):
         assert run_cli("preprocess", str(synth_csv_path)) == 0
@@ -411,6 +434,39 @@ class TestAnalyze:
         text = capsys.readouterr().out
         assert "hopkins H" in text
         assert "artifacts written" in text
+
+
+#: analyze runs whose reports take other shapes: the defaults; no id and
+#: no class column (null naming, class distribution and agreement); rows
+#: all alike (a degenerate Hopkins statistic and PCA); the Manhattan metric
+REPORT_SHAPES = {
+    "defaults": (),
+    "no-id-no-label": ("--id-column", "none", "--label-column", "none"),
+    "identical-rows": (),
+    "manhattan": ("--metric", "manhattan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_SHAPES))
+def test_analyze_report_validates(synth_csv_path, tmp_path, case):
+    source = synth_csv_path
+    if case == "identical-rows":
+        source = tmp_path / "alike.csv"
+        source.write_text("".join(f"{i},3,3,3,{2 + 2 * (i % 2)}\n" for i in range(1, 31)))
+    out = tmp_path / "out"
+    assert run_cli("analyze", str(source), "--seed", "1", "--out", str(out),
+                   *REPORT_SHAPES[case]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    validate_report_dict(doc)
+    labelled = case != "no-id-no-label"
+    assert (doc["dataset"]["class_distribution"] is not None) == labelled
+    assert (doc["kmeans"]["naming"] is not None) == labelled
+    assert (doc["kmeans"]["label_agreement"] is not None) == labelled
+    assert doc["hopkins"]["degenerate"] == (case == "identical-rows")
+    assert doc["config"]["metric"] == ("manhattan" if case == "manhattan" else "euclidean")
+    if case == "identical-rows":  # every point projects onto the origin
+        rows = (out / "scatter_kmeans.csv").read_text().splitlines()[1:]
+        assert {tuple(row.split(",")[:2]) for row in rows} == {("0.0", "0.0")}
 
 
 class TestFlagPaths:

@@ -321,12 +321,16 @@ def _needs_quotes(name):
     return name[0] in "'\"" or "," in name or " " in name
 
 
+def _breaks_a_line(name):
+    return len(f"x{name}x".splitlines()) > 1
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.text(alphabet="ab ,'\"", min_size=1, max_size=6),
+@given(st.lists(st.text(alphabet="ab ,'\"\n\r\x0b\x85\u2028", min_size=1, max_size=6),
                 min_size=1, max_size=4, unique=True))
 def test_arff_names_round_trip_or_are_refused(names):
     table = RawTable(tuple(names), np.arange(len(names), dtype=float).reshape(1, -1))
-    if any(_needs_quotes(n) and "'" in n and '"' in n for n in names):
+    if any(_breaks_a_line(n) or _needs_quotes(n) and "'" in n and '"' in n for n in names):
         with pytest.raises(ValueError):
             write_arff(table)
     else:
@@ -444,10 +448,11 @@ QUOTED_NAMES = ["it's", '"it\'s"', '"a,b"', '"x""y"', '" q "r', '"two\nlines"', 
 @st.composite
 def csv_cases(draw):
     fmt = CsvFormat(has_header=draw(st.booleans()),
-                    delimiter=draw(st.sampled_from([",", ",", ";", "|", "\t", "e", "::", ""])),
+                    delimiter=draw(st.sampled_from([",", ",", ";", "|", "\t", "e", ".", "-", "n",
+                                                    "a", "1", "\0", "::", ""])),
                     missing=draw(st.sampled_from(["?", "?", "NA", "na", "n", "e", "1", ".", "inf",
                                                   "x", "", "-", "a b"])))
-    names = (st.sampled_from(["a", "b", "?", "NA", " c ", "-?", *QUOTED_NAMES])
+    names = (st.sampled_from(["a", "b", "?", "NA", " c ", "-?", "\x00", *QUOTED_NAMES])
              if fmt.has_header else None)
     return draw(documents(fmt.delimiter, fmt.missing, names)), fmt
 
@@ -537,7 +542,8 @@ ARFF_HEAD = "@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n"
     ARFF_HEAD + "1,?\n-?,2\n", ARFF_HEAD + "1,+?\n", ARFF_HEAD + "{0 1}\n",
     ARFF_HEAD + "1,2\n% note\n3,4\n", ARFF_HEAD + "1,2\r\n\r\n3,4\r\n",
     ARFF_HEAD + "1,2\n3,4,\n", ARFF_HEAD + "'1',2\n", ARFF_HEAD + "1,2,3\n4,5,6\n",
-    ARFF_HEAD + "nan,1\n", ARFF_HEAD, ARFF_HEAD + "\n  \n",
+    ARFF_HEAD + "nan,1\n", ARFF_HEAD, ARFF_HEAD + "\n  \n", ARFF_HEAD + "1,2\x00\n",
+    ARFF_HEAD + "1,{\n", ARFF_HEAD + "1,2%c\n",
     "@relation r\n@attribute a numeric\n@attribute c {2,4}\n@data\n1,4\n?,2\n",
     *(ARFF_HEAD.replace("\n", sep) + "1,2" + sep + "3,4\n" for sep in ODD_SEPARATORS),
     *(ARFF_HEAD + "1,2" + sep + "3,4\n" for sep in ODD_SEPARATORS),

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import jsonschema
 import numpy as np
@@ -17,6 +19,7 @@ from clusterlab import (
 )
 from clusterlab.exceptions import NoLabelsError
 from clusterlab.report import _load_schema, render_markdown, round_percent
+from test_cli_pins import ANALYZE_PINS, ANALYZE_RUNS, INPUT
 
 
 class TestRoundPercent:
@@ -129,13 +132,38 @@ class TestEmitReport:
             validate_report_dict(doc)
         assert (str(got.value), list(got.value.path)) == (str(want.value), list(want.value.path))
 
-    def test_cli_import_leaves_jsonschema_unloaded(self):
+    def test_cli_import_leaves_jsonschema_unloaded(self, tmp_path, synth_csv):
+        # numpy alone at run time: with jsonschema unimportable, a whole
+        # analyze of the fixture writes the pinned bytes, and only
+        # validate_report_dict needs the module
         import clusterlab
 
         src = os.path.dirname(os.path.dirname(clusterlab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, clusterlab.cli; assert 'jsonschema' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "PYTHONPATH": src})
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+        (tmp_path / INPUT).write_bytes(synth_csv)
+        code = textwrap.dedent(f"""
+            import sys
+            sys.modules["jsonschema"] = None
+            from clusterlab import validate_report_dict
+            from clusterlab.cli import main
+            assert main(["analyze", {INPUT!r}, "--out", "out", *{ANALYZE_RUNS["defaults"]!r}]) == 0
+            try:
+                validate_report_dict({{}})
+            except ModuleNotFoundError as exc:
+                assert exc.name == "jsonschema", exc
+            else:
+                raise AssertionError("validate_report_dict ran without jsonschema")
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (tmp_path / "out").iterdir()}
+        digests["stdout"] = hashlib.sha256(proc.stdout).hexdigest()
+        assert digests == ANALYZE_PINS["defaults"]
 
     def test_schema_rejects_unknown_top_level_key(self):
         doc = json.loads(emit_report(minimal_report(), "json"))
