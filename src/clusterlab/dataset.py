@@ -67,6 +67,7 @@ from .exceptions import (
     NonNumericCellError,
     UnknownColumnError,
     UnsupportedAttributeTypeError,
+    UnwritableNameError,
 )
 
 BENIGN = "benign"
@@ -544,9 +545,10 @@ def format_table(head: list[str], cells: np.ndarray, missing: str = "nan") -> by
 def write_arff(table: RawTable, relation_name: str = "data") -> bytes:
     """Serialize a table as ARFF with all-numeric attributes; NaN becomes "?".
 
-    Raises ValueError for a name that ``parse_arff`` could not read back:
-    one that holds a ``str.splitlines`` line boundary, or needs quotes and
-    holds both quote characters.
+    Raises :class:`UnwritableNameError`, a ValueError and an input error,
+    for a name that ``parse_arff`` could not read back: one that holds a
+    ``str.splitlines`` line boundary, or needs quotes and holds both quote
+    characters.
     """
     head = [f"@relation {_quote_name(relation_name)}"]
     head += [f"@attribute {_quote_name(name)} numeric" for name in table.column_names]
@@ -562,7 +564,7 @@ def _quote_name(name: str) -> str:
     for quote in "'\"":
         if quote not in name and not _LINE_END.search(name):
             return f"{quote}{name}{quote}"
-    raise ValueError(f"cannot write the name {name!r} to ARFF: it holds a line boundary, "
+    raise UnwritableNameError(f"cannot write the name {name!r} to ARFF: it holds a line boundary, "
                      "or needs quoting and holds both quote characters")
 
 

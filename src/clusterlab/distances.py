@@ -9,15 +9,17 @@ pair, or in the screened search is the same bit pattern, and results match
 a naive per-pair computation exactly. Two kernels compute it:
   - the row kernel itself, for small and gathered calls: a Lloyd step's
     centre shifts, the distances to picks (:func:`_d2_to_picks`) and the
-    screen's recheck. A call costs a few ufunc calls, where the executor
-    below would cost two or three per coordinate;
-  - a coordinate-major executor, :func:`_sum_in_row_order`, for the wide
+    screen's recheck. A call costs a few ufunc calls, where the other
+    kernel would cost two or three per coordinate;
+  - :func:`_to_columns`, the one coordinate-major kernel, for the wide
     passes: the dense pairwise matrix (:func:`pairwise_distances`) and the
-    k-means++ seeding distances of a group of restarts
-    (``kmeans._seed_pass``). It adds the d terms of many entries one
-    coordinate at a time, in numpy's row-sum order
-    (:func:`_summation_order`), on contiguous registers, where numpy's sum
-    over a short last axis is slow; the entries keep the row kernel's bits.
+    k-means++ seeding distances of a group of restarts (``kmeans._starts``).
+    It measures rows against the columns of a transposed operand in any
+    layout (seeding reads the view ``X.T`` in place), adding the d terms
+    of many entries one coordinate at a time, in numpy's row-sum order
+    (:func:`_summation_order`), on registers that it allocates itself,
+    where numpy's sum over a short last axis is slow; the entries keep the
+    row kernel's bits. Only it knows that order.
 
 The screened search, :func:`_nearest`, ranks pairs with a GEMM and returns
 indices alone; it runs the exact kernel only on the rows its screen leaves
@@ -39,7 +41,7 @@ screen, seeding distances and centre sums each take a block) holds about
 ``_SCREEN_ELEMENTS`` float64 values (256 KB) per block, with row or restart
 counts from :func:`_block_rows` (one, when one alone is larger), and a few
 such blocks at once, so memory stays flat as n and the number of restarts
-grow. The executor's registers take half a block each. The row kernel's
+grow. :func:`_to_columns`' registers take half a block each. The row kernel's
 calls over many rows (the distances to the picks: K-means' objective and
 repair, Hopkins' distances) walk blocks of ``_block_rows(d)`` rows. A
 search holds one prepared operand per side, (d + 2)*m values for m rows,
@@ -382,21 +384,34 @@ def _register_steps(d):
     return tuple(steps), max(r for r, _ in steps)
 
 
-def _sum_in_row_order(out, scratch, d, term):
-    """Write to ``out`` the sum of d terms, added in the order numpy's row
-    sum in :func:`_rows_to_point` adds a row of d values, so each entry has
-    that row sum's bits. ``term(j, reg)`` writes term j into ``reg``, an
-    array of ``out``'s shape; ``out`` is the first register, and the others
-    are carved from ``scratch``, which must hold ``_register_steps(d)[1] *
-    out.size`` values."""
+def _to_columns(points, columns, out, magnitude=np.square):
+    """Write to ``out``, (p, m), the sum over the d coordinates c of
+    ``magnitude(points[i, c] - columns[c, j])`` for every row i of
+    ``points``, (p, d), and column j of ``columns``, (d, m), a view in any
+    layout. It adds an entry's d terms in the order numpy's row sum in
+    :func:`_rows_to_point` adds a row of d values, so with ``np.square``
+    (``np.abs``) an entry has the bits of the row kernel's squared
+    (Manhattan) distance from row i to column j.
+
+    It walks blocks of columns, one coordinate at a time, never forming a
+    (p, m, d) array: the block's columns of ``out`` are the first register,
+    and each other one, half a block (``_SCREEN_ELEMENTS / 2`` values, or p
+    when p alone is more), holds a partial sum still open: at most one below
+    d = 8, 3 below d = 16, 4 up to d = 128, and one more each time d
+    doubles."""
+    (p, d), m = points.shape, columns.shape[1]
     steps, spare = _register_steps(d)
-    size = out.size
-    regs = [out] + [scratch[i * size:(i + 1) * size].reshape(out.shape) for i in range(spare)]
-    for r, j in steps:
-        if j is None:
-            np.add(regs[r], regs[r + 1], out=regs[r])
-        else:
-            term(j, regs[r])
+    width = min(m, _block_rows(2 * p))
+    scratch = np.empty((spare, p * width))
+    for s in range(0, m, width):
+        block = out[:, s:s + width]
+        regs = [block, *(r[:block.size].reshape(block.shape) for r in scratch)]
+        for r, c in steps:
+            if c is None:
+                np.add(regs[r], regs[r + 1], out=regs[r])
+            else:
+                np.subtract(points[:, c, None], columns[c, s:s + width], out=regs[r])
+                magnitude(regs[r], out=regs[r])
 
 
 def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
@@ -408,18 +423,14 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
     block's rows, and its part right of the block, mirrored, below it.
     Negation is exact, so the result is exactly symmetric.
 
-    A block is built one coordinate at a time, never as a (b, n - s, d)
-    array: each coordinate's (b, n - s) differences, squared (or their
-    absolute values), are one term of every entry, and
-    :func:`_sum_in_row_order` adds the d terms in the order numpy's row sum
-    adds them, so the bits are the row kernel's; ``tests/test_distances.py``
-    pins this for every d up to 300. The block's rows in the result are the
-    first register; each other one, half a block (``_SCREEN_ELEMENTS / 2``
-    values), holds a partial sum still open: 4 of them up to d = 128, and
-    one more each time d doubles. Raises :class:`AnalysisError`, before
-    allocating, when the matrix would not fit in memory (see the module
-    docstring), and for the two squared metrics when the features lie
-    outside ``_checks.check_domain``.
+    A block is built by :func:`_to_columns`, one coordinate at a time,
+    never as a (b, n - s, d) array, with the bits of the row kernel;
+    ``tests/test_distances.py`` pins this for every d up to 300. b makes
+    the block's (b, n - s) entries, and so each of the kernel's registers,
+    about half a block (``_SCREEN_ELEMENTS / 2`` values). Raises
+    :class:`AnalysisError`, before allocating, when the matrix would not
+    fit in memory (see the module docstring), and for the two squared
+    metrics when the features lie outside ``_checks.check_domain``.
     """
     metric = Metric.coerce(metric)
     X = as_feature_matrix(X)
@@ -433,16 +444,10 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
     D = np.empty((n, n))
     magnitude = np.abs if metric is Metric.MANHATTAN else np.square
     columns = np.ascontiguousarray(X.T)
-    scratch = np.empty(_register_steps(d)[1] * min(max(_SCREEN_ELEMENTS // 2, n), n * n))
     s = 0
     while s < n:
         e = s + _block_rows(2 * (n - s))  # half a block per register
-
-        def term(j, reg):
-            np.subtract(columns[j, s:e, None], columns[j, None, s:], out=reg)
-            magnitude(reg, out=reg)
-
-        _sum_in_row_order(D[s:e, s:], scratch, d, term)
+        _to_columns(X[s:e], columns[:, s:], D[s:e, s:], magnitude)
         if metric is Metric.EUCLIDEAN:
             np.sqrt(D[s:e, s:], out=D[s:e, s:])
         D[e:, s:e] = D[s:e, e:].T

@@ -67,6 +67,10 @@ class UnsupportedAttributeTypeError(InputError):
     """ARFF attribute type outside the supported numeric/nominal subset."""
 
 
+class UnwritableNameError(InputError, ValueError):
+    """A table or column name that ARFF cannot hold; it came with the input."""
+
+
 class UnknownColumnError(InputError):
     def __init__(self, column, available):
         self.column = column

@@ -6,8 +6,8 @@ import numpy as np
 
 from ._base import BaseEstimator, check_is_fitted
 from ._checks import as_feature_matrix, as_integer, as_labels, check_domain, resolve_seed
-from .distances import (Metric, _block_rows, _d2_to_picks, _nearest, _register_steps, _rows,
-                        _rows_to_point, _sum_in_row_order)
+from .distances import (Metric, _block_rows, _d2_to_picks, _nearest, _rows, _rows_to_point,
+                        _to_columns)
 from .exceptions import MissingCenterError, TooFewPointsError
 
 INIT_KMEANS_PP = "k-means++"
@@ -45,57 +45,27 @@ def _starts(X, k, init, rngs):
     k-means++ draws each restart's seeds from its own ``rng``, exactly as
     ``rng.choice`` draws them for a restart on its own, in one inverse-CDF
     step for the whole group (see :func:`_draw`), and computes the exact
-    distances of every point to the group's new seeds in one pass (see
-    :func:`_seed_pass`). Beside d2, labels and the seed distances, (g, n)
-    each, it holds the pass's buffers, under three blocks of
+    distances of every point to the group's new seeds in one call of
+    :func:`distances._to_columns`, which reads the points in place through
+    the view ``X.T``. Beside d2, labels and the seed distances, (g, n) each,
+    it holds that call's registers, at most two blocks of
     ``_SCREEN_ELEMENTS`` up to d = 128."""
     (n, d), g = X.shape, len(rngs)
     if init == INIT_RANDOM:
         picks = [np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs]
         return X[np.array(picks)], None, None
     # k-means++: first center uniform, then D^2 sampling
-    to_seeds = _seed_pass(X, g)
     centers = np.empty((g, k, d), dtype=np.float64)
     centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
     labels = np.zeros((g, n), dtype=np.intp)
     d2, dj = np.empty((g, n)), np.empty((g, n))
-    to_seeds(centers[:, 0], d2)
+    _to_columns(centers[:, 0], X.T, d2)
     for j in range(1, k):
         centers[:, j] = X[_draw(d2, rngs, dj)]  # dj holds the draw's cdf until the pass
-        to_seeds(centers[:, j], dj)
+        _to_columns(centers[:, j], X.T, dj)
         np.putmask(labels, dj < d2, j)
         np.minimum(d2, dj, out=d2)
     return centers, labels, d2
-
-
-def _seed_pass(X, g):
-    """A function ``to_seeds(seeds, out)`` writing to ``out``, (g, n), the
-    exact squared distance of every point to each of the g ``seeds``, (g,
-    d), with the bits of :func:`distances._rows_to_point`.
-
-    It walks blocks of b rows, each read from its own transposed copy, (d,
-    b), and sums a block's d coordinates for all g seeds at once in numpy's
-    row-sum order (:func:`distances._sum_in_row_order`), on registers of g*b
-    values: b makes a register half a block and the copy at most one block.
-    The buffers are allocated here, once for all the group's seeds; up to d
-    = 128 the registers besides ``out`` are three, so the buffers hold under
-    three blocks of ``_SCREEN_ELEMENTS``, and never an n*d copy."""
-    n, d = X.shape
-    b = min(n, _block_rows(max(2 * g, d)))
-    columns, scratch = np.empty((d, b)), np.empty(_register_steps(d)[1] * g * b)
-
-    def to_seeds(seeds, out):
-        for s in range(0, n, b):
-            block = columns[:, :min(b, n - s)]
-            np.copyto(block, X[s:s + b].T)
-
-            def term(j, reg):
-                np.subtract(block[j], seeds[:, j, None], out=reg)
-                np.square(reg, out=reg)
-
-            _sum_in_row_order(out[:, s:s + b], scratch, d, term)
-
-    return to_seeds
 
 
 def _draw(d2, rngs, cdf):
@@ -142,24 +112,19 @@ def _means(X, keys, counts, columns):
     """Per-cluster coordinate means of each restart of a group, (g, k, d),
     bit-identical to ``X[labels[r] == j].mean(axis=0)`` for every r and j,
     given each point's bin ``keys[r] = r*k + labels[r]``, ``counts``, the
-    (g, k) cluster sizes, ``columns``, ``X.T`` repeated for
-    ``_block_rows(n * d)`` restarts (or fewer, when the group holds fewer).
+    (g, k) cluster sizes, and ``columns``, ``X.T`` repeated for as many
+    restarts as one call sums (the view ``X.T`` itself for one restart).
 
     For d >= 2 that mean adds a cluster's rows in row order onto +0.0 (so a
     coordinate whose members all read -0.0 sums to +0.0), exactly as
     ``bincount`` does: one call per coordinate for as many restarts as
-    ``columns`` holds, or, for one restart, one call over (label,
-    coordinate) bins, which costs less than d short calls. A single column
-    is summed pairwise instead, so d = 1 keeps the per-cluster mean.
+    ``columns`` holds. A single column is summed pairwise instead, so d = 1
+    keeps the per-cluster mean.
     """
     (g, k), (n, d) = counts.shape, X.shape
     if d == 1:
         return np.array([[X[part == j].mean(axis=0) for j in range(r * k, r * k + k)]
                          for r, part in enumerate(keys)])
-    if g == 1:
-        bins = (keys[0][:, None] * d + np.arange(d)).ravel()  # (label, coordinate) of X.ravel()
-        sums = np.bincount(bins, weights=X.ravel(), minlength=k * d)
-        return sums.reshape(1, k, d) / counts[:, :, None]
     sums = np.empty((d, g * k))
     step = columns.shape[1] // n
     for s in range(0, g, step):
@@ -182,7 +147,7 @@ def _restarts(rows, mean, k, init, seeds, max_iter, tol):
     labels, centers, n_iter, converged)``, in the order of ``seeds``."""
     X = rows.raw
     centers, labels, point_d2 = _starts(X, k, init, [np.random.default_rng(s) for s in seeds])
-    columns = np.tile(X.T, min(_block_rows(X.size), len(seeds))) if len(seeds) > 1 else None
+    columns = np.tile(X.T, min(_block_rows(X.size), len(seeds))) if len(seeds) > 1 else X.T
     running = np.arange(len(seeds))  # the restarts still iterating
     offsets = k * running[:, None]  # restart r's clusters are bins r*k to r*k + k - 1
     done = [None] * len(seeds)

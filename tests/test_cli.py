@@ -317,13 +317,13 @@ class TestPreprocess:
         assert run_cli("preprocess", str(src), "--out", str(out), "--export", export) == 0
         assert (out / f"preprocessed.{export}").read_text().splitlines()[-1] == last_line
 
-    def test_arff_export_of_a_name_holding_a_line_break_exit_3(self, tmp_path, capsys):
+    def test_arff_export_of_a_name_holding_a_line_break_exit_2(self, tmp_path, capsys):
         src, out = tmp_path / "t.csv", tmp_path / "prep"
         src.write_text('id,"two\nlines",class\n1,0.5,2\n2,0.7,4\n')
         assert run_cli("preprocess", str(src), "--header", "--out", str(out),
-                       "--export", "arff") == 3
+                       "--export", "arff") == 2
         assert capsys.readouterr().err.splitlines() == [
-            "analysis error: cannot write the name 'two\\nlines' to ARFF: it holds a line "
+            "input error: cannot write the name 'two\\nlines' to ARFF: it holds a line "
             "boundary, or needs quoting and holds both quote characters"]
         assert not out.exists()
 

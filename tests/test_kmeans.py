@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterlab import KMeans, distances, hopkins_statistic, kmeans, wss
-from clusterlab.distances import Metric, _candidates, _rows, _screened_nearest
+from clusterlab.distances import Metric, _candidates, _rows, _screened_nearest, _to_columns
 from clusterlab.exceptions import (
     AnalysisError,
     EmptyDatasetError,
@@ -14,7 +14,7 @@ from clusterlab.exceptions import (
     NotFittedError,
     TooFewPointsError,
 )
-from clusterlab.kmeans import INIT_RANDOM, _draw, _means, _seed_pass, _starts
+from clusterlab.kmeans import INIT_RANDOM, _draw, _means, _starts
 from oracles import row_distances
 
 
@@ -699,14 +699,17 @@ def traced_peak(run):
 
 
 def test_one_restart_holds_no_exact_kernel_temporary_of_n_rows():
-    """The exact kernel (k-means++ distances, the objective) walks blocks of
-    ``_block_rows(d)`` rows. What a fit may hold beyond them: the prepared
-    operand, (d + 2) n values, and the centre sums' one (label, coordinate)
-    index array, n d."""
+    """The exact kernel (k-means++ distances, the objective) walks blocks
+    of columns or rows, and one restart's centre sums read the points in
+    place, through the view ``X.T``. What a fit may hold beyond a few
+    blocks: the prepared operand, (d + 2) n values, and at most five arrays
+    of n values at once: the labels, their bins, the seeding's distances
+    (until the first iteration ends), and the objective's copy of the labels
+    and its distances."""
     n, d = 20_000, 9
     X = grid(n, d, 21)
     peak = traced_peak(lambda: KMeans(n_clusters=2, n_init=1, max_iter=3, random_state=0).fit(X))
-    assert peak <= 8 * ((d + 2) * n + n * d) + 4 * 8 * distances._SCREEN_ELEMENTS
+    assert peak <= 8 * ((d + 2) * n + 5 * n) + 4 * 8 * distances._SCREEN_ELEMENTS
 
 
 def test_screened_picks_take_their_distances_in_blocks():
@@ -750,19 +753,28 @@ def test_group_draw_matches_rng_choice(case):
         assert rngs[r].bit_generator.state == oracle.bit_generator.state
 
 
+@pytest.mark.parametrize("magnitude,metric", [(np.square, Metric.SQEUCLIDEAN),
+                                              (np.abs, Metric.MANHATTAN)], ids=["square", "abs"])
 @pytest.mark.parametrize("g", [1, 2, 23])
-def test_seed_distances_have_the_row_kernels_bits(monkeypatch, g):
-    """One seeding pass equals numpy's row sum on every (point, seed) pair,
-    for every d up to 300, on mixed-scale data: the budget is patched so
-    that the pass walks blocks of 7 of the 30 rows, the last cut short."""
+def test_seed_distances_have_the_row_kernels_bits(monkeypatch, g, magnitude, metric):
+    """The exact kernel on g seeds against the view ``X.T``, as seeding
+    calls it, equals numpy's row sum on every (point, seed) pair, for every
+    d up to 300, on mixed-scale data: the budget is patched so that the
+    walk takes blocks of 7 of the 30 columns, the last cut short."""
     n, rng = 30, np.random.default_rng(g)
+    monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", 2 * g * 7)
     for d in range(1, 301):
-        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", 7 * max(2 * g, d))
         X, seeds = (rng.normal(size=(m, d)) * rng.choice([1e-3, 1.0, 1e3], size=(m, d))
                     for m in (n, g))
-        out = np.empty((g, n))
-        _seed_pass(X, g)(seeds, out)
-        want = np.array([row_distances(X, seed, Metric.SQEUCLIDEAN) for seed in seeds])
+        widths, out = [], np.empty((g, n))
+
+        def recorded(reg, out):
+            widths.append(reg.shape[1])
+            return magnitude(reg, out=out)
+
+        _to_columns(seeds, X.T, out, recorded)
+        assert sorted(set(widths)) == [n % 7, 7], d  # several blocks, the last cut short
+        want = np.array([row_distances(X, seed, metric) for seed in seeds])
         assert out.tobytes() == want.tobytes(), d
 
 
@@ -784,11 +796,10 @@ def test_kmeans_pp_draws_without_rng_choice(monkeypatch):
 
 
 def test_a_group_runs_one_exact_pass_per_seed(monkeypatch):
-    # 23 restarts of 683 points: every seed's distances in one pass of one
-    # block, and none by the row kernel
-    calls, sum_in_row_order = [], kmeans._sum_in_row_order
-    monkeypatch.setattr(kmeans, "_sum_in_row_order",
-                        lambda *args: calls.append(0) or sum_in_row_order(*args))
+    # 23 restarts of 683 points: every seed's distances in one kernel call,
+    # and none by the row kernel
+    calls, to_columns = [], kmeans._to_columns
+    monkeypatch.setattr(kmeans, "_to_columns", lambda *args: calls.append(0) or to_columns(*args))
     monkeypatch.setattr(kmeans, "_rows_to_point", lambda *args: pytest.fail("row kernel"))
     X, k = grid(683, 9, 24), 10
     _starts(X, k, "k-means++", [np.random.default_rng(s) for s in range(23)])
@@ -830,6 +841,6 @@ def test_center_means_equal_per_cluster_means(n, d, k, g, step, seed):
     labels[:, rng.permutation(n + k)[:k]] = np.arange(k)
     keys = labels + k * np.arange(g)[:, None]
     counts = np.bincount(keys.ravel(), minlength=g * k).reshape(g, k)
-    got = _means(X, keys, counts, np.tile(X.T, min(step, g)))
     want = np.array([[X[part == j].mean(axis=0) for j in range(k)] for part in labels])
-    assert got.tobytes() == want.tobytes()
+    for columns in [np.tile(X.T, min(step, g))] + [X.T] * (g == 1):  # as _restarts passes them
+        assert _means(X, keys, counts, columns).tobytes() == want.tobytes()
