@@ -8,7 +8,9 @@ outputs (seeds are explicit or resolved once and echoed in the report).
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__, pipeline
@@ -159,11 +161,38 @@ def _prepare(args):
 
 
 def _write_files(out: str, files: dict) -> None:
-    """Create the output directory and write every file into it."""
+    """Write every file into the output directory ``out``, all or none.
+
+    The files are staged in a fresh temporary directory: beside ``out``
+    when the run creates ``out`` (the stage is then renamed over the empty
+    directory made for it), inside ``out`` when it exists (each staged file
+    then replaces its namesake, once all of them are staged, and files the
+    run does not write are left alone). On any failure everything staged
+    is removed, a directory the run made is removed, and an existing
+    ``out`` keeps its old files."""
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, data in files.items():
-        (out_dir / name).write_bytes(data)
+    fresh = not out_dir.is_dir()
+    if fresh:
+        out_dir.mkdir(parents=True)
+    stage = None
+    try:
+        stage = Path(tempfile.mkdtemp(prefix=".clusterlab-",
+                                      dir=out_dir.parent if fresh else out_dir))
+        for name, data in files.items():
+            (stage / name).write_bytes(data)
+        if fresh:
+            stage.chmod(out_dir.stat().st_mode & 0o7777)  # mkdtemp makes it 0o700
+            stage.replace(out_dir)
+            return
+        for name in files:
+            (stage / name).replace(out_dir / name)
+        stage.rmdir()
+    except BaseException:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        if fresh:
+            out_dir.rmdir()
+        raise
 
 
 # -- subcommands ----------------------------------------------------------------

@@ -37,19 +37,21 @@ then.
 Memory. This module alone sizes the package's temporaries. Every blocked
 walk (the screened nearest search here, the build of the dense matrix,
 PAM's BUILD and SWAP over its rows, and K-means' groups of restarts, whose
-screen, seeding distances and centre sums each take a block) holds about
-``_SCREEN_ELEMENTS`` float64 values (256 KB) per block, with row or restart
-counts from :func:`_block_rows` (one, when one alone is larger), and a few
-such blocks at once, so memory stays flat as n and the number of restarts
-grow. :func:`_to_columns`' registers take half a block each. The row kernel's
-calls over many rows (the distances to the picks: K-means' objective and
-repair, Hopkins' distances) walk blocks of ``_block_rows(d)`` rows. A
-search holds one prepared operand per side, (d + 2)*m values for m rows,
-beside the rows themselves, which it reads in place. The dense (n, n)
-matrix is the one O(n^2) allocation: :func:`pairwise_distances` refuses n
-points of d features, with :class:`AnalysisError` and before it allocates
-anything, when the matrix's 8n² bytes plus 8*max(_SCREEN_ELEMENTS, n*d)
-bytes for its build exceed :func:`physical_memory`.
+(g, n) arrays, the labels, their bins and the seeding distances, take half
+a block each, and whose screen and centre sums walk blocks of their own)
+holds about ``_SCREEN_ELEMENTS`` float64 values (256 KB) per block, with
+row or restart counts from :func:`_block_rows` (one, when one alone is
+larger), and a few such blocks at once, so memory stays flat as n, k and
+the number of restarts grow. :func:`_to_columns`' registers take half a
+block each. The row kernel's calls over many rows (the distances to the
+picks: K-means' objective and repair, Hopkins' distances) walk blocks of
+``_block_rows(d)`` rows. A search holds one prepared operand per side,
+(d + 2)*m values for m rows, beside the rows themselves, which it reads in
+place. The dense (n, n) matrix is the one O(n^2) allocation:
+:func:`pairwise_distances` refuses n points of d features, with
+:class:`AnalysisError` and before it allocates anything, when the matrix's
+8n² bytes plus 8*max(_SCREEN_ELEMENTS, n*d) bytes for its build exceed
+:func:`physical_memory`.
 """
 
 from __future__ import annotations
@@ -161,11 +163,12 @@ def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
     return idx, _d2_to_picks(A.raw, B.raw, idx)
 
 
-def _nearest(A: _Rows, B: _Rows, exclude=None):
+def _nearest(A: _Rows, B: _Rows, exclude=None, out=None):
     """Index of the nearest row of ``B`` to every row of ``A`` under squared
     Euclidean distance, ties to the lowest index. When ``B`` holds g groups
     of rows, each group is searched on its own and the result is the
-    (g, len(A)) array of indices within the groups.
+    (g, len(A)) array of indices within the groups. ``out``, when given, an
+    intp array of the result's shape, receives the indices and is returned.
 
     ``exclude[i]``, when given, removes row ``exclude[i]`` of ``B`` (one
     group) from the search for row i; ``B`` must then have at least two
@@ -215,11 +218,9 @@ def _nearest(A: _Rows, B: _Rows, exclude=None):
     overflows.
     """
     if B.raw.ndim == 2:
-        return _nearest(A, _grouped(B), exclude)[0]
+        return _nearest(A, _grouped(B), exclude, None if out is None else out[None])[0]
     step = _block_rows(B.raw.shape[0] * B.raw.shape[1])
-    if A.raw.shape[0] <= step:
-        return _nearest_block(A, B, exclude)
-    idx = np.empty((B.raw.shape[0], A.raw.shape[0]), dtype=np.intp)
+    idx = np.empty((B.raw.shape[0], A.raw.shape[0]), dtype=np.intp) if out is None else out
     for s in range(0, idx.shape[1], step):
         part = slice(s, s + step)
         block = _Rows(A.raw[part], A.operand[:, part], A.top)

@@ -139,9 +139,12 @@ def _means(X, keys, counts, columns):
 def _restarts(rows, mean, k, init, seeds, max_iter, tol):
     """A group of restarts on ``rows``, the data prepared for the screen
     around its ``mean``, one per seed, in lockstep: each iteration screens
-    the centers of every restart still running in one call, counts their
-    clusters in one ``bincount``, sums them (see :func:`_means`) and
-    measures their shifts in one call. A restart leaves the group once it
+    the centers of every restart still running in one call of
+    ``distances._nearest`` (which walks blocks of data rows once the g*k
+    centres' screen is more than a block), counts their clusters in one
+    ``bincount``, sums them (one ``bincount`` per coordinate for every
+    ``_block_rows(n * d)`` restarts, see :func:`_means`) and measures their
+    shifts in one call. A restart leaves the group once it
     converges or reaches ``max_iter``, and its objective is computed then,
     on its final labels and centers. Returns each restart's ``(objective,
     labels, centers, n_iter, converged)``, in the order of ``seeds``."""
@@ -150,12 +153,17 @@ def _restarts(rows, mean, k, init, seeds, max_iter, tol):
     columns = np.tile(X.T, min(_block_rows(X.size), len(seeds))) if len(seeds) > 1 else X.T
     running = np.arange(len(seeds))  # the restarts still iterating
     offsets = k * running[:, None]  # restart r's clusters are bins r*k to r*k + k - 1
+    # every iteration's labels and bins go to two buffers, the first being
+    # k-means++' labels: fresh (g, n) arrays each iteration fragment the
+    # heap, which raised the peak RSS of a process running many fits
+    found = np.empty((len(seeds), X.shape[0]), dtype=np.intp) if labels is None else labels
+    bins = np.empty_like(found)
     done = [None] * len(seeds)
     for n_iter in range(1, max_iter + 1):
-        if labels is None:  # else k-means++ seeding made the first assignment
-            labels = _nearest(rows, _rows(centers, mean))
         g = running.size
-        keys = labels + offsets[:g]
+        if labels is None:  # else k-means++ seeding made the first assignment
+            labels = _nearest(rows, _rows(centers, mean), None, found[:g])
+        keys = np.add(labels, offsets[:g], out=bins[:g])
         counts = np.bincount(keys.ravel(), minlength=g * k).reshape(g, k)
         if counts.min() == 0:
             for r in np.flatnonzero(counts.min(axis=1) == 0):
@@ -191,13 +199,17 @@ class KMeans(BaseEstimator):
     a derived rounding slack of their best (see ``distances._nearest``), so
     labels equal those of a full distance table bit for bit.
 
-    Restarts run in groups of ``distances._block_rows(n * k)``, so that a
-    group's screen, (g, k, n) values, is one block of about
-    ``_SCREEN_ELEMENTS`` (256 KB): the restarts of a group iterate in
+    Restarts run in groups of ``distances._block_rows(2 * n)``, sized by
+    the state each restart holds, not by k: a group's (g, n) arrays (its
+    labels, their bins, the seeding's distances) take half a block of about
+    ``_SCREEN_ELEMENTS`` (256 KB) each, so n = 683 runs 23 restarts a group
+    at every k, and n > 8,192 runs one. The restarts of a group iterate in
     lockstep, sharing each iteration's screen, cluster counts, centre sums
     and shifts, and a restart leaves its group once it converges or reaches
-    ``max_iter``. Every other temporary of a group is a blocked walk of the
-    same budget, so memory does not grow with ``n_init``.
+    ``max_iter``. The screen of the group's g*k centres walks blocks of
+    data rows (see ``distances._nearest``), and every other temporary of a
+    group is a blocked walk of the same budget, so memory does not grow
+    with ``n_init`` or k.
 
     A restart runs the exact kernel over all points once, on its final
     labels and centers, for the objective that ranks it; its iterations run
@@ -252,7 +264,7 @@ class KMeans(BaseEstimator):
         check_domain(X)
         mean = X.mean(axis=0)
         rows, tol = _rows(X, mean), float(self.tol)
-        group = _block_rows(n * k)  # restarts whose screen fills one block
+        group = _block_rows(2 * n)  # restarts whose (g, n) arrays fill half a block each
         best, n_iters = None, []
         for first in range(0, n_init, group):
             seeds = range(seed + first, seed + min(first + group, n_init))

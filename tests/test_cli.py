@@ -1,7 +1,10 @@
+import errno
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,6 +507,94 @@ class TestFlagPaths:
                        "--trials", "3", "--seed", "2", "--out", str(out)) == 0
         stdout = capsys.readouterr().out
         assert (out / "tendency.json").read_text() == stdout
+
+
+#: the runs that write files into --out, and the names of those files
+WRITING_RUNS = {
+    "analyze": (("analyze", "--seed", "1", "--trials", "3", "--restarts", "2", "--k-max", "3"),
+                ARTIFACTS),
+    "preprocess": (("preprocess",), ["preprocessed.csv", "preprocess.json"]),
+    "kmeans": (("kmeans", "--seed", "1", "--restarts", "2"), ["kmeans.json"]),
+}
+
+
+def _tree(root):
+    """Every path below ``root``, each with its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+def _out_with_old_files(out, names):
+    """An existing --out holding an old version of each of ``names`` and a
+    file the run does not write."""
+    out.mkdir()
+    for name in [*names, "keep.txt"]:
+        (out / name).write_bytes(b"old " + name.encode())
+
+
+class TestAtomicOut:
+    """A run writes all of its files into --out or none of them."""
+
+    @pytest.mark.parametrize("command", WRITING_RUNS)
+    @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+    def test_a_failed_write_leaves_no_trace(self, synth_csv_path, tmp_path, monkeypatch, capsys,
+                                            command, exists):
+        argv, names = WRITING_RUNS[command]
+        out = tmp_path / "out"
+        if exists:
+            _out_with_old_files(out, names)
+        before, fail_at = _tree(tmp_path), min(3, len(names))  # the third file, or the last
+        calls, write_bytes = [], Path.write_bytes
+
+        def failing_write_bytes(path, data):
+            calls.append(path)
+            if len(calls) == fail_at:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
+        assert run_cli(argv[0], str(synth_csv_path), *argv[1:], "--out", str(out)) == 2
+        assert len(calls) == fail_at
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {calls[-1]}: No space left on device"]
+        assert _tree(tmp_path) == before  # no partial --out, no staged file
+
+    def test_a_stage_that_cannot_be_made_leaves_no_out(self, synth_csv_path, tmp_path,
+                                                       monkeypatch, capsys):
+        def no_space(prefix, dir):
+            raise OSError(errno.ENOSPC, "No space left on device", dir)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", no_space)
+        out = tmp_path / "out"
+        assert run_cli("kmeans", str(synth_csv_path), "--seed", "1", "--restarts", "2",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path}: No space left on device"]
+        assert _tree(tmp_path) == {}
+
+    @pytest.mark.parametrize("command", WRITING_RUNS)
+    def test_an_existing_out_keeps_the_files_the_run_does_not_write(
+            self, synth_csv_path, tmp_path, command):
+        argv, names = WRITING_RUNS[command]
+        out, new = tmp_path / "out", tmp_path / "new"
+        _out_with_old_files(out, names)
+        for target in (out, new):
+            assert run_cli(argv[0], str(synth_csv_path), *argv[1:], "--out", str(target)) == 0
+        assert _tree(new) == {name: (new / name).read_bytes() for name in names}
+        assert _tree(out) == {**_tree(new), "keep.txt": b"old keep.txt"}
+        assert sorted(_tree(tmp_path)) == sorted(["out", "new", *(f"{d}/{name}" for d in (
+            "out", "new") for name in names), "out/keep.txt"])
+        (tmp_path / "made").mkdir()  # a new --out has the mode of a plain mkdir
+        assert new.stat().st_mode == (tmp_path / "made").stat().st_mode
+
+    def test_out_dot_writes_into_the_working_directory(self, synth_csv_path, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "keep.txt").write_bytes(b"mine")
+        assert run_cli("kmeans", str(synth_csv_path), "--seed", "1", "--restarts", "2",
+                       "--out", ".") == 0
+        assert sorted(_tree(tmp_path)) == ["keep.txt", "kmeans.json"]
+        assert (tmp_path / "keep.txt").read_bytes() == b"mine"
 
 
 @pytest.mark.parametrize("argv, matrices", [

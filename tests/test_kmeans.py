@@ -568,7 +568,7 @@ class TestRestarts:
                                                    (5, 2, [2, 2, 1])])
     def test_one_run_and_one_objective_per_restart(self, monkeypatch, n_init, group, runs):
         if group is not None:
-            monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", group * 200 * 5)
+            monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", group * 2 * 200)
         log = []  # one entry per group run: the _objective calls it made
         restarts, objective = kmeans._restarts, kmeans._objective
 
@@ -606,7 +606,7 @@ class TestRestarts:
 
 
 class TestLockstep:
-    """A fit runs its restarts in groups of ``_block_rows(n * k)``, each
+    """A fit runs its restarts in groups of ``_block_rows(2 * n)``, each
     group in lockstep; every restart equals the dense-table Lloyd run on its
     own, bit for bit. The block budget is patched to force small groups."""
 
@@ -614,7 +614,7 @@ class TestLockstep:
     def fit(monkeypatch, X, k, seed, n_init, group, init="k-means++", max_iter=100):
         """A fit in groups of ``group`` restarts, checked restart by restart:
         the fitted estimator and the results of each group run."""
-        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", group * len(X) * k)
+        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", group * 2 * len(X))
         runs, restarts = [], kmeans._restarts
 
         def recording_restarts(*args):
@@ -663,7 +663,7 @@ class TestLockstep:
     def test_a_restart_holding_inf_runs_on_while_the_others_converge(self, monkeypatch, group):
         # restarts 1 to 3 would put two points of 1e308 in one cluster, whose
         # center would be inf: the rows are refused before any group runs
-        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", group * 4 * 3)
+        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", group * 2 * 4)
         monkeypatch.setattr(kmeans, "_restarts", lambda *args: pytest.fail("fitted"))
         X = np.array([[6e307, 1e308], [1e308, 6e307], [1e308, 1e308], [0.0, 0.0]])
         with pytest.raises(AnalysisError, match="too large for float64"):
@@ -674,16 +674,31 @@ class TestLockstep:
         # d = 1 keeps numpy's pairwise mean per cluster
         self.fit(monkeypatch, grid(40, 1, 14, levels=50), 3, 2, 5, group)
 
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_group_size_depends_on_n_alone(self, monkeypatch, k):
+        # 25 restarts on 683 rows run in groups of _block_rows(2 * 683) = 23 at every k
+        sizes, restarts = [], kmeans._restarts
+
+        def recording_restarts(rows, mean, k, init, seeds, *args):
+            sizes.append(len(seeds))
+            return restarts(rows, mean, k, init, seeds, *args)
+
+        monkeypatch.setattr(kmeans, "_restarts", recording_restarts)
+        KMeans(n_clusters=k, n_init=25, random_state=0).fit(grid(683, 9, 21))
+        assert sizes == [23, 2]
+
 
 @pytest.mark.parametrize("n", [683, 20_000])
-def test_restarts_keep_memory_flat(n):
+@pytest.mark.parametrize("k", [2, 10])
+def test_restarts_keep_memory_flat(n, k):
     """Restarts share each group's temporaries, which a blocked walk bounds:
-    100 restarts peak no more than four 256 KB blocks above one restart."""
+    100 restarts peak no more than four 256 KB blocks above one restart,
+    whatever k."""
     X = grid(n, 9, 21)
 
     def peak(n_init):
         return traced_peak(
-            lambda: KMeans(n_clusters=2, n_init=n_init, max_iter=3, random_state=0).fit(X))
+            lambda: KMeans(n_clusters=k, n_init=n_init, max_iter=3, random_state=0).fit(X))
 
     assert peak(100) - peak(1) <= 4 * 8 * distances._SCREEN_ELEMENTS
 
