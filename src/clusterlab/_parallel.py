@@ -4,19 +4,21 @@
 results in item order, exactly as ``[fn(item) for item in items]`` would.
 It forks one child per extra usable CPU; the children read the parent's
 arrays copy-on-write, so whatever ``fn`` needs is built before the call.
-Every process, the parent included, claims work from one ticket pipe until
-it runs dry, so a busy CPU takes fewer items. A child pickles its results
-and sends them through its own pipe once, after its claims run dry: the
-parent reads the pipes only when its own claims have run dry too, so a child
-that wrote as it went would stall on its first result larger than the pipe
-buffer and claim nothing more. It leaves by ``os._exit`` alone: it flushes
+Every process, the parent included, runs one work loop, :func:`_work`: it
+claims work from one ticket pipe until the pipe runs dry, so a busy CPU
+takes fewer items, and stops at its first item that raises or warns. A child
+then pickles its ``{index: result}`` once, into its own pipe, and the parent
+unpickles it: the parent reads the pipes only when its own claims have
+stopped too, so a child that wrote as it went would stall on its first
+result larger than the pipe buffer and claim nothing more. It leaves by ``os._exit`` alone: it flushes
 no inherited buffer, runs no atexit handler and writes nothing else.
 
 Failure has no path of its own. After the join, the parent computes, in item
-order, every item that no child delivered: an item that raised or warned in
-a child, the rest of a child that was killed, a record cut short. So an item
-that fails everywhere raises the serial path's own exception, and warnings
-reach stderr as the serial path would print them.
+order, every item that no process delivered: an item that raised or warned,
+the rest of the claims of the process it failed in, and every item of a child
+that was killed or whose pickle does not load. So an item that fails
+everywhere raises the serial path's own exception, and warnings reach stderr
+as the serial path would print them.
 """
 
 import os
@@ -31,8 +33,6 @@ _TICKETS = 256
 #: True inside fork_map, in the parent and in every child, so that a nested
 #: call runs inline instead of forking again
 _active = False
-
-_MISSING = object()  # a result no process delivered
 
 
 def _cpus() -> int:
@@ -50,24 +50,23 @@ def fork_map(fn, items, cost=None) -> list:
     first, so that no process starts a long item last. The map stays in
     this one process when there is one usable CPU or one item, when the
     platform has no ``os.fork``, when another Python thread is alive, and
-    inside a worker.
+    inside a worker. Any item no process delivered is computed here, after
+    the join, in item order.
     """
-    items = list(items)
-    results = [_MISSING] * len(items)
+    items, done = list(items), {}
     children = min(_cpus(), len(items)) - 1
     if (children > 0 and hasattr(os, "fork") and threading.active_count() == 1
             and not _active):
         order = list(range(len(items)))
         if cost is not None:
             order.sort(key=lambda i: -cost(items[i]))  # stable: ties keep item order
-        _fork_join(fn, items, order, children, results)
-    return [fn(item) if result is _MISSING else result
-            for item, result in zip(items, results)]
+        _fork_join(fn, items, order, children, done)
+    return [done[i] if i in done else fn(item) for i, item in enumerate(items)]
 
 
-def _fork_join(fn, items, order, children, results):
-    """Fill ``results`` with what the parent and up to ``children`` forked
-    processes compute; items none of them delivered stay ``_MISSING``."""
+def _fork_join(fn, items, order, children, done):
+    """Fill ``done`` with ``{index: result}`` of what the parent and up to
+    ``children`` forked processes compute; it may stay short of every item."""
     global _active
     import signal  # only a run that forks needs it
 
@@ -107,15 +106,15 @@ def _fork_join(fn, items, order, children, results):
             os.close(writer)
             pipes[pid] = reader
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning defers the item, as in a child
-            for i in _claim(tickets, batches):
-                try:
-                    results[i] = fn(items[i])
-                except Exception:
-                    pass  # computed again after the join, in item order
+        done.update(_work(fn, items, batches, tickets))
         for reader in pipes.values():
-            _receive(_read_all(reader), results)
+            # read whole, then unpickled: pickle.load on the stream left the parent's
+            # heap in a state that peaked 2-8 MB higher on repeated table round trips
+            with open(reader, "rb", buffering=0, closefd=False) as pipe:
+                try:
+                    done.update(pickle.loads(pipe.readall()))
+                except Exception:
+                    pass  # a killed child or a cut pickle: its items are computed again
     finally:
         if os.getpid() != parent:  # a child interrupted before it reached _child
             os._exit(0)
@@ -127,45 +126,30 @@ def _fork_join(fn, items, order, children, results):
         os.close(tickets)
 
 
-def _claim(tickets, batches):
-    """The item indices this process claims, one ticket at a time, until
-    the ticket pipe is empty."""
-    while ticket := os.read(tickets, 1):
-        yield from batches[ticket[0]]
+def _work(fn, items, batches, tickets) -> dict:
+    """``{index: result}`` of the items of every ticket this process claims,
+    until the ticket pipe is empty or an item raises or warns. That item and
+    the rest of its batch are left out; the parent computes them after the
+    join, in item order."""
+    done = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning defers the item, as an exception does
+        try:
+            while ticket := os.read(tickets, 1):
+                for i in batches[ticket[0]]:
+                    done[i] = fn(items[i])
+        except Exception:
+            pass
+    return done
 
 
 def _child(fn, items, batches, tickets, reader, writer):
-    """A forked worker: compute claimed items, then send each as a
-    length-prefixed pickle of ``(index, result)``. It stops claiming at its
-    first exception or warning; the parent computes that item again."""
+    """A forked worker: run :func:`_work`, then send its ``{index: result}``
+    home as one pickle through ``writer``."""
     try:
         os.close(reader)
-        warnings.simplefilter("error")
-        records = []
-        try:
-            for i in _claim(tickets, batches):
-                record = pickle.dumps((i, fn(items[i])))
-                records += (len(record).to_bytes(8, "little"), record)
-        except Exception:
-            pass  # computed again after the join, in item order
+        done = _work(fn, items, batches, tickets)
         with os.fdopen(writer, "wb") as out:
-            out.writelines(records)
+            pickle.dump(done, out)
     finally:
         os._exit(0)  # the parent reads results, not exit codes
-
-
-def _read_all(fd) -> bytes:
-    with open(fd, "rb", buffering=0, closefd=False) as pipe:
-        return pipe.readall()
-
-
-def _receive(data: bytes, results) -> None:
-    """Store every whole record of ``data``; a trailing cut one is dropped."""
-    view, start = memoryview(data), 0
-    while start + 8 <= len(data):
-        end = start + 8 + int.from_bytes(view[start:start + 8], "little")
-        if end > len(data):
-            break
-        i, value = pickle.loads(view[start + 8:end])
-        results[i] = value
-        start = end

@@ -8,6 +8,8 @@ outputs (seeds are explicit or resolved once and echoed in the report).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import shutil
 import sys
 import tempfile
@@ -68,15 +70,19 @@ _STAGE_OPTIONS = {
 }
 
 
-#: subcommand -> (help, option groups, default --algorithm or None)
+#: subcommand -> (help, option groups, default --algorithm or None, the one
+#: pipeline stage it runs or None for analyze)
 _ANALYSES = {
-    "tendency": ("Hopkins clustering-tendency statistic", ("hopkins",), None),
-    "kmeans": ("run kmeans at a fixed k", ("k", "restarts", "lloyd"), None),
-    "pam": ("run pam at a fixed k", ("k", "swap"), None),
-    "silhouette": ("run silhouette at a fixed k", ("k", "restarts", "lloyd", "swap"), "pam"),
-    "sweep": ("k sweep with silhouette and WSS curves", ("sweep", "restarts"), "kmeans"),
+    "tendency": ("Hopkins clustering-tendency statistic", ("hopkins",), None, pipeline.tendency),
+    "kmeans": ("run kmeans at a fixed k", ("k", "restarts", "lloyd"), None, pipeline.kmeans),
+    "pam": ("run pam at a fixed k", ("k", "swap"), None,
+            lambda run: pipeline.pam(run, score=run.opts.k >= 2)),
+    "silhouette": ("run silhouette at a fixed k", ("k", "restarts", "lloyd", "swap"), "pam",
+                   pipeline.silhouette),
+    "sweep": ("k sweep with silhouette and WSS curves", ("sweep", "restarts"), "kmeans",
+              lambda run: pipeline.sweep(run, run.opts.algorithm)),
     "analyze": ("full pipeline with report and plots",
-                ("k", "restarts", "lloyd", "swap", "hopkins", "sweep"), None),
+                ("k", "restarts", "lloyd", "swap", "hopkins", "sweep"), None, None),
 }
 
 
@@ -97,7 +103,7 @@ def build_parser() -> _Parser:
                    help="cleaned-table export format")
     p.set_defaults(func=cmd_preprocess)
 
-    for name, (help_text, groups, algorithm) in _ANALYSES.items():
+    for name, (help_text, groups, algorithm, stage) in _ANALYSES.items():
         p = sub.add_parser(name, help=help_text)
         _add_io_options(p)
         p.add_argument("--metric", default="euclidean",
@@ -114,7 +120,7 @@ def build_parser() -> _Parser:
         else:
             p.add_argument("--out", default=None,
                            help=f"directory to also write {name}.json into")
-            p.set_defaults(func=cmd_stage)
+            p.set_defaults(func=cmd_stage, stage=stage)
 
     return parser
 
@@ -163,35 +169,30 @@ def _prepare(args):
 def _write_files(out: str, files: dict) -> None:
     """Write every file into the output directory ``out``, all or none.
 
-    The files are staged in a fresh temporary directory: beside ``out``
-    when the run creates ``out`` (the stage is then renamed over the empty
-    directory made for it), inside ``out`` when it exists (each staged file
-    then replaces its namesake, once all of them are staged, and files the
-    run does not write are left alone). On any failure everything staged
-    is removed, a directory the run made is removed, and an existing
-    ``out`` keeps its old files."""
+    ``out`` is made, with its missing parents, and the files are staged in a
+    fresh temporary directory inside it. Once all of them are staged, and no
+    target is a directory, each staged file replaces its namesake; files the
+    run does not write are left alone. On any failure the stage is removed,
+    and so is the topmost directory the run made, so an existing ``out``
+    keeps its old files."""
     out_dir = Path(out)
-    fresh = not out_dir.is_dir()
-    if fresh:
-        out_dir.mkdir(parents=True)
+    made = next((p for p in [*reversed(out_dir.parents), out_dir] if not p.exists()), None)
     stage = None
     try:
-        stage = Path(tempfile.mkdtemp(prefix=".clusterlab-",
-                                      dir=out_dir.parent if fresh else out_dir))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".clusterlab-", dir=out_dir))
         for name, data in files.items():
             (stage / name).write_bytes(data)
-        if fresh:
-            stage.chmod(out_dir.stat().st_mode & 0o7777)  # mkdtemp makes it 0o700
-            stage.replace(out_dir)
-            return
+        for target in (out_dir / name for name in files):
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         for name in files:
             (stage / name).replace(out_dir / name)
         stage.rmdir()
     except BaseException:
-        if stage is not None:
-            shutil.rmtree(stage, ignore_errors=True)
-        if fresh:
-            out_dir.rmdir()
+        for path in (stage, made):
+            if path is not None:
+                shutil.rmtree(path, ignore_errors=True)
         raise
 
 
@@ -207,9 +208,8 @@ def cmd_inspect(args) -> int:
         "missing_cells": int(missing.sum()),
         "rows_with_missing": int(missing.any(axis=1).sum()),
         "missing_per_column": {
-            name: int(missing[:, i].sum())
-            for i, name in enumerate(table.column_names)
-            if missing[:, i].any()
+            name: int(count) for name, count in zip(table.column_names, missing.sum(axis=0))
+            if count
         },
     }
     if args.json:
@@ -240,20 +240,10 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-#: the single-stage subcommands, each a call of one pipeline stage on the run
-_STAGES = {
-    "tendency": pipeline.tendency,
-    "kmeans": pipeline.kmeans,
-    "pam": lambda run: pipeline.pam(run, score=run.opts.k >= 2),
-    "silhouette": pipeline.silhouette,
-    "sweep": lambda run: pipeline.sweep(run, run.opts.algorithm),
-}
-
-
 def cmd_stage(args) -> int:
     """Run one stage, print its section and mirror it into --out."""
     data, _, _, _ = _prepare(args)
-    section = _STAGES[args.command](pipeline.Run(data, args))[0]
+    section = args.stage(pipeline.Run(data, args))[0]
     payload = canonical_json(section)
     if args.out:
         _write_files(args.out, {f"{args.command}.json": payload})

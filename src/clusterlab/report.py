@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -64,17 +65,15 @@ def name_clusters(labels, classes) -> ClusterNaming:
     clusters = {}
     agree = 0
     for cid in sorted(int(c) for c in np.unique(labels)):
-        members = [classes[i] for i in np.flatnonzero(labels == cid)]
-        counts = {}
-        for cls in members:
-            counts[cls] = counts.get(cls, 0) + 1
+        counts = Counter(classes[i] for i in np.flatnonzero(labels == cid))
+        size = counts.total()
         top = max(counts.values())
         winners = sorted(name for name, c in counts.items() if c == top)
         name = BENIGN if BENIGN in winners else winners[0]
         clusters[cid] = ClusterName(
             name=name,
-            purity=counts[name] / len(members),
-            size=len(members),
+            purity=counts[name] / size,
+            size=size,
             class_counts=dict(sorted(counts.items())),
         )
         agree += counts[name]
@@ -92,10 +91,7 @@ def dataset_section(data: Dataset) -> dict:
         "class_distribution": None,
     }
     if data.labels is not None:
-        dist = {}
-        for lab in data.labels:
-            dist[lab] = dist.get(lab, 0) + 1
-        section["class_distribution"] = dict(sorted(dist.items()))
+        section["class_distribution"] = dict(sorted(Counter(data.labels).items()))
     return section
 
 

@@ -1,0 +1,76 @@
+import importlib.util
+import json
+
+import pytest
+
+from conftest import REPO_ROOT
+
+_spec = importlib.util.spec_from_file_location("bench_pairs",
+                                               REPO_ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"job_s": "lower", "ok_ratio": "higher"}
+
+
+def runs(job_s, ok_ratio):
+    return [{"job_s": j, "ok_ratio": o} for j, o in zip(job_s, ok_ratio)]
+
+
+def test_summary_of_fixed_runs():
+    parent = runs([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 1, 1])
+    change = runs([0.5, 2.0, 3.5, 3.0, 4.0], [1, 1, 0.5, 1, 1])
+    job, ok = bench_pairs.summarize(parent, change, BETTER)
+    assert job == {"metric": "job_s", "better": "lower", "parent": (2.0, 3.0, 4.0),
+                   "change": (2.0, 3.0, 3.5), "parent_iqr": 2.0, "won": 3, "lost": 1,
+                   "pairs": 5}
+    assert (ok["parent"], ok["change"]) == ((1, 1, 1), (1, 1, 1))
+    assert (ok["won"], ok["lost"]) == (0, 1)  # higher is better; the ties count for neither
+
+
+def test_one_pair_has_no_spread():
+    (job,) = bench_pairs.summarize(runs([2.0], [1]), runs([1.0], [1]), {"job_s": "lower"})
+    assert (job["parent"], job["parent_iqr"], job["won"]) == ((2.0, 2.0, 2.0), 0.0, 1)
+
+
+def test_table():
+    rows = bench_pairs.summarize(runs([1.0, 2.0, 3.0], [1, 1, 1]),
+                                 runs([1.5, 1.0, 2.0], [1, 1, 1]), BETTER)
+    assert bench_pairs.format_summary(rows).splitlines()[2:] == [
+        "| job_s | lower | 2 [1.5, 2.5] | 1.5 [1.25, 1.75] | 1 | 2 of 3 (1 worse) |",
+        "| ok_ratio | higher | 1 [1, 1] | 1 [1, 1] | 0 | 0 of 3 (0 worse) |"]
+
+
+@pytest.mark.parametrize("stdout, expected", [
+    ('env: {}\n{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}\n',
+     {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}),
+    ("", None),
+    ("Traceback (most recent call last):\n  ...\nValueError: boom\n", None),
+    ('{"correct": true}\n', None),
+    ("[1, 2]\n", None),
+])
+def test_the_result_is_the_last_line(stdout, expected):
+    assert bench_pairs.parse_result(stdout) == expected
+
+
+def test_a_run_with_no_result_or_an_incorrect_one_exits_1(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "job_s", "better": "lower"}]}))
+    results = []
+
+    def run_once(checkout, workload, seed, seconds):
+        return results.pop(0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2"]
+    ok = {"correct": True, "metrics": {"job_s": {"value": 1.0}}}
+    results[:] = [ok, ok, ok, {**ok, "correct": False}]
+    assert bench_pairs.main(argv) == 1
+    assert "correct=false" in capsys.readouterr().out
+    results[:] = [ok, ok, None]
+    assert bench_pairs.main(argv) == 1
+    assert capsys.readouterr().err == "error: pair 1, change: the run's last line is not a result\n"
+    results[:] = [ok] * 4
+    assert bench_pairs.main(argv) == 0
+    assert "| job_s | lower | 1 [1, 1] | 1 [1, 1] | 0 | 0 of 2 (0 worse) |" in (
+        capsys.readouterr().out)

@@ -569,8 +569,36 @@ class TestAtomicOut:
         assert run_cli("kmeans", str(synth_csv_path), "--seed", "1", "--restarts", "2",
                        "--out", str(out)) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {tmp_path}: No space left on device"]
+            f"error: {out}: No space left on device"]
         assert _tree(tmp_path) == {}
+
+    def test_a_failed_write_removes_the_parents_the_run_made(self, synth_csv_path, tmp_path,
+                                                             monkeypatch, capsys):
+        def no_space(path, data):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        (tmp_path / "keep.txt").write_bytes(b"mine")
+        before = _tree(tmp_path)
+        monkeypatch.setattr(Path, "write_bytes", no_space)
+        assert run_cli("kmeans", str(synth_csv_path), "--seed", "1", "--restarts", "2",
+                       "--out", str(tmp_path / "a" / "b" / "out")) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command", WRITING_RUNS)
+    def test_a_directory_target_is_refused_before_any_replace(self, synth_csv_path, tmp_path,
+                                                              capsys, command):
+        argv, names = WRITING_RUNS[command]
+        out = tmp_path / "out"
+        _out_with_old_files(out, names)
+        (out / names[-1]).unlink()
+        (out / names[-1]).mkdir()
+        (out / names[-1] / "inside.txt").write_bytes(b"mine")
+        before = _tree(tmp_path)
+        assert run_cli(argv[0], str(synth_csv_path), *argv[1:], "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out / names[-1]}: Is a directory"]
+        assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize("command", WRITING_RUNS)
     def test_an_existing_out_keeps_the_files_the_run_does_not_write(

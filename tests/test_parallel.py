@@ -4,7 +4,6 @@ child or descriptor outlives a call."""
 
 import _thread
 import errno
-import itertools
 import os
 import pickle
 import signal
@@ -209,6 +208,21 @@ class TestFailures:
         assert_same_sweeps(serial[1:2] + forked[1:2])
         assert_same_hopkins(serial[2:] + forked[2:])
 
+    def test_failure_in_the_parents_claim_only(self, monkeypatch, forks):
+        # the parent stops at its first item; the child and the serial pass do the rest
+        with_cpus(monkeypatch, 2)
+        failed = []
+
+        def failing_in_the_parents_claim(i):
+            if os.getpid() == PARENT and _parallel._active:
+                failed.append(i)
+                raise RuntimeError("only in the parent's claim")
+            time.sleep(0.01)
+            return i * i
+
+        assert fork_map(failing_in_the_parents_claim, range(8)) == [i * i for i in range(8)]
+        assert len(failed) == 1 and len(forks) == 1
+
     @staticmethod
     def break_fits_from_k3(monkeypatch):
         fit = KMeans.fit
@@ -254,16 +268,27 @@ class TestFailures:
             os.waitpid(forks[0], os.WNOHANG)
 
 
-def test_a_record_cut_short_is_dropped():
-    # a child killed while it writes leaves part of a record in its pipe
-    frames = [len(r).to_bytes(8, "little") + r
-              for r in (pickle.dumps((i, float(i))) for i in range(3))]
-    ends, data = list(itertools.accumulate(map(len, frames))), b"".join(frames)
-    for cut in range(len(data) + 1):
-        results = [_parallel._MISSING] * 3
-        _parallel._receive(data[:cut], results)
-        whole = sum(end <= cut for end in ends)
-        assert results == [0.0, 1.0, 2.0][:whole] + [_parallel._MISSING] * (3 - whole)
+@pytest.mark.parametrize("cut", [lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n - 1],
+                         ids=["nothing", "one-byte", "half", "all-but-one"])
+def test_a_pickle_cut_short_leaves_the_childs_items_to_the_parent(monkeypatch, tmp_path, cut):
+    # the child writes only the first bytes of its pickle and is killed
+    with_cpus(monkeypatch, 2)
+    sent = tmp_path / "sent"
+
+    def dump_then_die(obj, out):
+        data = pickle.dumps(obj)
+        sent.write_text(str(len(obj)))
+        out.write(data[:cut(len(data))])
+        out.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def slow(i):
+        time.sleep(0.02)
+        return os.getpid(), i * i
+
+    monkeypatch.setattr(_parallel.pickle, "dump", dump_then_die)
+    assert fork_map(slow, range(12)) == [(PARENT, i * i) for i in range(12)]
+    assert int(sent.read_text()) > 0  # the child had claimed items
 
 
 @pytest.mark.parametrize("call", ["fork", "pipe"])

@@ -1,0 +1,124 @@
+"""Run the benchmark on two checkouts in alternated pairs and compare them.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs 10] [--seconds 25] [--seed 1]
+
+PARENT and CHANGE are two checkouts of clusterlab. Each pair runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
+each, the parent first in even pairs (0, 2, ...) and the change first in odd
+ones. It prints every run's end-to-end metrics and its ``correct`` as they
+come, then one row per metric: both medians and quartiles, the parent's
+interquartile range (IQR), and in how many pairs the change read better.
+A tie counts for neither side. Which direction is better comes from
+``better`` in the parent's ``BENCHMARK.json``; so do the metric names.
+
+It exits 1 when a run's last line of output is not a result (it stops
+there) or when a run reads ``correct: false`` (it finishes the pairs
+first). Needs only the standard library; it reads ``perfbench/`` and
+``BENCHMARK.json`` and changes neither.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_result(stdout: str) -> dict | None:
+    """The JSON result on the last line of a run's output, or None."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(result, dict) or not {"correct", "metrics"} <= result.keys():
+        return None
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, interpolated linearly."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
+    """One row per metric of ``better`` (name -> "lower" or "higher") over
+    the pairs ``zip(parent, change)``, each run a {metric: value} dict."""
+    rows = []
+    for name, direction in better.items():
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        sign = 1 if direction == "higher" else -1
+        p_q, c_q = quartiles(p), quartiles(c)
+        rows.append({
+            "metric": name,
+            "better": direction,
+            "parent": p_q,
+            "change": c_q,
+            "parent_iqr": p_q[2] - p_q[0],
+            "won": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+            "lost": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
+            "pairs": len(p),
+        })
+    return rows
+
+
+def format_summary(rows: list[dict]) -> str:
+    """The rows of :func:`summarize` as a markdown table."""
+    lines = ["| metric | better | parent median [q1, q3] | change median [q1, q3] "
+             "| parent IQR | change better in |",
+             "|---|---|---|---|---|---|"]
+    for row in rows:
+        (p1, p2, p3), (c1, c2, c3) = row["parent"], row["change"]
+        lines.append(f"| {row['metric']} | {row['better']} | {p2:.4g} [{p1:.4g}, {p3:.4g}] "
+                     f"| {c2:.4g} [{c1:.4g}, {c3:.4g}] | {row['parent_iqr']:.4g} "
+                     f"| {row['won']} of {row['pairs']} ({row['lost']} worse) |")
+    return "\n".join(lines)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    return parse_result(proc.stdout) if proc.returncode == 0 else None
+
+
+def main(argv: list[str]) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=25.0)
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs = {"parent": [], "change": []}
+    all_correct = True
+    for pair in range(args.pairs):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            result = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            if result is None:
+                print(f"error: pair {pair}, {side}: the run's last line is not a result",
+                      file=sys.stderr)
+                return 1
+            metrics = {name: result["metrics"][name]["value"] for name in better}
+            runs[side].append(metrics)
+            all_correct &= result["correct"] is True
+            print(f"pair {pair} {side}: " + " ".join(
+                f"{name}={value:.6g}" for name, value in metrics.items())
+                + f" correct={json.dumps(result['correct'])}", flush=True)
+    print(f"\n{args.workload}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s")
+    print(format_summary(summarize(runs["parent"], runs["change"], better)))
+    return 0 if all_correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
