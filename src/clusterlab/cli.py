@@ -8,7 +8,9 @@ outputs (seeds are explicit or resolved once and echoed in the report).
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
+import io
 import os
 import shutil
 import sys
@@ -232,8 +234,9 @@ def cmd_preprocess(args) -> int:
         if args.export == "arff":
             files = {"preprocessed.arff": write_arff(out_table, relation_name="preprocessed")}
         else:
-            files = {"preprocessed.csv": format_table([",".join(out_table.column_names)],
-                                                      out_table.cells)}
+            header = io.StringIO()  # the \r\n end quotes a name holding \r or \n, cut off here
+            csv.writer(header, lineterminator="\r\n").writerow(out_table.column_names)
+            files = {"preprocessed.csv": format_table([header.getvalue()[:-2]], out_table.cells)}
         _write_files(args.out, {**files, "preprocess.json": payload})
     if args.json or not args.out:
         sys.stdout.write(payload.decode("utf-8"))
@@ -293,6 +296,9 @@ def main(argv=None) -> int:
         return 2
     except (ClusterlabError, ValueError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a backstop: sizes are checked before the large allocations
+        print(f"analysis error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -5,41 +5,26 @@ style of file: drop rows with missing cells, strip the identifier column,
 split off the 2/4-coded class column, then min-max normalize each remaining
 feature onto [0, 1].
 
-Parsing screens, then decides. The per-cell parsers (``csv.reader`` or the
-ARFF row parser, then ``float`` on every cell) are the reference. They read
-the text once and raise at the first malformed row or non-numeric cell; the
-first cell that reads as NaN or infinity without being the missing marker is
-reported only if the text holds no such error. A numeric table of the common
-shape is instead read by numpy's C reader:
+Both formats read their data rows by one grammar (see :func:`_rows`). A row
+is a line ended by ``\n`` or ``\r\n``; a line of whitespace is blank, and so
+is a ``%`` comment in ARFF. Its cells lie between delimiters, and each,
+stripped of whitespace, is the missing marker, a value of its nominal
+domain, or a finite number as numpy's C reader reads one: as ``float``
+does, bit for bit, but without underscores or non-ASCII digits. numpy's
+``np.loadtxt`` reads the rows. When it cannot, one scan of the text by the
+same grammar words the error: the first refused character, sparse or ragged
+row, non-number or value outside its domain, and only when there is none,
+the first cell that reads as NaN or infinity.
 
-- **Screen.** C-speed ``str`` searches put the text in doubt when it holds a
-  quote, a ``str.splitlines`` line boundary that ``csv`` and numpy read as
-  an ordinary character (``\x0b \x0c \x1c-\x1e \x85 \u2028 \u2029``, and
-  ``\x1f`` with them), or a ``\r`` outside ``\r\n``; when the delimiter is
-  not one character, is whitespace or one of those characters; when the
-  missing marker is empty, holds whitespace or the delimiter, or follows a
-  sign (``-?`` would read as ``-nan``); when an ARFF header declares a
-  nominal attribute; and when there are no data rows (numpy warns on empty
-  input). NUL, ARFF's sparse rows and comments (``{``, ``%``) and a
-  delimiter that a number may hold need no screen: numpy splits a row where
-  ``csv`` does, and rejects every cell they leave unlike a number.
-- **Decide.** Otherwise every marker becomes ``nan`` and ``np.loadtxt``
-  parses the rest. Its C reader converts each token with
-  ``PyOS_string_to_double``, the routine behind ``float``, so every cell it
-  accepts has the bits ``float`` gives it; of what ``float`` accepts it
-  rejects only underscores (``1_0``) and non-ASCII digits. It also rejects
-  whitespace-only lines, which the per-cell parsers skip, so when it raises
-  it reads the text once more without them. A table of ragged rows, such a
-  token or any other non-number makes it raise again, and a count of
-  non-finite cells that differs from the count of markers (a ``nan``,
-  ``inf`` or ``1e999`` cell) means a cell the reference rejects. Either way
-  the reference parser reads the whole text again, so every error, message
-  and line number is its own. Both steps run on items of the text cut at
-  line ends, on every usable CPU (see :func:`_decide`).
+The grammar refuses what it would not read the same everywhere: a data row
+holding a ``\r`` outside ``\r\n``, another line boundary of
+``str.splitlines`` or ``\x1f``, or in CSV a quote; and before any parse, a
+delimiter that is a quote, a line boundary or a letter of ``nan``, and a
+missing marker holding whitespace, a quote or the delimiter.
 
-Only data rows go to numpy: the CSV header names and the ARFF declarations
-are read from the original text on both paths. A CSV header line may hold
-quotes: ``csv.reader`` reads that one line, and the rest is screened alone.
+The CSV header is the first record of ``csv.reader`` that is not blank, so a
+quoted name may hold the delimiter or a line break; error line numbers count
+lines. The ARFF declarations are read line by line up to ``@data``.
 
 All values are immutable after construction and safe to share across threads.
 Row order is preserved by every operation in this module.
@@ -52,6 +37,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +45,7 @@ import numpy as np
 from ._parallel import fork_map
 from .exceptions import (
     ArffSyntaxError,
+    DuplicateNameError,
     InputError,
     InvalidClassValueError,
     InvalidEncodingError,
@@ -101,7 +88,8 @@ class RawTable:
                 f"{len(self.column_names)} column names for {cells.shape[1]} columns"
             )
         if len(set(self.column_names)) != len(self.column_names):
-            raise ValueError("column names must be unique")
+            name = next(n for i, n in enumerate(self.column_names) if n in self.column_names[:i])
+            raise DuplicateNameError(f"column names must be unique, but {name!r} repeats")
         self.cells.setflags(write=False)
 
     @property
@@ -190,137 +178,166 @@ class PreprocessReport:
             raise ValueError("rows_before - rows_dropped must equal rows_after")
 
 
-# -- CSV --------------------------------------------------------------------
+# -- the data-row grammar -----------------------------------------------------
 
 def _read_text(source) -> str:
-    if isinstance(source, str):
-        return source
     if isinstance(source, Path):
         source = source.read_bytes()
-    elif not isinstance(source, bytes):
+    elif not isinstance(source, (str, bytes)):
         source = source.read()
-        if isinstance(source, str):
-            return source
+    if isinstance(source, str):
+        return source
     try:
         return source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidEncodingError(exc.start, exc.reason) from None
 
 
-#: characters that put a text in doubt: quotes, and the line boundaries of
-#: ``str.splitlines`` that ``csv`` and numpy read as ordinary characters
-_DOUBTFUL = "\"'\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
-
-
-def _screened(text: str, doubtful: str = _DOUBTFUL) -> bool:
-    """Whether ``text`` holds no character of ``doubtful`` and no ``\\r``
-    outside ``\\r\\n``, the line ends on which ``csv``, ``str.splitlines``
-    and numpy agree."""
-    return not any(c in text for c in doubtful) and text.count("\r") == text.count("\r\n")
-
-
-def _plain_format(delimiter: str, marker: str) -> bool:
-    """Whether the delimiter is one character that is no whitespace and no
-    character of :data:`_DOUBTFUL`, and the marker is not empty and holds
-    neither whitespace nor the delimiter."""
-    return (len(delimiter) == 1 and not delimiter.isspace() and delimiter not in _DOUBTFUL
-            and marker != "" and not any(c.isspace() or c == delimiter for c in marker))
-
+#: the line boundaries of ``str.splitlines`` other than ``\n`` and ``\r``, and
+#: ``\x1f`` with them: no data row may hold one, nor a ``\r`` outside ``\r\n``
+_ODD_ENDS = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 #: the characters of data text in one parse item; items end at a line end
 _PARSE_CHUNK = 1 << 20
 
 
-def _decide(body: str, delimiter: str, marker: str, n_cols: int | None):
-    """The cells of ``body`` as numpy's C reader parses them, marker cells
-    NaN, or None when the per-cell parser must read the text.
+def _value(token: str, marker: str, domain: dict | None) -> float:
+    """One cell, stripped, by the one rule that the reader's converters and
+    :func:`_scan` share: NaN for the ``marker``, the index of a nominal value
+    in its ``domain`` (quotes stripped too), else a finite number as numpy's
+    reader reads it. That is ``float``, which it matches bit for bit, without
+    underscores or non-ASCII digits. Raises KeyError for a value outside the
+    domain, ValueError for a non-number and ArithmeticError for a number that
+    is not finite."""
+    token = token.strip()
+    if domain is not None:
+        token = token.strip("'\"")
+    if token == marker:
+        return math.nan
+    if domain is not None:
+        return float(domain[token])
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    if not math.isfinite(value := float(token)):
+        raise ArithmeticError(token)
+    return value
 
-    The text is cut after a ``\n`` into items of about :data:`_PARSE_CHUNK`
+
+def _rows(body: str, delimiter: str, marker: str, names, first_line: int, nominal) -> np.ndarray:
+    """The cells of the data rows ``body``, marker cells NaN: ``len(names)``
+    columns, or as many as the first row has when ``names`` is None.
+    ``nominal`` maps each nominal ARFF column to its domain; it is None for
+    CSV, where a data row may not hold a ``"`` and ``%`` starts no comment.
+    ``first_line`` is the number of the body's first line.
+
+    The body is cut after a ``\\n`` into items of about :data:`_PARSE_CHUNK`
     characters, which :func:`._parallel.fork_map` hands to
-    :func:`_chunk_cells`. A cut after ``\n`` splits no cell, no ``\r\n``
-    pair and no signed marker, so the items pass its tests exactly when the
-    whole text would, and their cells stack to the whole text's when each
-    has as many columns as the first, or ``n_cols``.
+    :func:`_item_cells`. A cut there splits no row, so the items read
+    exactly as the whole would. When an item fails, or the items disagree on
+    the column count, :func:`_scan` reads the whole body to word the error.
     """
-    if not body or body.isspace():
-        return None
+    refused = _ODD_ENDS if nominal is not None else '"' + _ODD_ENDS
+    converters = (partial(_value, marker=marker, domain=None) if not nominal else
+                  {col: partial(_value, marker=marker, domain=nominal.get(col))
+                   for col in range(len(names))})
     starts = [0]
     while 0 < (end := body.find("\n", starts[-1] + _PARSE_CHUNK) + 1) < len(body):
         starts.append(end)
     starts.append(len(body))
-    parts = fork_map(lambda i: _chunk_cells(body[starts[i]:starts[i + 1]], delimiter, marker),
+    parts = fork_map(lambda i: _item_cells(body[starts[i]:starts[i + 1]], delimiter, marker,
+                                           refused, nominal is not None, converters,
+                                           bool(nominal) or not marker),
                      range(len(starts) - 1))
-    if any(cells is None for cells in parts):
-        return None
-    parts = [cells for cells in parts if len(cells)]
-    width = parts[0].shape[1] if n_cols is None else n_cols
-    if any(cells.shape[1] != width for cells in parts):
-        return None
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if all(cells is not None for cells in parts):
+        parts = [cells for cells in parts if len(cells)]
+        width = len(names) if names is not None else parts[0].shape[1] if parts else 0
+        if all(cells.shape[1] == width for cells in parts):
+            return parts[0] if len(parts) == 1 else np.concatenate([np.empty((0, width)), *parts])
+    _scan(body, delimiter, marker, names, first_line, nominal, refused)
 
 
-def _chunk_cells(text, delimiter, marker):
-    """The cells of one item of :func:`_decide`, none for a text of only
-    whitespace, or None when the text is in doubt or numpy's reader rejects it.
+def _item_cells(text, delimiter, marker, refused, comments, converters, whole):
+    """The cells of one item of :func:`_rows`, none for a blank text, or None
+    when the item holds an error for :func:`_scan` to word.
 
-    With a plain format, a marker that follows no sign can only become a
-    number by being a whole cell, so replacing it with ``nan`` makes exactly
-    the marker cells NaN; the count check then finds any other non-finite
-    cell. Without the marker neither signed form can occur, so the scans
-    for them and the count are skipped.
+    A C-speed search refuses the item first. Unless every cell is to be read
+    ``whole``, numpy's own number reader then reads it with every marker
+    replaced by ``nan``, and once more without the lines of whitespace (and,
+    with ``comments``, ARFF's ``%`` lines), which numpy rejects. A marker
+    that follows a sign or lands inside a number cannot pass both the sign
+    check and the count of non-finite cells against the count of markers;
+    such an item is read by the ``converters`` instead, every cell whole.
     """
-    if not _screened(text):
+    if any(ch in text for ch in refused) or text.count("\r") != text.count("\r\n"):
         return None
-    if text.isspace():  # the per-cell parsers skip it, numpy warns of no data
+    markers = 0 if whole else text.count(marker)
+    if not (whole or markers and (f"-{marker}" in text or f"+{marker}" in text)):
+        cells = _loadtxt(text, delimiter, marker)
+        if cells is None and (kept := _without_blanks(text, comments)) != text:
+            cells = _loadtxt(kept, delimiter, marker)
+        if cells is not None and np.count_nonzero(~np.isfinite(cells)) == markers:
+            return cells
+        if not markers:  # numpy read every cell as the converters would
+            return None
+    return _loadtxt(_without_blanks(text, comments), delimiter, "", converters)
+
+
+def _without_blanks(text, comments):
+    """``text`` without its lines of whitespace, and with ``comments``
+    without its ``%`` lines."""
+    return "\n".join(line for line in text.split("\n") if not line.isspace()
+                     and not (comments and line.lstrip().startswith("%")))
+
+
+def _loadtxt(text, delimiter, marker, converters=None):
+    """``text`` by ``np.loadtxt``, each ``marker`` replaced by ``nan``; none
+    for a blank text, or None if it raises."""
+    if text.isspace() or not text:  # numpy warns of no data
         return np.empty((0, 0))
-    markers = text.count(marker) if marker in text else 0
-    if markers and (f"-{marker}" in text or f"+{marker}" in text):
-        return None
-    cells = _loadtxt(text, delimiter, marker)
-    if cells is None:  # once more without the whitespace-only lines, which
-        # numpy rejects and the per-cell parsers skip
-        kept = "\n".join(line for line in text.split("\n") if not line.isspace())
-        cells = None if kept == text else _loadtxt(kept, delimiter, marker)
-    if cells is None or np.count_nonzero(~np.isfinite(cells)) != markers:
-        return None
-    return cells
-
-
-def _loadtxt(body, delimiter, marker):
-    """``body`` by ``np.loadtxt``, marker cells NaN, or None if it raises."""
-    try:
-        return np.loadtxt(io.BytesIO(body.replace(marker, "nan").encode()),
-                          delimiter=delimiter, comments=None, ndmin=2,
-                          encoding="utf-8", dtype=np.float64)
+    try:  # the replaced text is gone before numpy parses its bytes
+        return np.loadtxt(io.BytesIO((text.replace(marker, "nan") if marker else text).encode()),
+                          delimiter=delimiter, comments=None, ndmin=2, encoding="utf-8",
+                          dtype=np.float64, converters=converters)
     except ValueError:
         return None
 
 
-def _table(names, rows, bad) -> RawTable:
-    """Stack parsed rows into a table, or raise for ``bad``, the first cell
-    that read as NaN or infinity without being the missing marker; a later
-    malformed row or non-numeric cell has already raised while parsing."""
-    if bad:
-        line_no, col, token = bad[0]
-        raise NonFiniteCellError(line_no, names[col], token)
-    cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    return RawTable(column_names=names, cells=cells)
+def _scan(body, delimiter, marker, names, first_line, nominal, refused):
+    """Raise the error of the data rows that :func:`_rows` could not read,
+    by the same grammar, line by line: the first refused character, sparse
+    ARFF row, ragged row, non-number or value outside its nominal domain,
+    and only when there is none, the first cell that is NaN or infinite
+    without being the marker."""
+    n_cols = None if names is None else len(names)
+    bad = None
+    for line_no, line in enumerate(body.replace("\r\n", "\n").split("\n"), start=first_line):
+        if ch := next((ch for ch in refused + "\r" if ch in line), None):
+            raise InputError(f"line {line_no}: a data row may not hold {ch!r}")
+        row = line.strip()
+        if not row or nominal is not None and row.startswith("%"):
+            continue
+        if nominal is not None and row.startswith("{"):
+            raise ArffSyntaxError(f"line {line_no}: sparse ARFF rows are not supported")
+        tokens = line.split(delimiter)
+        n_cols = n_cols or len(tokens)
+        if len(tokens) != n_cols:
+            raise MalformedRowError(line_no, n_cols, len(tokens))
+        for col, token in enumerate(tokens):
+            name = names[col] if names is not None else f"col{col}"
+            try:
+                _value(token, marker, nominal.get(col) if nominal else None)
+            except KeyError as exc:
+                raise ArffSyntaxError(f"line {line_no}: {exc.args[0]!r} not in the nominal "
+                                      f"domain of {name!r}") from None
+            except ValueError:
+                raise NonNumericCellError(line_no, name, token.strip()) from None
+            except ArithmeticError:
+                bad = bad or (line_no, name, token.strip())
+    raise NonFiniteCellError(*bad) if bad else InputError(
+        f"line {first_line} on: the data rows could not be read")
 
 
-def _cell(token, marker, line_no, col, names, bad) -> float:
-    """``token`` by ``float``, NaN when it is the ``marker``. A non-numeric
-    token raises; the first non-finite one goes into the list ``bad`` as
-    (line, column, token), and parsing reads on."""
-    if token == marker:
-        return math.nan
-    try:
-        value = float(token)
-    except ValueError:
-        raise NonNumericCellError(line_no, names[col] if names else f"col{col}", token) from None
-    if not bad and not math.isfinite(value):
-        bad.append((line_no, col, token))
-    return value
-
+# -- CSV ----------------------------------------------------------------------
 
 def parse_csv(source, fmt: CsvFormat = CsvFormat()) -> RawTable:
     """Parse delimiter-separated text into a :class:`RawTable`.
@@ -331,78 +348,30 @@ def parse_csv(source, fmt: CsvFormat = CsvFormat()) -> RawTable:
     col1, ...
     """
     text = _read_text(source)
-    table = _fast_csv(text, fmt)
-    return _csv_table(text, fmt) if table is None else table
-
-
-def _fast_csv(text, fmt) -> RawTable | None:
-    if not _plain_format(fmt.delimiter, fmt.missing):
-        return None
-    names, body = None, text
+    delimiter, marker = fmt.delimiter, fmt.missing
+    if len(delimiter) != 1:
+        raise InputError(f"the delimiter must be one character, got {delimiter!r}")
+    if delimiter in f"\"'\r\n{_ODD_ENDS}na":
+        raise InputError(f"the delimiter {delimiter!r} is a quote, a line boundary or a "
+                         "letter of 'nan'")
+    if any(ch.isspace() or ch in f"\"'{delimiter}" for ch in marker):
+        raise InputError(f"the missing marker {marker!r} holds whitespace, a quote or the "
+                         "delimiter")
+    names, ends = None, [0]
     if fmt.has_header:
-        # csv.reader skips lines of whitespace; the header holds the first
-        # other character
-        first = len(text) - len(text.lstrip())
-        start = text.rfind("\n", 0, first) + 1
-        end = text.find("\n", first)
-        end = len(text) if end < 0 else end
-        names = _header_names(text[start:end + 1], fmt.delimiter)
-        if names is None or not _screened(text[:start]):
-            return None
-        body = text[end + 1:]
-    cells = _decide(body, fmt.delimiter, fmt.missing, None if names is None else len(names))
-    if cells is None:
-        return None
-    if names is None:
-        names = tuple(f"col{i}" for i in range(cells.shape[1]))
-    return RawTable(names, cells)
+        def lines():  # the lines of text, ends kept, noting where each ends
+            while ends[-1] < len(text):
+                ends.append(text.find("\n", ends[-1]) + 1 or len(text))
+                yield text[ends[-2]:ends[-1]]
 
-
-def _header_names(line, delimiter):
-    """The names on the CSV header ``line`` (with its line end) as
-    :func:`_csv_table` reads them, or None when the line is in doubt: it
-    holds a character of :data:`_DOUBTFUL` other than a quote, a quoted name
-    runs on past the line, a name is longer than csv's field-size limit, or
-    the reference would skip the line as blank."""
-    if not _screened(line, _DOUBTFUL.replace('"', "").replace("'", "")):
-        return None
-    reader = csv.reader((line, ""), delimiter=delimiter)
-    try:
-        record = next(reader)  # reads the second, empty line only inside quotes
-    except csv.Error:  # the reference reports it
-        return None
-    if reader.line_num > 1 or len(record) == 1 and not record[0].strip():
-        return None
-    return tuple(tok.strip() for tok in record)
-
-
-def _csv_table(text, fmt) -> RawTable:
-    """The reference path: ``csv.reader``, then ``float`` on every cell."""
-    if len(fmt.delimiter) != 1:
-        raise InputError(f"the delimiter must be one character, got {fmt.delimiter!r}")
-    names = n_cols = None
-    rows = []
-    bad = []
-    reader = csv.reader(io.StringIO(text), delimiter=fmt.delimiter)
-    try:
-        for line_no, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and record[0].strip() == ""):
-                continue  # blank line
-            if names is None and fmt.has_header:
-                names = tuple(tok.strip() for tok in record)
-                n_cols = len(names)
-                continue
-            if n_cols is None:
-                n_cols = len(record)
-            if len(record) != n_cols:
-                raise MalformedRowError(line_no, n_cols, len(record))
-            rows.append([_cell(tok.strip(), fmt.missing, line_no, col, names, bad)
-                         for col, tok in enumerate(record)])
-    except csv.Error as exc:  # a bare \r line end, or a field past csv's size limit
-        raise InputError(f"line {reader.line_num}: {str(exc).partition(' - ')[0]}") from None
-    if names is None:
-        names = tuple(f"col{i}" for i in range(n_cols or 0))
-    return _table(names, rows, bad)
+        reader = csv.reader(lines(), delimiter=delimiter)
+        try:
+            record = next((r for r in reader if len(r) > 1 or r and r[0].strip()), None)
+        except csv.Error as exc:  # a bare \r, or a field past csv's size limit
+            raise InputError(f"line {reader.line_num}: {str(exc).partition(' - ')[0]}") from None
+        names = None if record is None else tuple(tok.strip() for tok in record)
+    cells = _rows(text[ends[-1]:], delimiter, marker, names, len(ends), None)
+    return RawTable(names or tuple(f"col{i}" for i in range(cells.shape[1])), cells)
 
 
 # -- ARFF subset -------------------------------------------------------------
@@ -427,11 +396,7 @@ def parse_arff(source) -> RawTable:
     marks a missing cell; every other numeric cell must be finite.
     """
     names, nominal, data, line_no = _arff_header(_read_text(source))
-    if not nominal:
-        cells = _decide(data, ",", "?", len(names))
-        if cells is not None:
-            return RawTable(names, cells)
-    return _arff_table(data, line_no, names, nominal)
+    return RawTable(names, _rows(data, ",", "?", names, line_no + 1, nominal))
 
 
 def _arff_header(text):
@@ -456,11 +421,9 @@ def _arff_header(text):
         if _RELATION_RE.match(line):
             saw_relation = True
             continue
-        m = _ATTRIBUTE_RE.match(line)
-        if m:
-            name = _unquote(m.groups()[:3])
-            decl = m.group(4).strip()
-            _declare_attribute(name, decl, names, nominal, line_no)
+        if m := _ATTRIBUTE_RE.match(line):
+            _declare_attribute(_unquote(m.groups()[:3]), m.group(4).strip(), names, nominal,
+                               line_no)
             continue
         if _DATA_RE.match(line):
             if not saw_relation:
@@ -472,23 +435,6 @@ def _arff_header(text):
     raise ArffSyntaxError("missing @data section")
 
 
-def _arff_table(data, data_line_no, names, nominal) -> RawTable:
-    """The reference path: each row of the data section by
-    :func:`_parse_arff_row`."""
-    rows: list[list[float]] = []
-    bad: list = []
-    for line_no, raw_line in enumerate(data.splitlines(), start=data_line_no + 1):
-        line = raw_line.strip()
-        if not line or line.startswith("%"):
-            continue
-        if line.startswith("{"):
-            raise ArffSyntaxError(
-                f"line {line_no}: sparse ARFF rows are not supported"
-            )
-        rows.append(_parse_arff_row(line, line_no, names, nominal, bad))
-    return _table(names, rows, bad)
-
-
 def _declare_attribute(name, decl, names, nominal, line_no):
     if decl.startswith("{"):
         if not decl.endswith("}"):
@@ -497,33 +443,10 @@ def _declare_attribute(name, decl, names, nominal, line_no):
         if any(not v for v in values):
             raise ArffSyntaxError(f"line {line_no}: empty nominal value")
         nominal[len(names)] = {v: i for i, v in enumerate(values)}
-    elif decl.lower() in ("numeric", "real", "integer"):
-        pass
-    else:
-        raise UnsupportedAttributeTypeError(
-            f"line {line_no}: attribute type {decl!r} is not supported"
-        )
+    elif decl.lower() not in ("numeric", "real", "integer"):
+        raise UnsupportedAttributeTypeError(f"line {line_no}: attribute type {decl!r} is not "
+                                            "supported")
     names.append(name)
-
-
-def _parse_arff_row(line, line_no, names, nominal, bad):
-    tokens = [t.strip() for t in line.split(",")]
-    if len(tokens) != len(names):
-        raise MalformedRowError(line_no, len(names), len(tokens))
-    values = []
-    for col, token in enumerate(tokens):
-        token = token.strip("'\"")
-        if col not in nominal or token == "?":
-            values.append(_cell(token, "?", line_no, col, names, bad))
-            continue
-        try:
-            values.append(float(nominal[col][token]))
-        except KeyError:
-            raise ArffSyntaxError(
-                f"line {line_no}: {token!r} not in the nominal domain of "
-                f"{names[col]!r}"
-            ) from None
-    return values
 
 
 _FORMAT_BLOCK = 4096
@@ -615,7 +538,7 @@ def build_dataset(
     labels = None
     if label_column is not None:
         idx = table.column_index(label_column)
-        labels = _decode_labels(table.cells[:, idx])
+        labels = _decode_labels(table.cells[:, idx], row_ids)
         drop_idx.append(idx)
         columns_dropped.append(label_column)
 
@@ -669,13 +592,13 @@ def _row_ids(values) -> tuple:
                  for v in values[start:start + _FORMAT_BLOCK].tolist())
 
 
-def _decode_labels(values: np.ndarray) -> tuple[str, ...]:
+def _decode_labels(values: np.ndarray, row_ids) -> tuple[str, ...]:
     """The class names of a column coded as the source data codes them:
-    2 = benign, 4 = malignant."""
+    2 = benign, 4 = malignant. A bad value is named with its row id."""
     benign = values == 2.0
     bad = np.flatnonzero(~benign & (values != 4.0))
     if bad.size:
-        raise InvalidClassValueError(values[bad[0]], line=int(bad[0]))
+        raise InvalidClassValueError(float(values[bad[0]]), row=row_ids[bad[0]])
     return tuple(np.where(benign, BENIGN, MALIGNANT).tolist())
 
 

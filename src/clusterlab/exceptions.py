@@ -71,6 +71,10 @@ class UnwritableNameError(InputError, ValueError):
     """A table or column name that ARFF cannot hold; it came with the input."""
 
 
+class DuplicateNameError(InputError, ValueError):
+    """Two columns of a table share a name; the names came with the input."""
+
+
 class UnknownColumnError(InputError):
     def __init__(self, column, available):
         self.column = column
@@ -80,9 +84,9 @@ class UnknownColumnError(InputError):
 
 
 class InvalidClassValueError(InputError):
-    def __init__(self, value, line=None):
+    def __init__(self, value, row=None):
         self.value = value
-        where = f" (row {line})" if line is not None else ""
+        where = f" (row {row})" if row is not None else ""
         super().__init__(f"class value {value!r}{where} is not 2 or 4")
 
 

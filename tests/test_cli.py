@@ -1,5 +1,6 @@
 import errno
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -138,8 +139,9 @@ class TestUsageAndErrors:
         (b"1,2\n", ("--delimiter", "::"), "the delimiter must be one character, got '::'"),
         (b"1,2\n", ("--delimiter", ""), "the delimiter must be one character, got ''"),
         (b"1,2\n", ("--delimiter", "\\t"), "the delimiter must be one character, got '\\\\t'"),
-        (b"1,2\r3,4\n", (), "line 1: new-line character seen in unquoted field"),
-        (b"1,2\n" + b"1" * 200_000 + b",3\n", (), "line 2: field larger than field limit (131072)"),
+        (b"1,2\r3,4\n", (), "line 1: a data row may not hold '\\r'"),
+        (b"1,2\n" + b"1" * 200_000 + b",3\n", (), f"line 2, column 'col0': {'1' * 200_000!r} is "
+         "not a finite number (mark missing cells with the missing marker)"),
     ], ids=["two-characters", "empty", "backslash-t", "bare-cr", "huge-field"])
     @pytest.mark.parametrize("command", ["inspect", "analyze"])
     def test_csv_that_cannot_be_read_exit_2_with_one_line(self, tmp_path, doc, flags, message,
@@ -150,6 +152,54 @@ class TestUsageAndErrors:
                                *(("--out", str(out)) if command == "analyze" else ())],
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stderr.splitlines()) == (2, [f"input error: {message}"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, doc, flags, message", [
+        ("quote.csv", b'1,2,3\n4,"5",6\n', (), "line 2: a data row may not hold '\"'"),
+        ("separator.csv", b"1,2,3\n4,5\x0c,6\n", (), "line 2: a data row may not hold '\\x0c'"),
+        ("underscore.csv", b"1,2,3\n4,1_0,6\n", (),
+         "line 2, column 'col1': cannot parse '1_0' as a number"),
+        ("digit.csv", "1,2,3\n4,\u0665,6\n".encode(), (),
+         "line 2, column 'col1': cannot parse '\u0665' as a number"),
+        ("quoted.arff", b"@relation r\n@attribute a numeric\n@attribute b numeric\n"
+         b"@attribute c numeric\n@data\n1,'2',3\n", (),
+         "line 6, column 'b': cannot parse \"'2'\" as a number"),
+        ("marker.csv", b"1,2,3\n", ("--missing", "n/a "),
+         "the missing marker 'n/a ' holds whitespace, a quote or the delimiter"),
+        ("delimiter.csv", b"1n2n3\n", ("--delimiter", "n"),
+         "the delimiter 'n' is a quote, a line boundary or a letter of 'nan'"),
+        ("duplicate.csv", b"a,a,b\n1,2,3\n", ("--header",),
+         "column names must be unique, but 'a' repeats"),
+        ("duplicate.arff", b"@relation r\n@attribute a numeric\n@attribute b numeric\n"
+         b"@attribute a numeric\n@data\n1,2,3\n", (), "column names must be unique, but 'a' repeats"),
+    ], ids=["quote", "separator", "underscore", "digit", "quoted-arff", "marker", "delimiter",
+            "duplicate", "duplicate-arff"])
+    @pytest.mark.parametrize("command", ["inspect", "analyze"])
+    def test_refused_input_exit_2_with_one_line(self, tmp_path, capsys, name, doc, flags, message,
+                                                command):
+        f, out = tmp_path / name, tmp_path / "results"
+        f.write_bytes(doc)
+        assert run_cli(command, str(f), *flags,
+                       *(("--out", str(out)) if command == "analyze" else ())) == 2
+        assert capsys.readouterr().err.splitlines() == [f"input error: {message}"]
+        assert not out.exists()
+
+    def test_memory_error_exit_3_with_one_line(self, tmp_path):
+        # the run's address space, not this process's, is cut to 1.5 GB: the
+        # 15,000 x 15,000 distance matrix of pam (1.68 GiB) cannot be allocated
+        f, out = tmp_path / "big.csv", tmp_path / "results"
+        _table_file(f, np.random.default_rng(2).random((15_000, 3)))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,
+                                                    resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        proc = subprocess.run([sys.executable, "-m", "clusterlab.cli", "pam", str(f),
+                               "--out", str(out)], preexec_fn=limit, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("analysis error: out of memory: Unable to allocate 1.68 GiB")
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -329,6 +379,19 @@ class TestPreprocess:
             "input error: cannot write the name 'two\\nlines' to ARFF: it holds a line "
             "boundary, or needs quoting and holds both quote characters"]
         assert not out.exists()
+
+    def test_csv_export_quotes_the_names_that_need_it(self, tmp_path, capsys):
+        src, out = tmp_path / "t.csv", tmp_path / "prep"
+        src.write_text('"a,b","say ""hi""","two\nlines",plain\n1,2,3,4\n5,6,7,8\n')
+        assert run_cli("preprocess", str(src), "--header", "--id-column", "none",
+                       "--label-column", "none", "--out", str(out), "--export", "csv") == 0
+        exported = out / "preprocessed.csv"
+        assert exported.read_text().startswith('"a,b","say ""hi""","two\nlines",plain\n0.0,')
+        capsys.readouterr()
+        assert run_cli("inspect", str(exported), "--header", "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["column_names"] == ["a,b", 'say "hi"', "two\nlines", "plain"]
+        assert doc["rows"] == 2
 
     def test_stdout_json_without_out(self, synth_csv_path, capsys):
         assert run_cli("preprocess", str(synth_csv_path)) == 0

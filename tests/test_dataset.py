@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from clusterlab.exceptions import (
     UnknownColumnError,
     UnsupportedAttributeTypeError,
 )
+from oracles import reference_parse_arff, reference_parse_csv
 from test_parallel import with_cpus
 
 
@@ -119,9 +123,9 @@ class TestParseCsv:
             parse_csv(b"1,2\n", CsvFormat(delimiter=delimiter))
 
     @pytest.mark.parametrize("doc, has_header, message", [
-        (b"1,2\r3,4\n", False, "line 1: new-line character seen in unquoted field"),
-        (b"1,2\n3,4\r5,6\r\n", False, "line 2: new-line character seen in unquoted field"),
-        (b"1,2\n" + b"1" * 200_000 + b",3\n", False, "line 2: field larger than field limit"),
+        (b"1,2\r3,4\n", False, "line 1: a data row may not hold '\\r'"),
+        (b"1,2\n3,4\r5,6\r\n", False, "line 2: a data row may not hold '\\r'"),
+        (b"1,2\n" + b"1" * 200_000 + b",3\n", False, "line 2, column 'col0': '111"),
         (b"x" * 200_000 + b",b\n1,2\n", True, "line 1: field larger than field limit"),
     ], ids=["bare-cr", "bare-cr-after-crlf", "huge-field", "huge-header"])
     def test_what_csv_cannot_read_reports_its_line(self, doc, has_header, message):
@@ -350,39 +354,7 @@ def test_format_table_writes_repr_of_every_cell(monkeypatch, cpus):
     assert dataset.format_table(["h"], cells, missing="?") == expected.encode()
 
 
-# -- the fast path against the per-cell path ---------------------------------
-
-def reference_parse_arff(source):
-    """``parse_arff`` before the fast path: the whole text split by
-    ``str.splitlines``, every data row read by the per-cell row parser."""
-    text = dataset._read_text(source)
-    names, nominal, rows, bad = [], {}, [], []
-    saw_relation = in_data = False
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("%"):
-            continue
-        if in_data:
-            if line.startswith("{"):
-                raise ArffSyntaxError(f"line {line_no}: sparse ARFF rows are not supported")
-            rows.append(dataset._parse_arff_row(line, line_no, names, nominal, bad))
-        elif dataset._RELATION_RE.match(line):
-            saw_relation = True
-        elif m := dataset._ATTRIBUTE_RE.match(line):
-            dataset._declare_attribute(dataset._unquote(m.groups()[:3]),
-                                       m.group(4).strip(), names, nominal, line_no)
-        elif dataset._DATA_RE.match(line):
-            if not saw_relation:
-                raise ArffSyntaxError("@data before @relation")
-            if not names:
-                raise ArffSyntaxError("@data with no @attribute declarations")
-            in_data = True
-        else:
-            raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {line!r}")
-    if not in_data:
-        raise ArffSyntaxError("missing @data section")
-    return dataset._table(tuple(names), rows, bad)
-
+# -- numpy's reading against the per-cell readers --------------------------------
 
 def _outcome(parse, *args):
     """A table as names, shape and cell bits, or an error as type and message."""
@@ -393,18 +365,121 @@ def _outcome(parse, *args):
     return table.column_names, table.cells.shape, table.cells.tobytes()
 
 
-def assert_csv_paths_agree(text, fmt):
-    assert _outcome(parse_csv, text, fmt) == _outcome(dataset._csv_table, text, fmt)
-
-
-def assert_arff_paths_agree(text):
-    assert _outcome(parse_arff, text) == _outcome(reference_parse_arff, text)
-
-
 #: the line boundaries of str.splitlines besides \n and \r\n, and \x1f
 ODD_SEPARATORS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
                   "\u2028", "\u2029"]
-ODD_TOKENS = ["-?", "+?", " ? ", "??", "1?", "1_0", "١", "nan", "-nan", "inf",
+
+
+def _numpy_reads(token):
+    """Whether numpy's reader reads ``token`` as a number: ``float`` does,
+    and it holds no underscore and no non-ASCII digit."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.isascii() and "_" not in token
+
+
+def first_event(body, first_line, delimiter, marker, n_cols, nominal=None):
+    """(error type, line) of the first data line that must raise, whatever
+    the oracle says of it: a character no data row may hold (a bare \\r, an
+    odd separator, in CSV a quote), a sparse or ragged row, or a cell that is
+    neither the marker, a number numpy reads nor a value of its nominal
+    domain; in ARFF a quoted numeric cell is no number. None when no line
+    must raise. ``nominal`` is None for CSV."""
+    refused = "".join(ODD_SEPARATORS) + ('"' if nominal is None else "")
+    for line_no, line in enumerate(body.replace("\r\n", "\n").split("\n"), first_line):
+        if any(ch in line for ch in refused):
+            return InputError, line_no
+        row = line.strip()
+        if not row or nominal is not None and row.startswith("%"):
+            continue
+        if nominal is not None and row.startswith("{"):
+            return ArffSyntaxError, line_no
+        tokens = [token.strip() for token in line.split(delimiter)]
+        n_cols = n_cols or len(tokens)
+        if len(tokens) != n_cols:
+            return MalformedRowError, line_no
+        for col, token in enumerate(tokens):
+            if nominal is not None and col in nominal:
+                if token.strip("'\"") not in {**nominal[col], marker: None}:
+                    return ArffSyntaxError, line_no
+            elif token != marker and not _numpy_reads(token):
+                return NonNumericCellError, line_no
+    return None
+
+
+def assert_outcome(got, want, event):
+    """The program's outcome ``got`` is the oracle's ``want``, or the error
+    of ``event``, the first line that must raise, naming that line. Every
+    error is an input error."""
+    if isinstance(got[0], type):
+        assert issubclass(got[0], InputError), got
+    if got == want:
+        return
+    assert event is not None, (got, want)
+    error, line = event
+    assert got[0] is error and got[1].startswith((f"line {line}:", f"line {line},")), (
+        got, want, event)
+
+
+def refused_format(fmt):
+    """Whether ``fmt`` is refused before any parse."""
+    delimiter, marker = fmt.delimiter, fmt.missing
+    return len(delimiter) == 1 and (
+        delimiter in "\"'\n" + "".join(ODD_SEPARATORS) + "na"
+        or any(ch.isspace() or ch in "\"'" + delimiter for ch in marker))
+
+
+def header_span(text, delimiter):
+    """The lines and the csv records that ``csv.reader`` reads up to the
+    first record that is not blank, and that record's width (None if there
+    is none, or csv raises, as the program then does too)."""
+    reader, records = csv.reader(io.StringIO(text), delimiter=delimiter), 0
+    try:
+        for record in reader:
+            records += 1
+            if len(record) > 1 or record and record[0].strip():
+                return reader.line_num, records, len(record)
+    except csv.Error:
+        pass
+    return reader.line_num, records, None
+
+
+def check_csv(text, fmt):
+    """``parse_csv`` reads ``text`` as the per-cell reader does, but for the
+    deliberate changes: a refused format, the first line that must raise,
+    lines of whitespace after the header that are blank, and lines that are
+    numbered as lines, not as csv records."""
+    got = _outcome(parse_csv, text, fmt)
+    if len(fmt.delimiter) != 1:
+        assert got == _outcome(reference_parse_csv, text, fmt)
+        return
+    if refused_format(fmt):
+        assert got[0] is InputError and got[1].startswith(("the delimiter ", "the missing "))
+        return
+    lines, records, width = header_span(text, fmt.delimiter) if fmt.has_header else (0, 0, None)
+    head, body = text.split("\n")[:lines], text.split("\n")[lines:]
+    want = _outcome(reference_parse_csv, "\n".join(
+        head + ["" if line.isspace() else line for line in body]), fmt)
+    if want[0] in (MalformedRowError, NonNumericCellError, NonFiniteCellError):
+        want = want[0], re.sub(r"^line (\d+)", lambda m: f"line {int(m[1]) + lines - records}",
+                               want[1])
+    assert_outcome(got, want, first_event("\n".join(body), lines + 1, fmt.delimiter,
+                                          fmt.missing, width))
+
+
+def check_arff(text):
+    """``parse_arff`` reads ``text`` as the per-cell reader does, or raises
+    at the first line that must raise."""
+    got, want, event = _outcome(parse_arff, text), _outcome(reference_parse_arff, text), None
+    if got != want:
+        names, nominal, data, line_no = dataset._arff_header(text)
+        event = first_event(data, line_no + 1, ",", "?", len(names), nominal)
+    assert_outcome(got, want, event)
+
+
+ODD_TOKENS = ["-?", "+?", " ? ", "??", "1?", "1_0", "\u0661", "nan", "-nan", "inf",
               "-Infinity", "1e999", "-1e999", "1e-400", "4.9e-324", "0x10", '"1"',
               "'2'", "", " ", " 7 ", "abc", "{0 1}", "% c", "\x00"]
 numbers = st.one_of(
@@ -412,6 +487,24 @@ numbers = st.one_of(
     st.integers(-10**20, 10**20).map(str),
     st.sampled_from(["1e5", "-2.5E-3", ".5", "5.", "+3", "0", "-0", "1e308", "12345678901234567890"]),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-.eEinfatyINFATY_ x\x00\t\u3000\u0661\uff11", min_size=1,
+               max_size=8) | numbers)
+def test_the_cell_rule_reads_what_numpy_reads(token):
+    try:
+        want = np.loadtxt([token], delimiter=",", comments=None, ndmin=2)[0, 0]
+    except ValueError:
+        want = ValueError
+    try:
+        got = dataset._value(token, "?", None)
+    except (ValueError, ArithmeticError) as exc:
+        got = type(exc)
+    if want is ValueError or not np.isfinite(want):
+        assert got is (ValueError if want is ValueError else ArithmeticError)
+    else:
+        assert np.float64(got).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -471,30 +564,20 @@ def arff_texts(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(csv_cases())
-def test_csv_fast_path_matches_the_per_cell_path(case):
-    assert_csv_paths_agree(*case)
+def test_csv_reads_as_the_per_cell_reader_or_a_listed_change(case):
+    check_csv(*case)
 
 
 @settings(max_examples=400, deadline=None)
 @given(arff_texts())
-def test_arff_fast_path_matches_the_per_cell_path(text):
-    assert_arff_paths_agree(text)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
-                         max_size=3), min_size=1, max_size=8))
-def test_clean_numeric_tables_take_the_fast_path(rows):
-    text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    fast = dataset._fast_csv(text, CsvFormat())
-    assert fast is not None
-    assert _outcome(lambda: fast) == _outcome(dataset._csv_table, text, CsvFormat())
+def test_arff_reads_as_the_per_cell_reader_or_a_listed_change(text):
+    check_arff(text)
 
 
 CSV_EDGE_CASES = [
     "1,-?\n", "1,+?\n", "-?,2\n", "1,?,3\n?,5,6\n",
     "1,2\n\n3,4\n", "1,2\n   \n3,4\n", "5\n \n6\n", "1,2\r\n3,?\r\n", "1,2\r3,4\n",
-    "1,2,\n3,4,\n", "1e5,-2.5E-3\n", "1_0,2\n", "١,2\n", "nan,2\n", "inf,2\n",
+    "1,2,\n3,4,\n", "1e5,-2.5E-3\n", "1_0,2\n", "\u0661,2\n", "nan,2\n", "inf,2\n",
     "1e999,2\n", "\"1\",2\n", "'1',2\n", "", "\n\n", "1,2", "1,2\n3\n", "\x001,2\n",
     *(f"1,2{sep}3,4\n" for sep in ODD_SEPARATORS),
 ]
@@ -503,7 +586,7 @@ CSV_EDGE_CASES = [
 @pytest.mark.parametrize("text", CSV_EDGE_CASES)
 @pytest.mark.parametrize("has_header", [False, True])
 def test_csv_edge_cases_match_the_per_cell_path(text, has_header):
-    assert_csv_paths_agree("a,b\n" * has_header + text, CsvFormat(has_header=has_header))
+    check_csv("a,b\n" * has_header + text, CsvFormat(has_header=has_header))
 
 
 @pytest.mark.parametrize("text,fmt", [
@@ -532,7 +615,7 @@ def test_csv_edge_cases_match_the_per_cell_path(text, has_header):
     ("\n7\n3\n", CsvFormat(has_header=True)),
 ])
 def test_csv_formats_match_the_per_cell_path(text, fmt):
-    assert_csv_paths_agree(text, fmt)
+    check_csv(text, fmt)
 
 
 ARFF_HEAD = "@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n"
@@ -550,7 +633,7 @@ ARFF_HEAD = "@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n"
     *(ARFF_HEAD + "1" + sep + ",2\n" for sep in ODD_SEPARATORS),
 ])
 def test_arff_edge_cases_match_the_per_cell_path(text):
-    assert_arff_paths_agree(text)
+    check_arff(text)
 
 
 WHITESPACE_LINES = ["   ", "\t", " \t ", "\u00a0", "\u3000"]
@@ -565,54 +648,98 @@ WHITESPACE_LINES = ["   ", "\t", " \t ", "\u00a0", "\u3000"]
 def test_whitespace_only_lines_match_the_per_cell_path(blank, rows):
     text = rows.format(b=blank)
     for has_header in (False, True):
-        assert_csv_paths_agree("a,b\n" * has_header + text, CsvFormat(has_header=has_header))
-    assert_arff_paths_agree(ARFF_HEAD + text)
+        assert _outcome(parse_csv, "a,b\n" * has_header + text, CsvFormat(has_header=has_header)
+                        ) == _outcome(reference_parse_csv, "a,b\n" * has_header + text,
+                                      CsvFormat(has_header=has_header))
+    assert _outcome(parse_arff, ARFF_HEAD + text) == _outcome(reference_parse_arff,
+                                                              ARFF_HEAD + text)
 
 
-@pytest.mark.parametrize("blank", WHITESPACE_LINES)
-def test_whitespace_only_lines_keep_the_fast_path(blank, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the per-cell parser ran")
-
-    text = f"1,2\n{blank}\n3,?\r\n{blank}\r\n5,6\n{blank}"
-    expected = _outcome(dataset._csv_table, "a,b\n" + text, CsvFormat(has_header=True))
-    expected_arff = _outcome(reference_parse_arff, ARFF_HEAD + text)
-    monkeypatch.setattr(dataset, "_csv_table", refuse)
-    monkeypatch.setattr(dataset, "_arff_table", refuse)
-    assert _outcome(parse_csv, "a,b\n" + text, CsvFormat(has_header=True)) == expected
-    assert _outcome(parse_arff, ARFF_HEAD + text) == expected_arff
-    assert expected[1] == (3, 2)
-
-
-def test_quoted_header_keeps_the_fast_path(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the per-cell parser ran")
-
-    text = '"it\'s","a,b",\'c\'\n1,2,?\r\n4,5,6\n'
-    expected = _outcome(dataset._csv_table, text, CsvFormat(has_header=True))
-    monkeypatch.setattr(dataset, "_csv_table", refuse)
-    assert _outcome(parse_csv, text, CsvFormat(has_header=True)) == expected
-    assert expected[0] == ("it's", "a,b", "'c'")
-
-
-def test_wbc_shaped_tables_take_the_fast_path(synth_csv, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the per-cell parser ran")
-
-    expected = dataset._csv_table(synth_csv.decode(), CsvFormat())
+def test_wbc_shaped_tables_match_the_per_cell_reader(synth_csv):
+    expected = reference_parse_csv(synth_csv.decode(), CsvFormat())
     assert expected.missing_mask().sum() == 16
-    monkeypatch.setattr(dataset, "_csv_table", refuse)
-    monkeypatch.setattr(dataset, "_arff_table", refuse)
     table = parse_csv(synth_csv)
     assert table == expected
     assert parse_arff(write_arff(table, "wbc")) == expected
     assert parse_csv(synth_csv.replace(b"?", b"NA"), CsvFormat(missing="NA")) == expected
 
 
-def per_cell_arff(text):
-    """``text`` read by the per-cell ARFF path alone."""
-    names, nominal, data, line_no = dataset._arff_header(text)
-    return dataset._arff_table(data, line_no, names, nominal)
+class TestKeptInputs:
+    """Inputs that numpy reads as the per-cell reader does."""
+
+    def test_tab_delimited(self, synth_csv):
+        fmt = CsvFormat(delimiter="\t")
+        text = synth_csv.decode().replace(",", "\t")
+        assert _outcome(parse_csv, text, fmt) == _outcome(reference_parse_csv, text, fmt)
+        assert parse_csv(text, fmt) == parse_csv(synth_csv)
+
+    def test_an_empty_marker(self):
+        for text in ["1,,3\n,5,6\n", "a,b\n1,\n,\n", "7\n\n  \n8\n", "\n", "1, ,2\r\n3,4,\r\n"]:
+            fmt = CsvFormat(missing="", has_header=text.startswith("a"))
+            assert _outcome(parse_csv, text, fmt) == _outcome(reference_parse_csv, text, fmt)
+        assert parse_csv("1,,3\n,5,6\n", CsvFormat(missing="")).missing_mask().tolist() == [
+            [False, True, False], [True, False, False]]
+
+    @pytest.mark.parametrize("text, marker", [
+        ("1,e\n1e5,2\n2.5e-3,e\n", "e"), ("1,-999\n-9990,2\n-999,9990\n", "-999"),
+        ("1,.\n1.5,.5\n", "."), ("1,1\n11,-1\n", "1"), ("inf,1\n2,infinity\n", "inf"),
+        ("1,-999\n--999,2\n", "-999"), ("1,e\nnan,2\n", "e"), ("1,e\n1e5,x\n", "e")])
+    def test_a_marker_that_collides_with_a_number(self, text, marker, monkeypatch):
+        fmt = CsvFormat(missing=marker)
+        for size in (1, 5, len(text)):
+            monkeypatch.setattr(dataset, "_PARSE_CHUNK", size)
+            assert _outcome(parse_csv, text, fmt) == _outcome(reference_parse_csv, text, fmt)
+
+    def test_quoted_nominal_values(self):
+        text = ("@relation r\n@attribute a numeric\n@attribute 'c' {'x y', \"b\", 2}\n@data\n"
+                "1,'x y'\n% note\n?, \"b\" \n3,2\n4,'2'\n5,?\n6,'?'\n")
+        assert _outcome(parse_arff, text) == _outcome(reference_parse_arff, text)
+        cells = parse_arff(text).cells
+        assert cells[:4, 1].tolist() == [0.0, 1.0, 2.0, 2.0]
+        assert np.isnan(cells[4:, 1]).all()
+
+    def test_a_header_that_spans_lines(self):
+        text = '"two\nlines",c\n1,2\n3,x\n'
+        fmt = CsvFormat(has_header=True)
+        assert parse_csv('"two\nlines",c\n1,2\n', fmt).column_names == ("two\nlines", "c")
+        with pytest.raises(NonNumericCellError) as exc:
+            parse_csv(text, fmt)
+        assert (exc.value.line_number, exc.value.column) == (4, "c")
+        assert _outcome(reference_parse_csv, text, fmt)[1].startswith("line 3,")
+
+
+class TestRefusedInputs:
+    """Each deliberate refusal raises one input error naming its line."""
+
+    @pytest.mark.parametrize("text, fmt, message", [
+        ("1,2\n3\x0b,4\n", CsvFormat(), "line 2: a data row may not hold '\\x0b'"),
+        ("1,2\n", CsvFormat(missing="N A"), "the missing marker 'N A' holds "),
+        ("1,2\n", CsvFormat(missing="'?'"), "the missing marker \"'?'\" holds "),
+        ("1,2\n", CsvFormat(missing="?,"), "the missing marker '?,' holds "),
+        ("1,2\n", CsvFormat(delimiter='"'), "the delimiter '\"' is a quote"),
+        ("1,2\n", CsvFormat(delimiter="\n"), "the delimiter '\\n' is a quote"),
+        ("1,2\n", CsvFormat(delimiter="n"), "the delimiter 'n' is a quote"),
+        ("1,2\n", CsvFormat(delimiter="a"), "the delimiter 'a' is a quote"),
+    ])
+    def test_csv(self, text, fmt, message):
+        with pytest.raises(InputError) as exc:
+            parse_csv(text, fmt)
+        assert type(exc.value) is InputError and str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("'1',2", NonNumericCellError, "line 6, column 'a': cannot parse \"'1'\""),
+        ("1,\"?\"", NonNumericCellError, "line 6, column 'b': cannot parse '\"?\"'"),
+        ("1,2\u20283,4", InputError, "line 6: a data row may not hold '\\u2028'"),
+    ])
+    def test_arff(self, row, error, message):
+        with pytest.raises(error) as exc:
+            parse_arff(f"{ARFF_HEAD}1,2\n{row}\n")
+        assert type(exc.value) is error and str(exc.value).startswith(message)
+
+    def test_a_line_of_whitespace_is_blank_whatever_the_delimiter(self):
+        fmt = CsvFormat(delimiter="\t")
+        assert parse_csv("1\t2\n \t \n\t\n3\t?\n", fmt).cells.shape == (2, 2)
+        assert parse_csv("1 2\n   \n3 4\n", CsvFormat(delimiter=" ")).cells.shape == (2, 2)
 
 
 def arff_head(n_cols):
@@ -621,24 +748,17 @@ def arff_head(n_cols):
 
 class TestChunkedParse:
     """Data text cut into parse items of every size from one character up:
-    each parse gives the per-cell path's table or error, and a text the
-    fast path reads whole is read by it in items too."""
+    each parse gives the per-cell reader's table or error."""
 
     @staticmethod
-    def outcomes(monkeypatch, text, n_cols, fast, cpus=1):
+    def outcomes(monkeypatch, text, n_cols, cpus=1):
         """The CSV and ARFF outcomes of ``text`` at every item size, checked
-        against the per-cell path's; with ``fast``, that path never runs."""
+        against the per-cell reader's."""
         fmt = CsvFormat()
-        expected = (_outcome(dataset._csv_table, text, fmt),
-                    _outcome(per_cell_arff, arff_head(n_cols) + text))
+        expected = (_outcome(reference_parse_csv, text, fmt),
+                    _outcome(reference_parse_arff, arff_head(n_cols) + text))
         with monkeypatch.context() as patch:
             with_cpus(patch, cpus)
-            if fast:
-                def refuse(*args):
-                    raise AssertionError("the per-cell parser ran")
-
-                patch.setattr(dataset, "_csv_table", refuse)
-                patch.setattr(dataset, "_arff_table", refuse)
             for size in range(1, len(text) + 2):
                 patch.setattr(dataset, "_PARSE_CHUNK", size)
                 assert (_outcome(parse_csv, text, fmt),
@@ -650,18 +770,18 @@ class TestChunkedParse:
         rows = [f"{i},{i + 0.5}" for i in range(6)]
         for at in range(len(rows) + 1):
             text = "\n".join(rows[:at] + [blank] + rows[at:]) + "\n"
-            assert self.outcomes(monkeypatch, text, 2, fast=True)[0][1] == (6, 2)
+            assert self.outcomes(monkeypatch, text, 2)[0][1] == (6, 2)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("tail", ["\n\n\n", " \n\t\n\n", "   "])
     def test_a_tail_of_blank_lines(self, monkeypatch, tail, cpus):
         text = "".join(f"{i},-{i}e3\n" for i in range(10)) + tail
-        assert self.outcomes(monkeypatch, text, 2, fast=True, cpus=cpus)[0][1] == (10, 2)
+        assert self.outcomes(monkeypatch, text, 2, cpus=cpus)[0][1] == (10, 2)
 
     @pytest.mark.parametrize("later", ["1,2,3", "4", "5,?,6"])
     def test_a_later_item_with_another_column_count(self, monkeypatch, later):
         text = "1,2\n" * 5 + f"{later}\n" * 5
-        expected = self.outcomes(monkeypatch, text, 2, fast=False)
+        expected = self.outcomes(monkeypatch, text, 2)
         assert expected[0] == (MalformedRowError, str(MalformedRowError(6, 2, later.count(",") + 1)))
         assert expected[1][0] is MalformedRowError
 
@@ -675,8 +795,7 @@ class TestChunkedParse:
         ("1,2\n3,4\n5,x\n", 2),
     ])
     def test_line_ends_markers_and_one_column(self, monkeypatch, text, n_cols):
-        fast = not any(s in text for s in ("-?", "+?", "nan", "x"))
-        self.outcomes(monkeypatch, text, n_cols, fast)
+        self.outcomes(monkeypatch, text, n_cols)
 
 
 def old_row_ids(values):
@@ -755,7 +874,7 @@ class TestBuildDataset:
         table = parse_csv(b"2\n4\n3\n5\n")
         with pytest.raises(InvalidClassValueError) as exc:
             build_dataset(table, label_column="col0")
-        assert str(exc.value) == "class value np.float64(3.0) (row 2) is not 2 or 4"
+        assert str(exc.value) == "class value 3.0 (row 2) is not 2 or 4"
 
     def test_unknown_column(self):
         table = parse_csv(b"1,2\n")
