@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import io
 import os
 import shutil
@@ -125,6 +126,13 @@ def build_parser() -> _Parser:
             p.set_defaults(func=cmd_stage, stage=stage)
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser: built on the first call to :func:`main`,
+    then read by every later call."""
+    return build_parser()
 
 
 # -- input and output -------------------------------------------------------------
@@ -278,9 +286,8 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -55,6 +55,7 @@ from .exceptions import (
     UnknownColumnError,
     UnsupportedAttributeTypeError,
     UnwritableNameError,
+    quoted,
 )
 
 BENIGN = "benign"
@@ -327,7 +328,7 @@ def _scan(body, delimiter, marker, names, first_line, nominal, refused):
             try:
                 _value(token, marker, nominal.get(col) if nominal else None)
             except KeyError as exc:
-                raise ArffSyntaxError(f"line {line_no}: {exc.args[0]!r} not in the nominal "
+                raise ArffSyntaxError(f"line {line_no}: {quoted(exc.args[0])} not in the nominal "
                                       f"domain of {name!r}") from None
             except ValueError:
                 raise NonNumericCellError(line_no, name, token.strip()) from None
@@ -431,7 +432,7 @@ def _arff_header(text):
             if not names:
                 raise ArffSyntaxError("@data with no @attribute declarations")
             return tuple(names), nominal, text[start:], line_no
-        raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {line!r}")
+        raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {quoted(line)}")
     raise ArffSyntaxError("missing @data section")
 
 

@@ -20,6 +20,18 @@ class AnalysisError(ClusterlabError):
 
 # -- tabular ingestion ------------------------------------------------------
 
+#: the most characters of an offending token that a message quotes
+_QUOTED = 40
+
+
+def quoted(token: str) -> str:
+    """``repr(token)`` for a message: its first 40 characters and its length
+    when it is longer, so that one huge cell makes no huge message."""
+    if len(token) <= _QUOTED:
+        return repr(token)
+    return f"{token[:_QUOTED]!r}… ({len(token)} characters)"
+
+
 class MalformedRowError(InputError):
     def __init__(self, line_number, expected, got):
         self.line_number = line_number
@@ -36,7 +48,7 @@ class NonNumericCellError(InputError):
         self.column = column
         self.token = token
         super().__init__(
-            f"line {line_number}, column {column!r}: cannot parse {token!r} as a number"
+            f"line {line_number}, column {column!r}: cannot parse {quoted(token)} as a number"
         )
 
 
@@ -48,7 +60,7 @@ class NonFiniteCellError(InputError):
         self.column = column
         self.token = token
         super().__init__(
-            f"line {line_number}, column {column!r}: {token!r} is not a finite "
+            f"line {line_number}, column {column!r}: {quoted(token)} is not a finite "
             "number (mark missing cells with the missing marker)"
         )
 

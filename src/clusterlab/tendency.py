@@ -4,6 +4,10 @@ Convention: H near 1 means clustered, H near 0.5 means spatially uniform
 (the synthetic-point nearest-neighbor sum is the numerator). Some tools
 report the opposite orientation; this one matches reading values like 0.8
 as "highly clustered".
+
+All trials run as one batch of nearest-neighbour searches: each trial's
+synthetic points once, and each distinct sampled row once, however many
+trials sample it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _parallel
 from ._checks import as_feature_matrix, as_integer, check_domain, resolve_seed
-from ._parallel import fork_map
 from .distances import _rows, _screened_nearest
 from .exceptions import EmptyDatasetError, SampleTooLargeError
 
@@ -66,10 +70,16 @@ def hopkins_statistic(
     count at distance 0. Rows outside ``_checks.check_domain`` at this
     ``power`` raise :class:`AnalysisError`.
 
-    The trials are independent and may run in forked processes, one per
-    usable CPU (see ``_parallel.fork_map``); the data's prepared rows are
-    made once and shared, and every value is the same bit for bit whatever
-    the process count.
+    Every trial's sample is drawn first. The searches then run as
+    ``_parallel.fork_map`` items, which forked processes may share, one per
+    usable CPU: groups of consecutive whole trials, each item drawing and
+    searching its trials' synthetic points, and chunks of the distinct
+    sampled rows, each row searched once however many trials sample it. An
+    item holds about a quarter of one CPU's share of the queries, and at
+    least one trial's m. A row's nearest neighbour does not depend on the
+    other rows of its search, and the data's prepared rows are made once and
+    shared, so every value is the same bit for bit whatever the process
+    count and the items.
     """
     if m is not None:
         m = as_integer(m, "m")
@@ -100,17 +110,38 @@ def hopkins_statistic(
     center = X.mean(axis=0)
     rows = _rows(X, center)
 
-    def trial(t):
+    def stream(t):
+        """Trial t's synthetic points, and its generator, which draws its sample next."""
         rng = np.random.default_rng(seed + t)
-        synthetic = lo + rng.random((m, d)) * (hi - lo)
-        sample = rng.choice(n, size=m, replace=False)
-        u = np.sqrt(_screened_nearest(_rows(synthetic, center), rows)[1])
-        w = np.sqrt(_screened_nearest(_rows(X[sample], center), rows, sample)[1])
-        su = float(np.sum(u**power))
-        sw = float(np.sum(w**power))
-        return 1.0 if su + sw == 0.0 else su / (su + sw)
+        return lo + rng.random((m, d)) * (hi - lo), rng
 
-    per_trial = fork_map(trial, range(trials))
+    samples = np.array([stream(t)[1].choice(n, size=m, replace=False) for t in range(trials)])
+    # the distinct sampled rows, in order (np.unique would import numpy.ma:
+    # 1.7 MB more resident size)
+    mask = np.zeros(n, dtype=bool)
+    mask[samples] = True
+    union = np.flatnonzero(mask)
+
+    def search(item):
+        if isinstance(item, range):
+            # whole trials, whose synthetic points are drawn here, so that a
+            # process holds one item's synthetic points at a time
+            synthetic = np.concatenate([stream(t)[0] for t in item])
+            return _screened_nearest(_rows(synthetic, center), rows)[1]
+        return _screened_nearest(_rows(X[item], center), rows, item)[1]  # sampled rows
+
+    share = max(m, math.ceil((trials * m + union.size) / (4 * _parallel._cpus())))
+    group = share // m  # whole trials per item, at least one
+    groups = [range(t, min(t + group, trials)) for t in range(0, trials, group)]
+    chunks = np.array_split(union, math.ceil(union.size / share))  # none empty
+    found = _parallel.fork_map(search, groups + chunks)
+    u = np.sqrt(np.concatenate(found[:len(groups)])).reshape(trials, m)
+    w = np.sqrt(np.concatenate(found[len(groups):])[np.searchsorted(union, samples)])
+    per_trial = []
+    for u_t, w_t in zip(u, w):
+        su = float(np.sum(u_t**power))
+        sw = float(np.sum(w_t**power))
+        per_trial.append(1.0 if su + sw == 0.0 else su / (su + sw))
     return HopkinsResult(
         h=float(np.mean(per_trial)),
         m=int(m),

@@ -12,7 +12,7 @@ from clusterlab import dataset
 from clusterlab.dataset import RawTable
 from clusterlab.distances import Metric
 from clusterlab.exceptions import (ArffSyntaxError, InputError, MalformedRowError,
-                                   NonFiniteCellError, NonNumericCellError)
+                                   NonFiniteCellError, NonNumericCellError, quoted)
 
 
 def row_distances(X, y, metric=Metric.EUCLIDEAN):
@@ -109,7 +109,7 @@ def _parse_arff_row(line, line_no, names, nominal, bad):
             values.append(float(nominal[col][token]))
         except KeyError:
             raise ArffSyntaxError(
-                f"line {line_no}: {token!r} not in the nominal domain of {names[col]!r}"
+                f"line {line_no}: {quoted(token)} not in the nominal domain of {names[col]!r}"
             ) from None
     return values
 
@@ -141,7 +141,7 @@ def reference_parse_arff(source):
                 raise ArffSyntaxError("@data with no @attribute declarations")
             in_data = True
         else:
-            raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {line!r}")
+            raise ArffSyntaxError(f"line {line_no}: unrecognized declaration {quoted(line)}")
     if not in_data:
         raise ArffSyntaxError("missing @data section")
     return _table(tuple(names), rows, bad)

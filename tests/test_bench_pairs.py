@@ -69,8 +69,32 @@ def test_a_run_with_no_result_or_an_incorrect_one_exits_1(tmp_path, monkeypatch,
     assert "correct=false" in capsys.readouterr().out
     results[:] = [ok, ok, None]
     assert bench_pairs.main(argv) == 1
-    assert capsys.readouterr().err == "error: pair 1, change: the run's last line is not a result\n"
+    assert capsys.readouterr().err == (
+        "error: w, pair 1, change: the run's last line is not a result\n")
     results[:] = [ok] * 4
     assert bench_pairs.main(argv) == 0
     assert "| job_s | lower | 1 [1, 1] | 1 [1, 1] | 0 | 0 of 2 (0 worse) |" in (
         capsys.readouterr().out)
+
+
+def test_several_workloads_run_in_turn_each_with_its_table(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "a"}, {"name": "b"}],
+        "end_to_end": [{"name": "job_s", "better": "lower"}]}))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(workload)
+        return {"correct": workload != "b" or len(calls) > 3,
+                "metrics": {"job_s": {"value": float(len(calls))}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    for workloads in (["--workload", "all"], ["--workload", "a", "--workload", "b"]):
+        calls.clear()
+        # b's first run reads correct: false, so every pair still runs, then it exits 1
+        assert bench_pairs.main([str(tmp_path), str(tmp_path), *workloads, "--pairs", "1"]) == 1
+        assert calls == ["a", "a", "b", "b"]
+        out = capsys.readouterr().out
+        assert "b pair 0 parent: job_s=3 correct=false" in out
+        assert out.index("\na, 1 pairs") < out.index("b pair 0") < out.index("\nb, 1 pairs")
+        assert out.count("| job_s | lower |") == 2

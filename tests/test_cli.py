@@ -140,8 +140,9 @@ class TestUsageAndErrors:
         (b"1,2\n", ("--delimiter", ""), "the delimiter must be one character, got ''"),
         (b"1,2\n", ("--delimiter", "\\t"), "the delimiter must be one character, got '\\\\t'"),
         (b"1,2\r3,4\n", (), "line 1: a data row may not hold '\\r'"),
-        (b"1,2\n" + b"1" * 200_000 + b",3\n", (), f"line 2, column 'col0': {'1' * 200_000!r} is "
-         "not a finite number (mark missing cells with the missing marker)"),
+        (b"1,2\n" + b"1" * 200_000 + b",3\n", (), f"line 2, column 'col0': {'1' * 40!r}… "
+         "(200000 characters) is not a finite number (mark missing cells with the missing "
+         "marker)"),
     ], ids=["two-characters", "empty", "backslash-t", "bare-cr", "huge-field"])
     @pytest.mark.parametrize("command", ["inspect", "analyze"])
     def test_csv_that_cannot_be_read_exit_2_with_one_line(self, tmp_path, doc, flags, message,
@@ -172,8 +173,13 @@ class TestUsageAndErrors:
          "column names must be unique, but 'a' repeats"),
         ("duplicate.arff", b"@relation r\n@attribute a numeric\n@attribute b numeric\n"
          b"@attribute a numeric\n@data\n1,2,3\n", (), "column names must be unique, but 'a' repeats"),
+        ("huge-nominal.arff", b"@relation r\n@attribute a numeric\n@attribute c {2,4}\n@data\n1,"
+         + b"x" * 200_000 + b"\n", (),
+         f"line 5: {'x' * 40!r}… (200000 characters) not in the nominal domain of 'c'"),
+        ("huge-declaration.arff", b"@relation r\n" + b"y" * 200_000 + b"\n", (),
+         f"line 2: unrecognized declaration {'y' * 40!r}… (200000 characters)"),
     ], ids=["quote", "separator", "underscore", "digit", "quoted-arff", "marker", "delimiter",
-            "duplicate", "duplicate-arff"])
+            "duplicate", "duplicate-arff", "huge-nominal-arff", "huge-declaration-arff"])
     @pytest.mark.parametrize("command", ["inspect", "analyze"])
     def test_refused_input_exit_2_with_one_line(self, tmp_path, capsys, name, doc, flags, message,
                                                 command):
@@ -719,6 +725,22 @@ def test_one_distance_matrix_per_run(synth_csv_path, tmp_path, monkeypatch, argv
                    "--out", str(tmp_path / "out"), *argv[1:]) == 0
     assert len(built) == matrices
     assert len(dense) >= matrices and all(d is dense[0] for d in dense)
+
+
+def test_one_parser_serves_every_call_of_a_process(synth_csv_path, capsys):
+    # the parser is built once per process: no call leaves a flag, a default
+    # or an error behind for the next, so each prints what a fresh process does
+    path = str(synth_csv_path)
+    calls = [(("--version",), 0), (("tendency", path, "--trials", "x"), 1),
+             (("tendency", path, "--trials", "3", "--seed", "4"), 0),
+             (("tendency", path, "--seed", "4"), 0)]
+    for argv, code in calls:
+        assert run_cli(*argv) == code
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "clusterlab.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, out)
+    assert json.loads(out)["trials"] == 30
 
 
 def test_console_script_entry_point(synth_csv_path):

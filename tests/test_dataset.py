@@ -736,6 +736,14 @@ class TestRefusedInputs:
             parse_arff(f"{ARFF_HEAD}1,2\n{row}\n")
         assert type(exc.value) is error and str(exc.value).startswith(message)
 
+    @pytest.mark.parametrize("length, shown", [(40, repr("x" * 40)),
+                                               (41, f"{'x' * 40!r}… (41 characters)")])
+    def test_a_long_token_is_quoted_cut_and_kept_whole(self, length, shown):
+        with pytest.raises(NonNumericCellError) as exc:
+            parse_csv(f"1,{'x' * length}\n", CsvFormat())
+        assert exc.value.token == "x" * length
+        assert str(exc.value) == f"line 1, column 'col1': cannot parse {shown} as a number"
+
     def test_a_line_of_whitespace_is_blank_whatever_the_delimiter(self):
         fmt = CsvFormat(delimiter="\t")
         assert parse_csv("1\t2\n \t \n\t\n3\t?\n", fmt).cells.shape == (2, 2)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusterlab import distances, hopkins_statistic
+from clusterlab import _parallel, distances, hopkins_statistic, tendency
 from clusterlab.distances import Metric, _rows, _screened_nearest
 from clusterlab.exceptions import AnalysisError, EmptyDatasetError, SampleTooLargeError
 from clusterlab.tendency import default_sample_size
@@ -187,6 +187,42 @@ class TestScreenedHopkins:
 
     def test_integer_grid_with_duplicates(self):
         assert_matches_reference(grid(400, 3, 3, levels=3), 40, 4, 6)
+
+    def test_trials_that_sample_the_same_rows(self):
+        # 8 trials of 30 among 40 rows: every row is sampled by several trials
+        assert_matches_reference(grid(40, 3, 3, levels=3), 30, 8, 2)
+
+    def test_fewer_distinct_sampled_rows_than_trials(self):
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        assert_matches_reference(X, 2, 12, 5)
+
+
+@pytest.mark.parametrize("X, m, trials", [(grid(40, 3, 3, levels=3), 30, 8),
+                                          (blobs(500, 9, seed=4), 50, 7)])
+def test_each_sampled_row_is_searched_once(monkeypatch, X, m, trials):
+    # one process, so that every search is recorded here
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
+    searches, real = [], tendency._screened_nearest
+
+    def recording(A, B, exclude=None):
+        searches.append((A.raw.copy(), None if exclude is None else exclude.copy()))
+        return real(A, B, exclude)
+
+    monkeypatch.setattr(tendency, "_screened_nearest", recording)
+    hopkins_statistic(X, m=m, trials=trials, seed=3)
+    sampled = set()
+    for t in range(trials):
+        rng = np.random.default_rng(3 + t)
+        rng.random((m, X.shape[1]))
+        sampled.update(rng.choice(len(X), size=m, replace=False).tolist())
+    synthetic = [raw for raw, exclude in searches if exclude is None]
+    excluded = [exclude for _, exclude in searches if exclude is not None]
+    assert sum(len(raw) for raw in synthetic) == trials * m
+    assert all(len(rows) for rows in excluded)  # no empty item
+    assert sorted(np.concatenate(excluded).tolist()) == sorted(sampled)
+    for raw, exclude in searches:
+        if exclude is not None:
+            assert np.array_equal(raw, X[exclude])  # each row searched for itself
 
 
 @pytest.mark.parametrize("scale", [1.0 / 9.0, 2e153, 1e154, 1e-310])

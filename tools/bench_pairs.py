@@ -1,19 +1,22 @@
 """Run the benchmark on two checkouts in alternated pairs and compare them.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs 10] [--seconds 25] [--seed 1]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...] [--pairs 10]
+        [--seconds 25] [--seed 1]
 
-PARENT and CHANGE are two checkouts of clusterlab. Each pair runs
+PARENT and CHANGE are two checkouts of clusterlab. ``--workload`` may
+repeat, or be ``all``, every workload of the parent's ``BENCHMARK.json``;
+the workloads run one after another. Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 each, the parent first in even pairs (0, 2, ...) and the change first in odd
 ones. It prints every run's end-to-end metrics and its ``correct`` as they
-come, then one row per metric: both medians and quartiles, the parent's
-interquartile range (IQR), and in how many pairs the change read better.
-A tie counts for neither side. Which direction is better comes from
-``better`` in the parent's ``BENCHMARK.json``; so do the metric names.
+come, then, per workload, one row per metric: both medians and quartiles,
+the parent's interquartile range (IQR), and in how many pairs the change
+read better. A tie counts for neither side. Which direction is better comes
+from ``better`` in the parent's ``BENCHMARK.json``; so do the metric names.
 
 It exits 1 when a run's last line of output is not a result (it stops
-there) or when a run reads ``correct: false`` (it finishes the pairs
-first). Needs only the standard library; it reads ``perfbench/`` and
+there) or when a run reads ``correct: false`` (it finishes every workload's
+pairs first). Needs only the standard library; it reads ``perfbench/`` and
 ``BENCHMARK.json`` and changes neither.
 """
 
@@ -93,30 +96,35 @@ def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, action="append",
+                   help="a workload of BENCHMARK.json, or all; may repeat")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    runs = {"parent": [], "change": []}
+    workloads = ([w["name"] for w in spec["workloads"]] if "all" in args.workload
+                 else args.workload)
     all_correct = True
-    for pair in range(args.pairs):
-        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-            result = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
-            if result is None:
-                print(f"error: pair {pair}, {side}: the run's last line is not a result",
-                      file=sys.stderr)
-                return 1
-            metrics = {name: result["metrics"][name]["value"] for name in better}
-            runs[side].append(metrics)
-            all_correct &= result["correct"] is True
-            print(f"pair {pair} {side}: " + " ".join(
-                f"{name}={value:.6g}" for name, value in metrics.items())
-                + f" correct={json.dumps(result['correct'])}", flush=True)
-    print(f"\n{args.workload}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s")
-    print(format_summary(summarize(runs["parent"], runs["change"], better)))
+    for workload in workloads:
+        runs = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+                result = run_once(getattr(args, side), workload, args.seed, args.seconds)
+                if result is None:
+                    print(f"error: {workload}, pair {pair}, {side}: the run's last line is "
+                          "not a result", file=sys.stderr)
+                    return 1
+                metrics = {name: result["metrics"][name]["value"] for name in better}
+                runs[side].append(metrics)
+                all_correct &= result["correct"] is True
+                print(f"{workload} pair {pair} {side}: " + " ".join(
+                    f"{name}={value:.6g}" for name, value in metrics.items())
+                    + f" correct={json.dumps(result['correct'])}", flush=True)
+        print(f"\n{workload}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s")
+        print(format_summary(summarize(runs["parent"], runs["change"], better)) + "\n",
+              flush=True)
     return 0 if all_correct else 1
 
 
