@@ -90,6 +90,18 @@ def as_labels(labels, n, name="labels"):
     return arr
 
 
+def distinct(values):
+    """The sorted distinct values of a 1-D array, and each value's index
+    among them: ``np.unique(values, return_inverse=True)``, by a sort, a
+    first-of-run mask and ``searchsorted``. ``np.unique`` imports
+    ``numpy.ma`` on its first call, about 1.7 MB of resident size."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    ids = ordered[first]
+    return ids, np.searchsorted(ids, values)
+
+
 def as_integer(value, name):
     """``value`` as an int; ValueError when it is not an integral number
     (2.5 would otherwise be truncated to 2)."""

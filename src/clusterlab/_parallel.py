@@ -19,8 +19,18 @@ the rest of the claims of the process it failed in, and every item of a child
 that was killed or whose pickle does not load. So an item that fails
 everywhere raises the serial path's own exception, and warnings reach stderr
 as the serial path would print them.
+
+One layer of parallelism. A forked worker would otherwise keep OpenBLAS's
+own thread pool, so once a GEMM left OpenBLAS's small-matrix path, every
+process would spread it over every CPU as well, and the processes' threads
+would contend. :func:`_fork_join` therefore sets the loaded OpenBLAS to one
+thread before it forks, so the parent and every child run their items on
+one thread each, and restores the parent's count when the map ends, also
+when an item raises. The library is found once per process, on the first
+fork (:func:`_openblas`). With any other BLAS, or none, this is a no-op.
 """
 
+import functools
 import os
 import pickle
 import threading
@@ -64,6 +74,34 @@ def fork_map(fn, items, cost=None) -> list:
     return [done[i] if i in done else fn(item) for i, item in enumerate(items)]
 
 
+@functools.cache
+def _openblas():
+    """``(get, set)``, the loaded OpenBLAS's functions that read and set its
+    thread count, called through ctypes; None when no OpenBLAS is loaded, it
+    exports neither pair, or the platform has no ``/proc/self/maps``."""
+    import ctypes  # only a run that forks needs it
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in (("scipy_openblas_get_num_threads64_",
+                           "scipy_openblas_set_num_threads64_"),
+                          ("openblas_get_num_threads", "openblas_set_num_threads")):
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
 def _fork_join(fn, items, order, children, done):
     """Fill ``done`` with ``{index: result}`` of what the parent and up to
     ``children`` forked processes compute; it may stay short of every item."""
@@ -76,9 +114,13 @@ def _fork_join(fn, items, order, children, done):
         tickets, fill = os.pipe()
     except OSError:
         return  # no descriptors left: the caller computes every item
+    blas = _openblas()
+    threads = blas[0]() if blas else None
     pipes = {}  # child pid -> the read end of its result pipe
     parent, _active = os.getpid(), True
     try:
+        if blas:
+            blas[1](1)  # before the forks: each child starts with one thread too
         try:
             os.write(fill, bytes(range(t)))
         finally:
@@ -119,6 +161,8 @@ def _fork_join(fn, items, order, children, done):
         if os.getpid() != parent:  # a child interrupted before it reached _child
             os._exit(0)
         _active = False
+        if blas:
+            blas[1](threads)
         for pid, reader in pipes.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -623,11 +623,18 @@ def preprocess(
 ) -> tuple[Dataset, PreprocessReport]:
     """Full cleanup: drop incomplete rows, then :func:`build_dataset`.
 
-    Dropped rows are reported by their id-column value when an id column is
-    named, otherwise by their original row index.
+    Dropped rows, and the row of a bad class value, are named by their
+    id-column value when an id column is named, otherwise by their data
+    row's index in ``table``, before the drop.
     """
     kept, dropped_idx = drop_missing_rows(table)
-    dataset, report = build_dataset(kept, id_column, label_column, normalize)
+    try:
+        dataset, report = build_dataset(kept, id_column, label_column, normalize)
+    except InvalidClassValueError as error:
+        if id_column is not None:
+            raise
+        row = np.delete(np.arange(table.n_rows), dropped_idx)[error.row]  # kept -> table rows
+        raise InvalidClassValueError(error.value, row=int(row)) from None
     if id_column is not None:
         dropped_ids = _row_ids(table.column(id_column)[dropped_idx])
     else:

@@ -26,9 +26,11 @@ indices alone; it runs the exact kernel only on the rows its screen leaves
 more than one candidate. :func:`_rows` prepares each side of a search once,
 as one C-contiguous operand in the layout the GEMM reads: a row of ones, the
 rows shifted by a common center and transposed, and their squared norms.
-Each block of the screen then builds only the few side's small left
-operand, and one GEMM on contiguous operands yields the ranking values,
-norms included. It searches the centres of many K-means restarts at once,
+:func:`_screen` builds the other side's left operand, the slack and the
+index vector once per search; each block then runs one GEMM on contiguous
+operands into one reused buffer, which yields the ranking values, norms
+included, and then the exclusions, the minimum, the candidate mask and its
+count. It searches the centres of many K-means restarts at once,
 each group of centres on its own. :func:`_screened_nearest` adds one exact
 pass over the picks for callers that need the distances too (Hopkins);
 Lloyd's step needs them only to repair an empty cluster, and computes them
@@ -47,7 +49,20 @@ block each. The row kernel's calls over many rows (the distances to the
 picks: K-means' objective and repair, Hopkins' distances) walk blocks of
 ``_block_rows(d)`` rows. A search holds one prepared operand per side,
 (d + 2)*m values for m rows, beside the rows themselves, which it reads in
-place. The dense (n, n) matrix is the one O(n^2) allocation:
+place, and one left operand, (d + 1) values per row of the side it is built
+from. The rows-first screen (Hopkins' queries, and any search with
+exclusions, against m rows of B) is the one walk whose blocks are wider:
+:func:`_query_rows` gives each block 2*_SCREEN_ELEMENTS // m queries (a
+block of S of 512 KB), or d + 1 when that is more, so that a block of S
+holds no more values than B's prepared operand, which the search holds
+anyway. Each block's GEMM reads the whole right operand, so wider blocks
+cost less per query until S leaves the cache. Measured on 2 vCPUs with
+2 MB of L2 each, one BLAS thread a process: at n = 6000, d = 9, blocks of
+10 to 16 queries were the fastest, and 16 raised a Hopkins call's traced
+peak from 1.0 to 1.6 MB, where 10 raised it to 1.3 MB. For n from 683 to
+20,000 and d from 2 to 80 the rule stayed near the best fixed block,
+except at n = 20,000, d = 9, where 4 or 5 queries a block were about 20 %
+faster than its 10. The dense (n, n) matrix is the one O(n^2) allocation:
 :func:`pairwise_distances` refuses n points of d features, with
 :class:`AnalysisError` and before it allocates anything, when the matrix's
 8n² bytes plus 8*max(_SCREEN_ELEMENTS, n*d) bytes for its build exceed
@@ -78,6 +93,14 @@ def _block_rows(width: int) -> int:
     """Rows per block when a row holds ``width`` elements: about
     _SCREEN_ELEMENTS elements, and at least one row."""
     return max(1, _SCREEN_ELEMENTS // width)
+
+
+def _query_rows(m: int, d: int) -> int:
+    """Rows of A per block of :func:`_screen`'s rows-first layout, against
+    m rows of B of d features: two block temporaries' worth of S
+    (2*_SCREEN_ELEMENTS values), or d + 1 rows, when more, so that a block
+    of S holds as many values as the right operand its GEMM reads."""
+    return max(2 * _SCREEN_ELEMENTS // m, d + 1)
 
 
 def physical_memory() -> int:
@@ -172,14 +195,15 @@ def _nearest(A: _Rows, B: _Rows, exclude=None, out=None):
 
     ``exclude[i]``, when given, removes row ``exclude[i]`` of ``B`` (one
     group) from the search for row i; ``B`` must then have at least two
-    rows. The rows of ``A`` are searched in blocks of ``_block_rows(g*m)``;
-    a row's result does not depend on the other rows of its block.
+    rows. The rows of ``A`` are searched in blocks (see :func:`_screen`);
+    a row's result does not depend on the other rows of its block, nor on
+    their number.
 
     Screen: S[i, j] = |b'_j|^2 + (-2 a'_i).b'_j ranks the pairs with one GEMM,
     on the rows shifted by a common center, a' = a - c and b' = b - c
     (|a'_i|^2 is the same for a whole row, so it is left out). The norm
     |b'_j|^2 is one more term of the GEMM's sums, against a 1 on A's side
-    (see :func:`_candidates`). Decide: a
+    (see :func:`_screen`). Decide: a
     row keeps the pairs whose screen value lies within ``slack`` of its
     smallest. A row left with one pair takes it; on a row left with more,
     the exact row kernel of this module, ((a - b)**2).sum() on the raw rows,
@@ -219,12 +243,11 @@ def _nearest(A: _Rows, B: _Rows, exclude=None, out=None):
     """
     if B.raw.ndim == 2:
         return _nearest(A, _grouped(B), exclude, None if out is None else out[None])[0]
-    step = _block_rows(B.raw.shape[0] * B.raw.shape[1])
     idx = np.empty((B.raw.shape[0], A.raw.shape[0]), dtype=np.intp) if out is None else out
-    for s in range(0, idx.shape[1], step):
-        part = slice(s, s + step)
-        block = _Rows(A.raw[part], A.operand[:, part], A.top)
-        idx[:, part] = _nearest_block(block, B, None if exclude is None else exclude[part])
+    for part, pick, cand in _screen(A, B, exclude):
+        if np.count_nonzero(cand) != pick.size:  # else each pick is its row's only candidate
+            _decide(pick, cand, A.raw[part], B.raw)
+        idx[:, part] = pick
     return idx
 
 
@@ -235,67 +258,79 @@ def _grouped(B: _Rows) -> _Rows:
     return _Rows(B.raw[None], B.operand[None], np.reshape(B.top, 1))
 
 
-def _nearest_block(A: _Rows, B: _Rows, exclude=None):
-    """:func:`_nearest` on one block of rows of ``A`` and the g groups of
-    ``B``: a (g, len(A)) array."""
-    idx, cand = _candidates(A, B, exclude)
-    if np.count_nonzero(cand) == idx.size:  # the usual case: each pick is its row's only candidate
-        return idx
+def _decide(idx, cand, a, b):
+    """The exact kernel's decision on the rows of ``a``, (rows, d), that the
+    screen left more than one candidate in a group of ``b``, (g, m, d):
+    each such entry of ``idx``, (g, rows), becomes the candidate of ``cand``,
+    (g, m, rows), nearest by the exact kernel, ties to the lowest index."""
     multi = np.flatnonzero(np.count_nonzero(cand, axis=1) > 1)  # places in idx
     group, rows = np.divmod(multi, idx.shape[1])
     at, cols = np.nonzero(cand[group, :, rows])  # their candidates, by place, then index
-    d2 = _rows_to_point(A.raw[rows[at]], B.raw[group[at], cols], Metric.SQEUCLIDEAN)
+    d2 = _rows_to_point(a[rows[at]], b[group[at], cols], Metric.SQEUCLIDEAN)
     order = np.lexsort((cols, d2, at))  # by place, then exact d2, then index
     lead = np.ones(order.size, dtype=bool)
     lead[1:] = at[order[1:]] != at[order[:-1]]
     idx.flat[multi[at[order[lead]]]] = cols[order[lead]]  # each row's best candidate
-    return idx
 
 
-def _candidates(A: _Rows, B: _Rows, exclude=None):
-    """The screen of :func:`_nearest`, on B's g groups of m rows: each row's
-    pick in each group, ``idx`` (g, len(A)), and the (g, m, len(A)) mask of
-    the pairs it keeps, every pick among them (in the first layout below, a
-    transposed view).
+def _screen(A: _Rows, B: _Rows, exclude=None):
+    """The screen of :func:`_nearest` on B's g groups of m rows, prepared
+    once for the search and run block by block over the rows of ``A``. It
+    yields, per block, the ``slice`` of its rows, each row's pick in each
+    group, ``idx`` (g, rows), and the (g, m, rows) mask of the pairs it
+    keeps, every pick among them. The arrays are buffers that the next
+    block overwrites.
 
-    S comes from one GEMM whose right operand is one side's prepared
-    operand, read in place; only the other side's small left operand, (rows,
-    d + 1), is built here. The layout of S follows the shapes. Rows of B
-    many against rows of A few (Hopkins' queries against the data, and any
-    search with exclusions): [-2a', 1] against B's ``operand[1:]``, so a
-    row of S holds one row of A against all of B, and its ``argmin`` is the
-    pick. Rows of B few, in one or many groups, against rows of A many
-    (K-means' centres against the data): [|b'|^2, -2b'] against A's
-    ``operand[:d + 1]``, so a row of S holds one row of B against all of A,
-    the minimum over the rows of a group runs across contiguous rows of S,
-    and a row's pick is read off its one candidate, the only case that
-    keeps it.
+    S comes from one GEMM per block, into one reused buffer. Its right
+    operand is one side's prepared operand, read in place; the other
+    side's left operand, (rows, d + 1), and the slack are built once per
+    search. The layout of S follows the shapes. Rows of B many against rows
+    of A few (Hopkins' queries against the data, and any search with
+    exclusions): [-2a', 1] against B's ``operand[1:]``, so a row of S holds
+    one row of A against all of B, its ``argmin`` is the pick, and blocks
+    hold ``_query_rows(m, d)`` rows of A. Rows of B few, in one or many
+    groups, against rows of A many (K-means' centres against the data):
+    [|b'|^2, -2b'] against A's ``operand[:d + 1]``, so a row of S holds one
+    row of B against all of A, the minimum over the rows of a group runs
+    across contiguous rows of S, a row's pick is read off its one candidate,
+    the only case that keeps it, and blocks hold ``_block_rows(g*m)`` rows
+    of A.
     """
     B = _grouped(B)
     (g, m, d), q = B.raw.shape, A.raw.shape[0]
-    rows_first = g == 1 and (q < m or exclude is not None)
-    top = A.top + (B.top[0] if rows_first else B.top)  # a scalar costs less per block
-    slack = 2 * (d + 2) * _EPS * (4 * top) + 8 * (d + 2) * _SUBNORMAL  # see _nearest
-    if not rows_first:
-        left = np.empty((g, m, d + 1))
-        left[:, :, 0] = B.operand[:, d + 1]
-        np.multiply(B.operand[:, 1:d + 1].swapaxes(1, 2), -2.0, out=left[:, :, 1:])  # exact
-        S = (left.reshape(g * m, d + 1) @ A.operand[:d + 1]).reshape(g, m, q)
-        cand = S <= (S.min(axis=1) + slack[:, None])[:, None, :]
-        # a row's one candidate j is the sum of j over its candidates;
-        # rows with more are decided by the exact kernel
-        order = np.arange(m, dtype=np.min_scalar_type(m))
-        return np.einsum("gmq,m->gq", cand, order).astype(np.intp), cand
-    left = np.empty((q, d + 1))
-    np.multiply(A.operand[1:d + 1].T, -2.0, out=left[:, :d])  # doubling is exact
-    left[:, d] = 1.0
-    S = left @ B.operand[0, 1:]
-    every = np.arange(q)
-    if exclude is not None:
-        S[every, exclude] = np.inf
-    idx = S.argmin(axis=1)
-    cand = S <= (S[every, idx] + slack)[:, None]
-    return idx[None], cand.T[None]
+    slack = 2 * (d + 2) * _EPS * (4 * (A.top + B.top)) + 8 * (d + 2) * _SUBNORMAL  # see _nearest
+    if g == 1 and (q < m or exclude is not None):
+        left = np.empty((q, d + 1))
+        np.multiply(A.operand[1:d + 1].T, -2.0, out=left[:, :d])  # doubling is exact
+        left[:, d] = 1.0
+        step = min(_query_rows(m, d), q)
+        S, cand = np.empty((step, m)), np.empty((step, m), dtype=bool)
+        idx, every = np.empty((1, step), dtype=np.intp), np.arange(step)
+        for s in range(0, q, step):
+            part, r = slice(s, s + step), min(step, q - s)
+            block = np.matmul(left[part], B.operand[0, 1:], out=S[:r])
+            if exclude is not None:
+                block[every[:r], exclude[part]] = np.inf
+            pick = np.argmin(block, axis=1, out=idx[0, :r])
+            np.less_equal(block, (block[every[:r], pick] + slack)[:, None], out=cand[:r])
+            yield part, idx[:, :r], cand[:r].T[None]
+        return
+    left = np.empty((g, m, d + 1))
+    left[:, :, 0] = B.operand[:, d + 1]
+    np.multiply(B.operand[:, 1:d + 1].swapaxes(1, 2), -2.0, out=left[:, :, 1:])  # exact
+    left, slack = left.reshape(g * m, d + 1), np.reshape(slack, (-1, 1))
+    # a row's one candidate j is the sum of j over its candidates; rows
+    # with more are decided by the exact kernel
+    order = np.arange(m, dtype=np.min_scalar_type(m))
+    step = min(_block_rows(g * m), q)
+    S, cand = np.empty(g * m * step), np.empty(g * m * step, dtype=bool)
+    for s in range(0, q, step):
+        part, size = slice(s, s + step), g * m * min(step, q - s)
+        block = np.matmul(left, A.operand[:d + 1, part], out=S[:size].reshape(g * m, -1))
+        block = block.reshape(g, m, -1)
+        mask = np.less_equal(block, (block.min(axis=1) + slack)[:, None, :],
+                             out=cand[:size].reshape(block.shape))
+        yield part, np.einsum("gmq,m->gq", mask, order).astype(np.intp), mask
 
 
 def distance(a, b, metric=Metric.EUCLIDEAN) -> float:

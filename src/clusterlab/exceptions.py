@@ -97,7 +97,7 @@ class UnknownColumnError(InputError):
 
 class InvalidClassValueError(InputError):
     def __init__(self, value, row=None):
-        self.value = value
+        self.value, self.row = value, row
         where = f" (row {row})" if row is not None else ""
         super().__init__(f"class value {value!r}{where} is not 2 or 4")
 

@@ -17,6 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
+from ._checks import distinct
 from .dataset import BENIGN, Dataset, PreprocessReport
 from .exceptions import NoLabelsError
 from .tendency import HopkinsResult
@@ -64,7 +65,7 @@ def name_clusters(labels, classes) -> ClusterNaming:
 
     clusters = {}
     agree = 0
-    for cid in sorted(int(c) for c in np.unique(labels)):
+    for cid in (int(c) for c in distinct(labels)[0]):
         counts = Counter(classes[i] for i in np.flatnonzero(labels == cid))
         size = counts.total()
         top = max(counts.values())

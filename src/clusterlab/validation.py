@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_feature_matrix, as_labels, resolve_seed
+from ._checks import as_feature_matrix, as_labels, distinct, resolve_seed
 from ._parallel import fork_map
 from .distances import DistanceMatrix, Metric, pairwise_distances
 from .exceptions import SingleClusterError
@@ -64,7 +64,7 @@ def silhouette_report(dist, labels) -> SilhouetteReport:
         cols = D.T
     n = cols.shape[0]
     raw = as_labels(labels, n)
-    uniq, inv = np.unique(raw, return_inverse=True)
+    uniq, inv = distinct(raw)
     k = uniq.size
     if k < 2:
         raise SingleClusterError(f"need at least 2 clusters, got {k}")

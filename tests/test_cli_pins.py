@@ -146,8 +146,8 @@ def test_preprocess_files(workdir, capsys, export):
     assert {**digests, "stdout": stdout} == PREPROCESS_PINS[export]
 
 
-#: the synthetic table delimited by tabs; a whitespace delimiter sends it to
-#: the per-cell parser
+#: the synthetic table delimited by tabs, whose data rows numpy reads by the
+#: same grammar as comma-delimited ones
 TAB_PINS = {
     "preprocess.json": "42572073aa6017b7e3f1721c673bd25bfc20ff286246f699f9baea824cdcb6a0",
     "preprocessed.arff": "528b900a5767ba62bcb77fed8f9ac162d1791090619f00bd2e97888526decb66",
@@ -156,7 +156,7 @@ TAB_PINS = {
 }
 
 
-def test_tab_delimited_table_through_the_per_cell_parser(workdir, capsys, synth_csv):
+def test_tab_delimited_table_through_the_one_row_grammar(workdir, capsys, synth_csv):
     (workdir / "synthetic_wbc.tsv").write_bytes(synth_csv.replace(b",", b"\t"))
     stdout = _stdout_sha(capsys, "preprocess", "synthetic_wbc.tsv", "--delimiter", "\t",
                          "--out", "prep", "--export", "arff")

@@ -884,6 +884,19 @@ class TestBuildDataset:
             build_dataset(table, label_column="col0")
         assert str(exc.value) == "class value 3.0 (row 2) is not 2 or 4"
 
+    def test_invalid_class_value_names_the_data_row_before_the_drop(self):
+        # without an id column, the row is numbered as dropped_row_ids numbers
+        # rows: the file's third data row is row 2, though the second was dropped
+        doc = b"1,2,5,2\n2,3,?,4\n3,4,5,3\n"
+        with pytest.raises(InvalidClassValueError) as exc:
+            preprocess(parse_csv(doc), label_column="col3")
+        assert str(exc.value) == "class value 3.0 (row 2) is not 2 or 4"
+        data, report = preprocess(parse_csv(doc.replace(b"5,3", b"5,4")), label_column="col3")
+        assert (report.dropped_row_ids, data.row_ids) == ((1,), (0, 1))
+        with pytest.raises(InvalidClassValueError) as exc:  # with one, by its id
+            preprocess(parse_csv(doc), id_column="col0", label_column="col3")
+        assert str(exc.value) == "class value 3.0 (row 3) is not 2 or 4"
+
     def test_unknown_column(self):
         table = parse_csv(b"1,2\n")
         with pytest.raises(UnknownColumnError):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from clusterlab import (
     wss,
 )
 from clusterlab import distances
+from clusterlab._checks import check_domain
+from clusterlab.distances import _nearest, _rows
 from clusterlab.exceptions import AnalysisError, DimensionMismatchError
 from oracles import nearest_neighbor
 
@@ -288,3 +291,67 @@ class TestNearestNeighbor:
             best = min(range(50), key=lambda i: (dists[i], i))
             assert idx == best
             assert d == dists[best]
+
+
+# -- the screened search's blocks ---------------------------------------------
+
+def nearest_in_blocks(Q, X, exclude, rows):
+    """``_nearest``'s indices from Q's rows to X's around X's mean, with the
+    rows-first screen cut into blocks of ``rows`` queries (None: the rule)."""
+    rule = distances._query_rows if rows is None else (lambda m, d: rows)
+    center = X.mean(axis=0)
+    with mock.patch.object(distances, "_query_rows", rule):
+        return _nearest(_rows(Q, center), _rows(X, center), exclude)
+
+
+def oracle_nearest(Q, X, exclude):
+    return [nearest_neighbor(q, X, None if exclude is None else exclude[i], Metric.SQEUCLIDEAN)[0]
+            for i, q in enumerate(Q)]
+
+
+@st.composite
+def search_cases(draw):
+    """Integer-grid rows (few levels: duplicates and exact ties), scaled into
+    the subnormal range or near the top of the float64 domain, and queries:
+    sampled rows, each searched without itself, or midpoints of pairs of
+    rows, which lie exactly as far from both when the scale is a power of 2."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    levels = draw(st.sampled_from([2, 3, 10]))
+    scale = draw(st.sampled_from([1.0, 1.0 / 9.0, 2.0**-532, 1e-160, 1e-300, 2.0**505, 1e152,
+                                  1e154]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)) * scale
+    if draw(st.booleans()):
+        exclude = rng.choice(n, size=draw(st.integers(1, n)), replace=False)
+        return X[exclude], X, exclude, scale
+    pairs = rng.integers(0, n, size=(draw(st.integers(1, 2 * n)), 2))
+    return (X[pairs[:, 0]] + X[pairs[:, 1]]) / 2, X, None, scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases())
+def test_nearest_does_not_depend_on_the_block_rows(case):
+    Q, X, exclude, scale = case
+    try:
+        check_domain(X)
+    except AnalysisError:
+        assert scale >= 1e152  # refused before any search: the screen never sees these rows
+        return
+    expected = oracle_nearest(Q, X, exclude)
+    for rows in (1, 3, None, len(Q)):
+        assert nearest_in_blocks(Q, X, exclude, rows).tolist() == expected
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160])
+def test_nearest_in_blocks_of_the_rule(scale):
+    # 7,000 rows of 3 features: the rule's blocks hold 9 queries, so 40
+    # sampled rows run in five blocks, the last cut short
+    rng = np.random.default_rng(8)
+    X = np.repeat(rng.integers(0, 20, size=(3500, 3)), 2, axis=0) * scale  # every row twice
+    exclude = rng.choice(len(X), size=40, replace=False)
+    assert distances._query_rows(len(X), 3) == 9
+    expected = oracle_nearest(X[exclude], X, exclude)
+    for rows in (1, 3, None, 40):
+        assert nearest_in_blocks(X[exclude], X, exclude, rows).tolist() == expected
+

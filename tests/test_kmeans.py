@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterlab import KMeans, distances, hopkins_statistic, kmeans, wss
-from clusterlab.distances import Metric, _candidates, _rows, _screened_nearest, _to_columns
+from clusterlab.distances import Metric, _rows, _screen, _screened_nearest, _to_columns
 from clusterlab.exceptions import (
     AnalysisError,
     EmptyDatasetError,
@@ -394,9 +394,9 @@ class TestScreenedAssignment:
         C = (X[:7] + X[7:14]) / 2
         self.check(X, C)
         center = X.mean(axis=0)
-        near = _candidates(_rows(X, center), _rows(C, center))[1]
-        far = _candidates(_rows(X, 0.0), _rows(C, 0.0))[1]
-        assert near.sum() == len(X) < far.sum()
+        near = sum(cand.sum() for *_, cand in _screen(_rows(X, center), _rows(C, center)))
+        far = sum(cand.sum() for *_, cand in _screen(_rows(X, 0.0), _rows(C, 0.0)))
+        assert near == len(X) < far
 
     def test_values_that_overflow_the_expansion(self):
         # the exact squares would overflow: fit and predict refuse the rows

@@ -254,15 +254,19 @@ class TestFailures:
         assert seen[0] == seen[1]
 
     def test_keyboard_interrupt_in_the_parent_propagates(self, monkeypatch, forks):
+        # an item takes 50 ms in the child, which would need 0.8 s to drain
+        # the 16 tickets: the parent claims one first (with 4 instant items,
+        # the child could claim all of them before the parent's first claim)
         with_cpus(monkeypatch, 2)
 
         def interrupted(i):
             if os.getpid() == PARENT:
                 raise KeyboardInterrupt
+            time.sleep(0.05)
             return i
 
         with pytest.raises(KeyboardInterrupt):
-            fork_map(interrupted, range(4))
+            fork_map(interrupted, range(16))
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
@@ -335,6 +339,65 @@ def test_fork_beside_a_native_thread_warns_nothing(monkeypatch, forks):
         lock.release()
     assert len(forks) == 1
     assert caught == []
+
+
+class TestOneBlasThread:
+    """Items run on one BLAS thread, in the parent and in every child, and
+    the parent gets its own count back when the map ends."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        """The loaded OpenBLAS's thread count reader, with the count set to
+        2 for the test and put back after it."""
+        blas = _parallel._openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS is loaded: fork_map leaves the BLAS alone")
+        get, set_ = blas
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_the_finder_finds_numpys_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in blas["name"]:
+            pytest.skip(f"numpy is built against {blas['name']}, not OpenBLAS")
+        assert _parallel._openblas() is not None
+
+    def test_items_run_on_one_thread(self, monkeypatch, forks, blas_threads):
+        with_cpus(monkeypatch, 2)
+
+        def item(i):
+            time.sleep(0.05)
+            return os.getpid(), blas_threads()
+
+        seen = fork_map(item, range(8))
+        assert [threads for _, threads in seen] == [1] * 8
+        assert {pid for pid, _ in seen} == {PARENT, *forks}
+        assert blas_threads() == 2
+
+    def test_the_count_comes_back_after_an_item_raises(self, monkeypatch, blas_threads):
+        with_cpus(monkeypatch, 2)
+        with pytest.raises(ZeroDivisionError):
+            fork_map(lambda i: 1 // i, range(-2, 3))
+        assert blas_threads() == 2
+
+    def test_inline_maps_leave_the_count_alone(self, monkeypatch, forks, blas_threads):
+        with_cpus(monkeypatch, 1)
+        assert fork_map(lambda i: blas_threads(), range(3)) == [2, 2, 2]
+        assert forks == []
+
+    def test_without_openblas_the_map_runs_unchanged(self, monkeypatch, forks, blas_threads):
+        # the finder finds nothing: items see the parent's count, and results,
+        # forks and the restore are as with the finder
+        monkeypatch.setattr(_parallel, "_openblas", lambda: None)
+        with_cpus(monkeypatch, 2)
+        assert fork_map(lambda i: (abs(i), blas_threads()), range(-3, 3), cost=abs) == [
+            (3, 2), (2, 2), (1, 2), (0, 2), (1, 2), (2, 2)]
+        assert len(forks) == 1
+        with pytest.raises(ZeroDivisionError):
+            fork_map(lambda i: 1 // i, range(-2, 3))
+        assert blas_threads() == 2
 
 
 class TestInline:

@@ -165,6 +165,28 @@ class TestEmitReport:
         digests["stdout"] = hashlib.sha256(proc.stdout).hexdigest()
         assert digests == ANALYZE_PINS["defaults"]
 
+    def test_a_run_leaves_numpy_ma_unloaded(self, tmp_path, synth_csv):
+        # np.unique imports numpy.ma, about 1.7 MB of resident size, on its
+        # first call; no run needs it, on all CPUs or on one, where the
+        # silhouettes of the sweep run in this process too
+        import clusterlab
+
+        src = os.path.dirname(os.path.dirname(clusterlab.__file__))
+        (tmp_path / INPUT).write_bytes(synth_csv)
+        code = textwrap.dedent(f"""
+            import os, sys
+            from clusterlab.cli import main
+            for run, cpus in enumerate([os.sched_getaffinity(0), {{min(os.sched_getaffinity(0))}}]):
+                os.sched_setaffinity(0, cpus)
+                assert main(["analyze", {INPUT!r}, "--out", f"out{{run}}", "--seed", "1"]) == 0
+                assert main(["sweep", {INPUT!r}, "--seed", "1", "--restarts", "2"]) == 0
+                assert main(["tendency", {INPUT!r}, "--seed", "1"]) == 0
+            assert "numpy.ma" not in sys.modules
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
     def test_schema_rejects_unknown_top_level_key(self):
         doc = json.loads(emit_report(minimal_report(), "json"))
         doc["extra"] = 1

@@ -170,7 +170,7 @@ class TestScreenedHopkins:
 
     def test_blobs_across_query_blocks(self, monkeypatch):
         # blocks of 7 queries, so blocks end mid-sample
-        monkeypatch.setattr(distances, "_SCREEN_ELEMENTS", 7 * 500)
+        monkeypatch.setattr(distances, "_query_rows", lambda m, d: 7)
         assert_matches_reference(blobs(500, 9, seed=4), 50, 3, 8)
 
     def test_only_neighbour_is_an_exact_duplicate(self):
