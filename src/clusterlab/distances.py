@@ -66,7 +66,7 @@ faster than its 10. The dense (n, n) matrix is the one O(n^2) allocation:
 :func:`pairwise_distances` refuses n points of d features, with
 :class:`AnalysisError` and before it allocates anything, when the matrix's
 8n² bytes plus 8*max(_SCREEN_ELEMENTS, n*d) bytes for its build exceed
-:func:`physical_memory`.
+:func:`memory_budget`, the least of the limits this process runs under.
 """
 
 from __future__ import annotations
@@ -106,6 +106,69 @@ def _query_rows(m: int, d: int) -> int:
 def physical_memory() -> int:
     """Bytes of physical memory of the host the program runs on."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _read(path: str) -> str | None:
+    """The text of the file at ``path``, or None where it cannot be read."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
+def _rlimit_room(name: str, field: str):
+    """``(bytes, words naming the limit)``: the room left under the soft
+    limit ``resource.<name>`` by what ``field`` of ``/proc/self/status``
+    counts; None when there is no such limit or either cannot be read."""
+    try:
+        import resource  # POSIX only
+        soft = resource.getrlimit(getattr(resource, name))[0]
+    except (ImportError, AttributeError):
+        return None
+    if soft == resource.RLIM_INFINITY:
+        return None
+    used = [int(line.split()[1]) * 1024  # in kB
+            for line in (_read("/proc/self/status") or "").splitlines()
+            if line.startswith(f"{field}:")]
+    return (max(0, soft - used[0]), f"left under {name}") if used else None
+
+
+def _cgroup_limits():
+    """The memory limits of this process's cgroup and of each of its
+    ancestors, as ``(bytes, words naming the limit's file)``: cgroup v2's
+    ``memory.max`` under ``/sys/fs/cgroup``, v1's ``memory.limit_in_bytes``
+    under ``/sys/fs/cgroup/memory``, on the paths ``/proc/self/cgroup``
+    gives. A v2 ``max`` and a file that cannot be read set no limit."""
+    found = []
+    for line in (_read("/proc/self/cgroup") or "").splitlines():
+        _, controllers, path = line.split(":", 2)
+        if not controllers:
+            root, name = "/sys/fs/cgroup", "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = "/sys/fs/cgroup/memory", "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [p for p in path.split("/") if p]
+        for depth in range(len(parts), -1, -1):
+            file = "/".join([root, *parts[:depth], name])
+            text = (_read(file) or "").strip()
+            if text.isdigit():
+                found.append((int(text), f"of the cgroup limit {file}"))
+    return found
+
+
+def memory_budget() -> tuple[int, str]:
+    """The bytes this process may still allocate, and the words that name
+    the limit: the least of physical memory (:func:`physical_memory`), the
+    room left under the soft ``RLIMIT_AS`` (less ``VmSize``) and
+    ``RLIMIT_DATA`` (less ``VmData``), and the memory limit of the process's
+    cgroup and its ancestors (:func:`_cgroup_limits`). It only reads; a
+    limit that cannot be read counts as none."""
+    limits = [(physical_memory(), "of physical memory"),
+              _rlimit_room("RLIMIT_AS", "VmSize"), _rlimit_room("RLIMIT_DATA", "VmData"),
+              *_cgroup_limits()]
+    return min((limit for limit in limits if limit), key=lambda limit: limit[0])
 
 
 class Metric(enum.Enum):
@@ -473,10 +536,10 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
     if metric is not Metric.MANHATTAN:
         check_domain(X)
     n, d = X.shape
-    need, have = 8 * n * n + 8 * max(_SCREEN_ELEMENTS, n * d), physical_memory()
+    need, (have, limit) = 8 * n * n + 8 * max(_SCREEN_ELEMENTS, n * d), memory_budget()
     if need > have:
         raise AnalysisError(f"{n} points need {need / 1e6:.1f} MB for their pairwise distance "
-                            f"matrix, more than the {have / 1e6:.1f} MB of physical memory")
+                            f"matrix, more than the {have / 1e6:.1f} MB {limit}")
     D = np.empty((n, n))
     magnitude = np.abs if metric is Metric.MANHATTAN else np.square
     columns = np.ascontiguousarray(X.T)

@@ -6,14 +6,21 @@ returns its report section together with the fitted object that later
 stages or plots need. A run computes its pairwise distance matrix at most
 once, on first use, so stages that need none (Hopkins, K-means without a
 silhouette) never allocate O(n^2).
+
+analyze is one stage graph: the distance matrix and the 2-D projection are
+built first and shared; Hopkins, each fit at k with its plots, and each
+point of the sweep (``validation.sweep_point``, as ``sweep_k`` computes it)
+are then the items of one ``_parallel.fork_map``; the report and the
+sweep's plot come last.
 """
 
 from __future__ import annotations
 
 from argparse import Namespace
-from functools import cached_property
+from functools import cached_property, partial
 
 from ._checks import resolve_seed
+from ._parallel import fork_map
 from .dataset import Dataset, PreprocessReport
 from .distances import DistanceMatrix, Metric, pairwise_distances
 from .exceptions import AnalysisError
@@ -34,7 +41,7 @@ from .report import (
 )
 from .svgplot import scatter_svg, silhouette_svg, sweep_svg
 from .tendency import default_sample_size, hopkins_statistic
-from .validation import check_k_range, silhouette_report, sweep_k
+from .validation import check_k_range, silhouette_report, sweep_k, sweep_point, sweep_result
 
 
 class Run:
@@ -95,15 +102,14 @@ def silhouette(run: Run):
     return silhouette_section(sil, algorithm), sil
 
 
-def sweep(run: Run, algorithm: str, **limits):
-    """k sweep on the run's distance matrix: (section, KSweepResult).
-    ``limits`` passes max_iter and tol on to the K-means fits. The k range
-    is checked before the distance matrix is built."""
+def sweep(run: Run, algorithm: str):
+    """k sweep on the run's distance matrix: (section, KSweepResult). The k
+    range is checked before the distance matrix is built."""
     o = run.opts
     check_k_range((o.k_min, o.k_max), run.data.n)
     result = sweep_k(run.data.features, k_range=(o.k_min, o.k_max),
                      algorithm=algorithm, metric=run.metric, seed=run.seed,
-                     n_init=o.restarts, dist=run.dist, **limits)
+                     n_init=o.restarts, dist=run.dist)
     return sweep_section(result, algorithm), result
 
 
@@ -156,15 +162,55 @@ def _scatter(stem, title, coords, labels, centers, axis_variance) -> dict:
 def analyze(run: Run, prep: PreprocessReport, source: dict):
     """The full pipeline, every artifact rendered to bytes and nothing
     written: ({file name: bytes}, the stdout summary). ``source`` holds the
-    input settings that the report's config echoes."""
+    input settings that the report's config echoes.
+
+    The map's items are Hopkins, K-means at k with its scatter, PAM at k
+    with its scatter and silhouette plot, and the sweep's points, listed in
+    the serial order, so an item that fails everywhere raises the serial
+    path's error. The sweep's long points are claimed first. Hopkins' own
+    map runs inline in its item."""
     o, data = run.opts, run.data
     m = o.m if o.m is not None else default_sample_size(data.n)
     _check_analyze(o, data.n, data.d, m)
     run.dist  # every later stage needs it: refuse a too-large input before any compute
-    hopkins_sec, hopkins = tendency(run)
-    kmeans_sec, km, _ = kmeans(run, score=True)
-    pam_sec, pam_est, pam_sil = pam(run, score=True)
-    sweep_sec, sw = sweep(run, "kmeans", max_iter=o.max_iter, tol=o.tol)
+    pca = PCA2D().fit(data.features)
+    coords = pca.transform(data.features)
+    axis_variance = tuple(float(v) for v in pca.explained_variance_ratio_)
+    point = partial(sweep_point, X=data.features, dist=run.dist, algorithm="kmeans",
+                    seed=run.seed, n_init=o.restarts, max_iter=o.max_iter, tol=o.tol)
+
+    def stage(item):
+        """A sweep point, or a stage's ({report section name: section},
+        {file name: bytes}, its line of the summary)."""
+        if item == "hopkins":
+            section, h = tendency(run)
+            return ({"hopkins": section}, {},
+                    f"hopkins H = {h.h:.4f} (m={h.m}, trials={h.trials})\n")
+        if item == "kmeans":
+            section, km, _ = kmeans(run, score=True)
+            files = _scatter("scatter_kmeans", f"K-means clusters (k={o.k})", coords,
+                             km.labels_, pca.transform(km.cluster_centers_), axis_variance)
+            sizes = ", ".join(str(s) for s in km.cluster_sizes_)
+            return {"kmeans": section}, files, f"k-means sizes: {sizes} (WSS {km.inertia_:.4f})\n"
+        if item == "pam":
+            section, est, sil = pam(run, score=True)
+            files = _scatter("scatter_pam", f"PAM clusters (k={o.k})", coords,
+                             est.labels_, coords[est.medoid_indices_], axis_variance)
+            files["silhouette_pam.svg"] = silhouette_svg(
+                sil, title=f"Silhouette plot, PAM (k={o.k})").encode("utf-8")
+            files["silhouette_pam.csv"] = _csv(
+                "rank,point_index,cluster,width",
+                [(rank, int(idx), int(est.labels_[idx]), repr(float(sil.widths[idx])))
+                 for rank, idx in enumerate(sil.plot_order)])
+            return ({"pam": section, "silhouette": silhouette_section(sil, "pam")}, files,
+                    f"PAM silhouette = {sil.overall:.4f}\n")
+        return point(item)
+
+    ks = range(o.k_min, o.k_max + 1)
+    # the fits' time grows with k; the stages take about as long as one short point
+    results = fork_map(stage, ["hopkins", "kmeans", "pam", *ks],
+                       cost=lambda item: item if isinstance(item, int) else 0)
+    stages, sw = results[:3], sweep_result(ks, results[3:])
 
     config = {
         **source,
@@ -182,7 +228,7 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
         "sweep_k_min": o.k_min,
         "sweep_k_max": o.k_max,
         # a constant that no option sets, and not the run's process count:
-        # the sweep and Hopkins' trials may run in one forked process per
+        # the stages and the sweep's points run in one forked process per
         # usable CPU (see _parallel.fork_map). The key keeps its bytes for
         # byte-identical reports until the next versioned change of the
         # report format drops it.
@@ -192,40 +238,22 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
         config=config,
         dataset=dataset_section(data),
         preprocessing=preprocessing_section(prep),
-        hopkins=hopkins_sec,
-        kmeans=kmeans_sec,
-        pam=pam_sec,
-        silhouette=silhouette_section(pam_sil, "pam"),
-        sweep=sweep_sec,
+        **{name: section for sections, _, _ in stages for name, section in sections.items()},
+        sweep=sweep_section(sw, "kmeans"),
     )
     files = {"report.json": emit_report(report, "json"),
              "report.md": emit_report(report, "markdown")}
-
-    pca = PCA2D().fit(data.features)
-    coords = pca.transform(data.features)
-    axis_variance = tuple(float(v) for v in pca.explained_variance_ratio_)
-    files.update(_scatter("scatter_kmeans", f"K-means clusters (k={o.k})", coords,
-                          km.labels_, pca.transform(km.cluster_centers_), axis_variance))
-    files.update(_scatter("scatter_pam", f"PAM clusters (k={o.k})", coords,
-                          pam_est.labels_, coords[pam_est.medoid_indices_], axis_variance))
-    files["silhouette_pam.svg"] = silhouette_svg(
-        pam_sil, title=f"Silhouette plot, PAM (k={o.k})").encode("utf-8")
-    files["silhouette_pam.csv"] = _csv(
-        "rank,point_index,cluster,width",
-        [(rank, int(idx), int(pam_est.labels_[idx]), repr(float(pam_sil.widths[idx])))
-         for rank, idx in enumerate(pam_sil.plot_order)])
+    for _, stage_files, _ in stages:
+        files.update(stage_files)
     files["sweep.svg"] = sweep_svg(sw, title="K-means sweep").encode("utf-8")
     files["sweep.csv"] = _csv(
         "k,avg_silhouette,wss",
         [(k, repr(float(s)), repr(float(w)))
          for k, s, w in zip(sw.ks, sw.avg_silhouette, sw.wss)])
 
-    sizes = ", ".join(str(s) for s in km.cluster_sizes_)
     summary = (
         f"rows: {prep.rows_before} -> {prep.rows_after} ({prep.rows_dropped} dropped)\n"
-        f"hopkins H = {hopkins.h:.4f} (m={hopkins.m}, trials={hopkins.trials})\n"
-        f"k-means sizes: {sizes} (WSS {km.inertia_:.4f})\n"
-        f"PAM silhouette = {pam_sil.overall:.4f}\n"
-        f"sweep best k = {sw.best_k} (silhouette {max(sw.avg_silhouette):.4f})\n"
+        + "".join(line for _, _, line in stages)
+        + f"sweep best k = {sw.best_k} (silhouette {max(sw.avg_silhouette):.4f})\n"
     )
     return files, summary

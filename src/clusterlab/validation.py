@@ -2,7 +2,9 @@
 
 The sweep uses one pairwise distance matrix, passed in or computed once, for
 the silhouette of every k and for every PAM fit, and one PAM BUILD, for its
-largest k, whose prefixes start every smaller k's SWAP.
+largest k, whose prefixes start every smaller k's SWAP. Each k is one
+:func:`sweep_point`, and :func:`sweep_result` assembles the points;
+``pipeline.analyze`` maps the same two over its own items.
 
 Silhouette sums. Point i's distances to cluster c add up over j in
 ascending order, as a textbook loop does: row j's distances are added to the
@@ -14,6 +16,7 @@ raw array may not be, so its columns are read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,22 +161,38 @@ def sweep_k(
                          f"expected {metric.value} over {n}")
 
     ks = tuple(range(k_lo, k_hi + 1))
-    if algorithm == "pam":  # one BUILD: each k's is a prefix of k_hi's
-        order = _build(dist.square(), k_hi)
-
-    def point(k):
-        if algorithm == "kmeans":
-            est = KMeans(
-                n_clusters=k, n_init=n_init, max_iter=max_iter, tol=tol,
-                random_state=seed + _SWEEP_SEED_STRIDE * k,
-            ).fit(X)
-        else:
-            est = KMedoids(
-                n_clusters=k, max_swap_iters=max_swap_iters, metric=metric
-            )._swap_from(dist.square(), order)
-        return silhouette_report(dist, est.labels_).overall, float(est.inertia_)
-
+    # one BUILD for PAM: each k's is a prefix of k_hi's
+    order = _build(dist.square(), k_hi) if algorithm == "pam" else None
+    point = functools.partial(sweep_point, X=X, dist=dist, algorithm=algorithm, seed=seed,
+                              n_init=n_init, max_iter=max_iter, tol=tol,
+                              max_swap_iters=max_swap_iters, order=order)
     # both algorithms' fits take longer as k grows
-    sils, objectives = zip(*fork_map(point, ks, cost=lambda k: k))
+    return sweep_result(ks, fork_map(point, ks, cost=lambda k: k))
+
+
+def sweep_point(k, *, X, dist, algorithm, seed, n_init, max_iter, tol, max_swap_iters=None,
+                order=None) -> tuple[float, float]:
+    """One point of a k sweep: (average silhouette, objective) of the fit at
+    k. K-means fits ``X`` from its own seed substream; PAM's SWAP, which
+    alone reads ``max_swap_iters`` and ``order``, starts from the first k
+    medoids of ``order``, the BUILD for the sweep's largest k; the
+    silhouette reads ``dist``. :func:`sweep_k` checks the arguments."""
+    if algorithm == "kmeans":
+        est = KMeans(
+            n_clusters=k, n_init=n_init, max_iter=max_iter, tol=tol,
+            random_state=seed + _SWEEP_SEED_STRIDE * k,
+        ).fit(X)
+    else:
+        est = KMedoids(
+            n_clusters=k, max_swap_iters=max_swap_iters, metric=dist.metric
+        )._swap_from(dist.square(), order)
+    return silhouette_report(dist, est.labels_).overall, float(est.inertia_)
+
+
+def sweep_result(ks, points) -> KSweepResult:
+    """The sweep of the ks whose :func:`sweep_point` values are ``points``,
+    in the same order; best_k maximizes the silhouette (ties toward the
+    smaller k)."""
+    sils, objectives = zip(*points)
     best_k = ks[int(np.argmax(sils))]
-    return KSweepResult(ks=ks, avg_silhouette=sils, wss=objectives, best_k=best_k)
+    return KSweepResult(ks=tuple(ks), avg_silhouette=sils, wss=objectives, best_k=best_k)

@@ -98,3 +98,35 @@ def test_several_workloads_run_in_turn_each_with_its_table(tmp_path, monkeypatch
         assert "b pair 0 parent: job_s=3 correct=false" in out
         assert out.index("\na, 1 pairs") < out.index("b pair 0") < out.index("\nb, 1 pairs")
         assert out.count("| job_s | lower |") == 2
+
+
+def test_the_env_line_is_read_as_json():
+    assert bench_pairs.parse_env('env: {"nproc": 2}\n{"correct": true}\n') == {"nproc": 2}
+    assert bench_pairs.parse_env('env: {cut\n') is None
+    assert bench_pairs.parse_env('{"correct": true}\n') is None
+
+
+def test_json_holds_every_run_and_the_summaries(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "job_s", "better": "lower"}]}))
+    values = iter([2.0, 1.0, 1.5, 3.0])
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"correct": True, "env": {"nproc": 2},
+                "metrics": {"job_s": {"value": next(values), "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    path = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2",
+                             "--seconds", "5", "--json", str(path)]) == 0
+    record = json.loads(path.read_text())
+    assert (record["pairs"], record["seconds"], record["seed"]) == (2, 5.0, 1)
+    (workload,) = record["workloads"].values()
+    assert [(run["pair"], run["side"], run["metrics"]["job_s"]["value"])
+            for run in workload["runs"]] == [
+        (0, "parent", 2.0), (0, "change", 1.0), (1, "change", 1.5), (1, "parent", 3.0)]
+    assert all(run["correct"] is True and run["env"] == {"nproc": 2}
+               for run in workload["runs"])
+    (row,) = workload["summary"]
+    assert (row["metric"], row["won"], row["pairs"]) == ("job_s", 2, 2)
+    assert row["parent"] == [2.25, 2.5, 2.75]

@@ -1,5 +1,6 @@
 import errno
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -190,9 +191,11 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err.splitlines() == [f"input error: {message}"]
         assert not out.exists()
 
-    def test_memory_error_exit_3_with_one_line(self, tmp_path):
-        # the run's address space, not this process's, is cut to 1.5 GB: the
-        # 15,000 x 15,000 distance matrix of pam (1.68 GiB) cannot be allocated
+    @staticmethod
+    def run_under_rlimit_as(tmp_path, *code):
+        """``clusterlab pam`` on a 15,000 x 3 table, whose distance matrix
+        needs 1.8 GB, in a child whose address space alone is cut to 1.5 GB;
+        ``code`` runs in the child before the CLI."""
         f, out = tmp_path / "big.csv", tmp_path / "results"
         _table_file(f, np.random.default_rng(2).random((15_000, 3)))
 
@@ -200,13 +203,28 @@ class TestUsageAndErrors:
             resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,
                                                     resource.getrlimit(resource.RLIMIT_AS)[1]))
 
-        proc = subprocess.run([sys.executable, "-m", "clusterlab.cli", "pam", str(f),
-                               "--out", str(out)], preexec_fn=limit, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 3
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("analysis error: out of memory: Unable to allocate 1.68 GiB")
+        script = "\n".join([*code, "import sys", "from clusterlab.cli import main",
+                            "sys.exit(main(sys.argv[1:]))"])
+        proc = subprocess.run([sys.executable, "-c", script, "pam", str(f), "--out", str(out)],
+                              preexec_fn=limit, capture_output=True, text=True, timeout=300)
         assert not out.exists()
+        return proc
+
+    def test_memory_error_exit_3_with_one_line(self, tmp_path):
+        # refused before the allocation, naming the limit that refused it
+        proc = self.run_under_rlimit_as(tmp_path)
+        assert (proc.returncode, len(proc.stderr.splitlines())) == (3, 1)
+        assert re.fullmatch(r"analysis error: 15000 points need 1800\.4 MB for their pairwise "
+                            r"distance matrix, more than the \d+\.\d MB left under RLIMIT_AS\n",
+                            proc.stderr)
+
+    def test_memory_error_backstop(self, tmp_path):
+        # with the budget out of the way, numpy's own MemoryError is mapped
+        proc = self.run_under_rlimit_as(
+            tmp_path, "from clusterlab import distances",
+            "distances.memory_budget = lambda: (1 << 62, 'of a budget that does not bind')")
+        assert (proc.returncode, len(proc.stderr.splitlines())) == (3, 1)
+        assert proc.stderr.startswith("analysis error: out of memory: Unable to allocate 1.68 GiB")
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     @pytest.mark.parametrize("argv, flag", [(("kmeans",), "tol"), (("analyze",), "--tol"),

@@ -175,6 +175,66 @@ class TestPairwise:
                 call()
 
 
+
+class TestMemoryBudget:
+    """The budget is the least of the limits the process runs under, read
+    through ``distances._read`` and ``resource.getrlimit``, which these tests
+    replace: no limit is set on the test process."""
+
+    @staticmethod
+    def files(monkeypatch, tree):
+        """Serve ``tree``, {path: text}, as the only readable files."""
+        monkeypatch.setattr(distances, "_read", tree.get)
+
+    @pytest.fixture
+    def no_rlimits(self, monkeypatch):
+        import resource
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+
+    def test_nothing_readable_leaves_physical_memory(self, monkeypatch):
+        self.files(monkeypatch, {})
+        assert distances.memory_budget() == (distances.physical_memory(), "of physical memory")
+
+    def test_cgroup_v2_limit_of_an_ancestor(self, monkeypatch, no_rlimits):
+        self.files(monkeypatch, {"/proc/self/cgroup": "0::/a/b\n",
+                                 "/sys/fs/cgroup/a/b/memory.max": "max\n",
+                                 "/sys/fs/cgroup/a/memory.max": "1000000\n",
+                                 "/sys/fs/cgroup/memory.max": "2000000\n"})
+        assert distances.memory_budget() == (1_000_000,
+                                             "of the cgroup limit /sys/fs/cgroup/a/memory.max")
+        with pytest.raises(AnalysisError, match="^683 points need 4.0 MB for their pairwise "
+                           "distance matrix, more than the 1.0 MB of the cgroup limit "
+                           "/sys/fs/cgroup/a/memory.max$"):
+            pairwise_distances(np.zeros((683, 2)))
+
+    def test_cgroup_v1_memory_controller(self, monkeypatch, no_rlimits):
+        v1 = "/sys/fs/cgroup/memory"
+        self.files(monkeypatch, {"/proc/self/cgroup": "5:cpu,cpuacct:/other\n4:memory:/job\n",
+                                 f"{v1}/job/memory.limit_in_bytes": "3000000\n",
+                                 f"{v1}/memory.limit_in_bytes": "9223372036854771712\n",
+                                 "/sys/fs/cgroup/other/memory.max": "1\n"})
+        assert distances.memory_budget() == (3_000_000, f"of the cgroup limit {v1}/job/"
+                                             "memory.limit_in_bytes")
+
+    def test_cgroup_limit_above_physical_memory(self, monkeypatch, no_rlimits):
+        self.files(monkeypatch, {"/proc/self/cgroup": "0::/\n",
+                                 "/sys/fs/cgroup/memory.max": "9223372036854771712\n"})
+        assert distances.memory_budget()[1] == "of physical memory"
+
+    @pytest.mark.parametrize("name, field", [("RLIMIT_AS", "VmSize"), ("RLIMIT_DATA", "VmData")])
+    def test_room_left_under_a_soft_rlimit(self, monkeypatch, name, field):
+        import resource
+        limits = {getattr(resource, name): (2_000_000_000, resource.RLIM_INFINITY)}
+        monkeypatch.setattr(resource, "getrlimit", lambda which: limits.get(
+            which, (resource.RLIM_INFINITY, resource.RLIM_INFINITY)))
+        self.files(monkeypatch, {"/proc/self/status": "Name:\tpython\n"
+                                 "VmSize:\t  1000000 kB\nVmData:\t  1000000 kB\n"})
+        assert distances.memory_budget() == (976_000_000, f"left under {name}")
+        self.files(monkeypatch, {})  # the usage cannot be read: no limit
+        assert distances.memory_budget()[1] == "of physical memory"
+
+
 #: per-cell scales of the data: mixed magnitudes, squares in the subnormal
 #: range, and squares that would overflow (the squared metrics refuse them)
 SCALES = {

@@ -425,3 +425,69 @@ class TestInline:
         with_cpus(monkeypatch, cpus)
         assert fork_map(abs, range(items)) == list(range(items))
         assert forks == []
+
+
+class TestAnalyzeStageGraph:
+    """``analyze`` runs its stages and the sweep's points as the items of one
+    map: one fork-join per run, Hopkins' own map inline in its item, and
+    the serial path's error when several items fail."""
+
+    ARGV = ("--seed", "3", "--trials", "6", "--restarts", "3", "--k-max", "6")
+
+    @staticmethod
+    def logged(monkeypatch, log, module, name):
+        """Append a line ``<pid> <_active>`` to ``log`` at every call of
+        ``module.name``, in whichever process makes it."""
+        real = getattr(module, name)
+
+        def logging(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {_parallel._active}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, logging)
+
+    def test_one_fork_join_with_hopkins_inline(self, monkeypatch, forks, synth_csv_path,
+                                               tmp_path, capsys):
+        joins, hopkins_maps = tmp_path / "joins", tmp_path / "hopkins-maps"
+        self.logged(monkeypatch, joins, _parallel, "_fork_join")
+        self.logged(monkeypatch, hopkins_maps, tendency._parallel, "fork_map")
+        outputs = []
+        for cpus in (2, 1):
+            with_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out-{cpus}"
+            assert main(["analyze", str(synth_csv_path), "--out", str(out), *self.ARGV]) == 0
+            outputs.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                            {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+            if cpus == 2:
+                assert joins.read_text() == f"{PARENT} False\n"
+                (hopkins,) = hopkins_maps.read_text().splitlines()
+                pid, active = hopkins.split()
+                assert int(pid) in {PARENT, *forks} and active == "True"
+                assert len(forks) == 1
+        assert outputs[0] == outputs[1]
+
+    def test_hopkins_and_a_sweep_point_failing_raise_hopkins_error(self, monkeypatch, capsys,
+                                                                     synth_csv_path, tmp_path):
+        # the forked map claims the sweep's k = 6 first; serially Hopkins runs first
+        fit = KMeans.fit
+
+        def failing_fit(self, X, y=None):
+            if self.n_clusters == 5:
+                raise ValueError("no fit at k=5")
+            return fit(self, X, y)
+
+        def failing_hopkins(*args, **kwargs):
+            raise ValueError("no hopkins")
+
+        monkeypatch.setattr(KMeans, "fit", failing_fit)
+        seen = []
+        for cpus in (1, 2, 1, 2):
+            if len(seen) == 2:
+                monkeypatch.setattr("clusterlab.pipeline.hopkins_statistic", failing_hopkins)
+            with_cpus(monkeypatch, cpus)
+            code = main(["analyze", str(synth_csv_path), "--out", str(tmp_path / "out"),
+                         *self.ARGV])
+            seen.append((code, capsys.readouterr().err))
+        assert seen == [(3, "analysis error: no fit at k=5\n")] * 2 + [
+            (3, "analysis error: no hopkins\n")] * 2

@@ -1,7 +1,7 @@
 """Run the benchmark on two checkouts in alternated pairs and compare them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...] [--pairs 10]
-        [--seconds 25] [--seed 1]
+        [--seconds 25] [--seed 1] [--json PATH]
 
 PARENT and CHANGE are two checkouts of clusterlab. ``--workload`` may
 repeat, or be ``all``, every workload of the parent's ``BENCHMARK.json``;
@@ -13,6 +13,9 @@ come, then, per workload, one row per metric: both medians and quartiles,
 the parent's interquartile range (IQR), and in how many pairs the change
 read better. A tie counts for neither side. Which direction is better comes
 from ``better`` in the parent's ``BENCHMARK.json``; so do the metric names.
+``--json PATH`` also writes every run (its pair, side, metrics, ``correct``
+and the object of its ``env:`` line) and each workload's summary rows to
+PATH, once every run has given a result.
 
 It exits 1 when a run's last line of output is not a result (it stops
 there) or when a run reads ``correct: false`` (it finishes every workload's
@@ -40,6 +43,17 @@ def parse_result(stdout: str) -> dict | None:
     if not isinstance(result, dict) or not {"correct", "metrics"} <= result.keys():
         return None
     return result
+
+
+def parse_env(stdout: str) -> dict | None:
+    """The object of a run's ``env:`` line, or None."""
+    for line in stdout.splitlines():
+        if line.startswith("env: "):
+            try:
+                return json.loads(line[len("env: "):])
+            except json.JSONDecodeError:
+                return None
+    return None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -89,7 +103,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
-    return parse_result(proc.stdout) if proc.returncode == 0 else None
+    result = parse_result(proc.stdout) if proc.returncode == 0 else None
+    return result and {**result, "env": parse_env(proc.stdout)}
 
 
 def main(argv: list[str]) -> int:
@@ -101,14 +116,17 @@ def main(argv: list[str]) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--json", type=Path, default=None,
+                   help="also write every run and the summaries to this file")
     args = p.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = ([w["name"] for w in spec["workloads"]] if "all" in args.workload
                  else args.workload)
     all_correct = True
+    record = {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed, "workloads": {}}
     for workload in workloads:
-        runs = {"parent": [], "change": []}
+        runs, seen = {"parent": [], "change": []}, []
         for pair in range(args.pairs):
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
                 result = run_once(getattr(args, side), workload, args.seed, args.seconds)
@@ -118,13 +136,18 @@ def main(argv: list[str]) -> int:
                     return 1
                 metrics = {name: result["metrics"][name]["value"] for name in better}
                 runs[side].append(metrics)
+                seen.append({"pair": pair, "side": side, "metrics": result["metrics"],
+                             "correct": result["correct"], "env": result.get("env")})
                 all_correct &= result["correct"] is True
                 print(f"{workload} pair {pair} {side}: " + " ".join(
                     f"{name}={value:.6g}" for name, value in metrics.items())
                     + f" correct={json.dumps(result['correct'])}", flush=True)
+        rows = summarize(runs["parent"], runs["change"], better)
+        record["workloads"][workload] = {"runs": seen, "summary": rows}
         print(f"\n{workload}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s")
-        print(format_summary(summarize(runs["parent"], runs["change"], better)) + "\n",
-              flush=True)
+        print(format_summary(rows) + "\n", flush=True)
+    if args.json:
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if all_correct else 1
 
 
