@@ -134,27 +134,60 @@ def _rlimit_room(name: str, field: str):
     return (max(0, soft - used[0]), f"left under {name}") if used else None
 
 
+#: per cgroup version: the root of its hierarchy, the files of the memory
+#: limit and of the usage, and the key of ``memory.stat`` that counts the
+#: inactive page cache, which the kernel reclaims before its OOM killer runs
+_CGROUP_MEMORY = {
+    2: ("/sys/fs/cgroup", "memory.max", "memory.current", "inactive_file"),
+    1: ("/sys/fs/cgroup/memory", "memory.limit_in_bytes", "memory.usage_in_bytes",
+        "total_inactive_file"),
+}
+
+
+def _bytes(text: str | None) -> int | None:
+    """The count of bytes ``text`` holds, or None (for ``max`` or no file)."""
+    text = (text or "").strip()
+    return int(text) if text.isdigit() else None
+
+
+def _stat_bytes(directory: str, key: str) -> int:
+    """The bytes that ``key`` counts in ``memory.stat`` of ``directory``, or 0."""
+    for line in (_read(f"{directory}/memory.stat") or "").splitlines():
+        name, _, value = line.partition(" ")
+        if name == key:
+            return _bytes(value) or 0
+    return 0
+
+
 def _cgroup_limits():
-    """The memory limits of this process's cgroup and of each of its
-    ancestors, as ``(bytes, words naming the limit's file)``: cgroup v2's
-    ``memory.max`` under ``/sys/fs/cgroup``, v1's ``memory.limit_in_bytes``
-    under ``/sys/fs/cgroup/memory``, on the paths ``/proc/self/cgroup``
-    gives. A v2 ``max`` and a file that cannot be read set no limit."""
+    """The room left under the memory limit of this process's cgroup and of
+    each of its ancestors, on the paths ``/proc/self/cgroup`` gives, as
+    ``(bytes, words naming the limit's file)``: cgroup v2's ``memory.max``
+    less ``memory.current``, v1's ``memory.limit_in_bytes`` less
+    ``memory.usage_in_bytes``, each read in the same directory. The usage
+    does not count the inactive page cache that ``memory.stat`` of that
+    directory gives; a usage that cannot be read counts as 0. A v2 ``max``
+    and a limit that cannot be read set no limit."""
     found = []
     for line in (_read("/proc/self/cgroup") or "").splitlines():
         _, controllers, path = line.split(":", 2)
         if not controllers:
-            root, name = "/sys/fs/cgroup", "memory.max"
+            version = 2
         elif "memory" in controllers.split(","):
-            root, name = "/sys/fs/cgroup/memory", "memory.limit_in_bytes"
+            version = 1
         else:
             continue
+        root, limit_name, usage_name, cache_key = _CGROUP_MEMORY[version]
         parts = [p for p in path.split("/") if p]
         for depth in range(len(parts), -1, -1):
-            file = "/".join([root, *parts[:depth], name])
-            text = (_read(file) or "").strip()
-            if text.isdigit():
-                found.append((int(text), f"of the cgroup limit {file}"))
+            directory = "/".join([root, *parts[:depth]])
+            limit = _bytes(_read(f"{directory}/{limit_name}"))
+            if limit is None:
+                continue
+            used = ((_bytes(_read(f"{directory}/{usage_name}")) or 0)
+                    - _stat_bytes(directory, cache_key))
+            found.append((max(0, limit - max(0, used)),
+                          f"left under the cgroup limit {directory}/{limit_name}"))
     return found
 
 
@@ -162,9 +195,10 @@ def memory_budget() -> tuple[int, str]:
     """The bytes this process may still allocate, and the words that name
     the limit: the least of physical memory (:func:`physical_memory`), the
     room left under the soft ``RLIMIT_AS`` (less ``VmSize``) and
-    ``RLIMIT_DATA`` (less ``VmData``), and the memory limit of the process's
-    cgroup and its ancestors (:func:`_cgroup_limits`). It only reads; a
-    limit that cannot be read counts as none."""
+    ``RLIMIT_DATA`` (less ``VmData``), and the room left under the memory
+    limit of the process's cgroup and of each ancestor (less its usage,
+    :func:`_cgroup_limits`). It only reads; a limit that cannot be read
+    counts as none."""
     limits = [(physical_memory(), "of physical memory"),
               _rlimit_room("RLIMIT_AS", "VmSize"), _rlimit_room("RLIMIT_DATA", "VmData"),
               *_cgroup_limits()]
@@ -347,11 +381,15 @@ def _screen(A: _Rows, B: _Rows, exclude=None):
     S comes from one GEMM per block, into one reused buffer. Its right
     operand is one side's prepared operand, read in place; the other
     side's left operand, (rows, d + 1), and the slack are built once per
-    search. The layout of S follows the shapes. Rows of B many against rows
-    of A few (Hopkins' queries against the data, and any search with
-    exclusions): [-2a', 1] against B's ``operand[1:]``, so a row of S holds
-    one row of A against all of B, its ``argmin`` is the pick, and blocks
-    hold ``_query_rows(m, d)`` rows of A. Rows of B few, in one or many
+    search. The layout of S follows the shapes. One group of B's rows, when
+    they outnumber A's or 256, or a search with exclusions (Hopkins'
+    queries against the data): [-2a', 1] against B's ``operand[1:]``, so a
+    row of S holds one row of A against all of B, its ``argmin`` is the
+    pick, and blocks hold ``_query_rows(m, d)`` rows of A. (7,200 queries
+    against m rows, one thread: as fast as the other layout at m = 200, 2 to
+    13 times faster at m = 1,000 to 6,000 for d = 2 to 40, where the other
+    layout's blocks shrink to 32768 / m rows of A and each block's minimum
+    runs down m strided rows.) Rows of B few, in one or many
     groups, against rows of A many (K-means' centres against the data):
     [|b'|^2, -2b'] against A's ``operand[:d + 1]``, so a row of S holds one
     row of B against all of A, the minimum over the rows of a group runs
@@ -362,7 +400,7 @@ def _screen(A: _Rows, B: _Rows, exclude=None):
     B = _grouped(B)
     (g, m, d), q = B.raw.shape, A.raw.shape[0]
     slack = 2 * (d + 2) * _EPS * (4 * (A.top + B.top)) + 8 * (d + 2) * _SUBNORMAL  # see _nearest
-    if g == 1 and (q < m or exclude is not None):
+    if g == 1 and (q < m or m > 256 or exclude is not None):
         left = np.empty((q, d + 1))
         np.multiply(A.operand[1:d + 1].T, -2.0, out=left[:, :d])  # doubling is exact
         left[:, d] = 1.0

@@ -16,6 +16,7 @@ sweep's plot come last.
 
 from __future__ import annotations
 
+import math
 from argparse import Namespace
 from functools import cached_property, partial
 
@@ -167,8 +168,11 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
     The map's items are Hopkins, K-means at k with its scatter, PAM at k
     with its scatter and silhouette plot, and the sweep's points, listed in
     the serial order, so an item that fails everywhere raises the serial
-    path's error. The sweep's long points are claimed first. Hopkins' own
-    map runs inline in its item."""
+    path's error. The stages are claimed first and the sweep's points after
+    them, the largest k first, so the processes finish together on the
+    short points: a stage's cost grows with the table (Hopkins' with
+    trials * m * n * d, PAM's with n^2 * k) and no item waits alone at the
+    end. Hopkins' own map runs inline in its item."""
     o, data = run.opts, run.data
     m = o.m if o.m is not None else default_sample_size(data.n)
     _check_analyze(o, data.n, data.d, m)
@@ -207,9 +211,10 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
         return point(item)
 
     ks = range(o.k_min, o.k_max + 1)
-    # the fits' time grows with k; the stages take about as long as one short point
+    # the stages first, then the points from the largest k down: the last
+    # claims are the shortest points, whatever a stage costs
     results = fork_map(stage, ["hopkins", "kmeans", "pam", *ks],
-                       cost=lambda item: item if isinstance(item, int) else 0)
+                       cost=lambda item: item if isinstance(item, int) else math.inf)
     stages, sw = results[:3], sweep_result(ks, results[3:])
 
     config = {

@@ -211,8 +211,12 @@ class TestUsageAndErrors:
         return proc
 
     def test_memory_error_exit_3_with_one_line(self, tmp_path):
-        # refused before the allocation, naming the limit that refused it
-        proc = self.run_under_rlimit_as(tmp_path)
+        # refused before the allocation, naming the limit that refused it;
+        # no cgroup limit and ample physical memory, so RLIMIT_AS binds on any host
+        proc = self.run_under_rlimit_as(
+            tmp_path, "from clusterlab import distances",
+            "distances._cgroup_limits = lambda: []",
+            "distances.physical_memory = lambda: 1 << 40")
         assert (proc.returncode, len(proc.stderr.splitlines())) == (3, 1)
         assert re.fullmatch(r"analysis error: 15000 points need 1800\.4 MB for their pairwise "
                             r"distance matrix, more than the \d+\.\d MB left under RLIMIT_AS\n",

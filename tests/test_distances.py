@@ -201,21 +201,43 @@ class TestMemoryBudget:
                                  "/sys/fs/cgroup/a/b/memory.max": "max\n",
                                  "/sys/fs/cgroup/a/memory.max": "1000000\n",
                                  "/sys/fs/cgroup/memory.max": "2000000\n"})
-        assert distances.memory_budget() == (1_000_000,
-                                             "of the cgroup limit /sys/fs/cgroup/a/memory.max")
+        assert distances.memory_budget() == (1_000_000, "left under the cgroup limit "
+                                             "/sys/fs/cgroup/a/memory.max")
         with pytest.raises(AnalysisError, match="^683 points need 4.0 MB for their pairwise "
-                           "distance matrix, more than the 1.0 MB of the cgroup limit "
-                           "/sys/fs/cgroup/a/memory.max$"):
+                           "distance matrix, more than the 1.0 MB left under the cgroup "
+                           "limit /sys/fs/cgroup/a/memory.max$"):
             pairwise_distances(np.zeros((683, 2)))
+
+    def test_cgroup_v2_usage_less_inactive_page_cache(self, monkeypatch, no_rlimits):
+        # 2 GB limit, 0.3 GB in use of which 0.1 GB is inactive page cache:
+        # a 1.9 GB matrix does not fit in the 1.8 GB left
+        cg = "/sys/fs/cgroup/job"
+        self.files(monkeypatch, {"/proc/self/cgroup": "0::/job\n",
+                                 f"{cg}/memory.max": "2000000000\n",
+                                 f"{cg}/memory.current": "300000000\n",
+                                 f"{cg}/memory.stat": "anon 200000000\nfile 100000000\n"
+                                                      "inactive_file 100000000\n"})
+        assert distances.memory_budget() == (1_800_000_000, "left under the cgroup limit "
+                                             f"{cg}/memory.max")
+        with pytest.raises(AnalysisError, match="more than the 1800.0 MB left under the cgroup"):
+            pairwise_distances(np.zeros((15_400, 2)))
+
+    def test_cgroup_usage_unreadable_leaves_the_whole_limit(self, monkeypatch, no_rlimits):
+        self.files(monkeypatch, {"/proc/self/cgroup": "0::/job\n",
+                                 "/sys/fs/cgroup/job/memory.max": "2000000\n"})
+        assert distances.memory_budget()[0] == 2_000_000
 
     def test_cgroup_v1_memory_controller(self, monkeypatch, no_rlimits):
         v1 = "/sys/fs/cgroup/memory"
         self.files(monkeypatch, {"/proc/self/cgroup": "5:cpu,cpuacct:/other\n4:memory:/job\n",
                                  f"{v1}/job/memory.limit_in_bytes": "3000000\n",
+                                 f"{v1}/job/memory.usage_in_bytes": "1000000\n",
+                                 f"{v1}/job/memory.stat": "cache 600000\ninactive_file 9\n"
+                                                          "total_inactive_file 400000\n",
                                  f"{v1}/memory.limit_in_bytes": "9223372036854771712\n",
                                  "/sys/fs/cgroup/other/memory.max": "1\n"})
-        assert distances.memory_budget() == (3_000_000, f"of the cgroup limit {v1}/job/"
-                                             "memory.limit_in_bytes")
+        assert distances.memory_budget() == (2_400_000, "left under the cgroup limit "
+                                             f"{v1}/job/memory.limit_in_bytes")
 
     def test_cgroup_limit_above_physical_memory(self, monkeypatch, no_rlimits):
         self.files(monkeypatch, {"/proc/self/cgroup": "0::/\n",
@@ -401,6 +423,22 @@ def test_nearest_does_not_depend_on_the_block_rows(case):
     expected = oracle_nearest(Q, X, exclude)
     for rows in (1, 3, None, len(Q)):
         assert nearest_in_blocks(Q, X, exclude, rows).tolist() == expected
+
+
+@pytest.mark.parametrize("n, rows_first", [(256, False), (257, True)])
+def test_one_group_of_more_than_256_rows_searched_rows_first(monkeypatch, n, rows_first):
+    # 400 midpoints against n grid rows: more queries than rows, so only
+    # the searched side's size picks the layout; both give the oracle's picks
+    rng = np.random.default_rng(9)
+    X = rng.integers(0, 5, size=(n, 2)) * 1.0
+    pairs = rng.integers(0, n, size=(400, 2))
+    Q = (X[pairs[:, 0]] + X[pairs[:, 1]]) / 2
+    calls, rule = [], distances._query_rows
+    monkeypatch.setattr(distances, "_query_rows", lambda m, d: calls.append((m, d)) or rule(m, d))
+    expected = oracle_nearest(Q, X, None)
+    for rows in (1, 7, None):
+        assert nearest_in_blocks(Q, X, None, rows).tolist() == expected
+    assert calls == ([(n, 2)] if rows_first else [])
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-160])

@@ -469,12 +469,13 @@ class TestAnalyzeStageGraph:
 
     def test_hopkins_and_a_sweep_point_failing_raise_hopkins_error(self, monkeypatch, capsys,
                                                                      synth_csv_path, tmp_path):
-        # the forked map claims the sweep's k = 6 first; serially Hopkins runs first
+        # the forked map claims the sweep's k = 6 before k = 3; serially
+        # Hopkins runs first, then k = 3
         fit = KMeans.fit
 
         def failing_fit(self, X, y=None):
-            if self.n_clusters == 5:
-                raise ValueError("no fit at k=5")
+            if self.n_clusters in (3, 6):
+                raise ValueError(f"no fit at k={self.n_clusters}")
             return fit(self, X, y)
 
         def failing_hopkins(*args, **kwargs):
@@ -489,5 +490,5 @@ class TestAnalyzeStageGraph:
             code = main(["analyze", str(synth_csv_path), "--out", str(tmp_path / "out"),
                          *self.ARGV])
             seen.append((code, capsys.readouterr().err))
-        assert seen == [(3, "analysis error: no fit at k=5\n")] * 2 + [
+        assert seen == [(3, "analysis error: no fit at k=3\n")] * 2 + [
             (3, "analysis error: no hopkins\n")] * 2
