@@ -51,7 +51,8 @@ picks: K-means' objective and repair, Hopkins' distances) walk blocks of
 (d + 2)*m values for m rows, beside the rows themselves, which it reads in
 place, and one left operand, (d + 1) values per row of the side it is built
 from. The rows-first screen (Hopkins' queries, and any search with
-exclusions, against m rows of B) is the one walk whose blocks are wider:
+exclusions or of one group of more than 256 rows, against m rows of B) is
+the one walk whose blocks are wider:
 :func:`_query_rows` gives each block 2*_SCREEN_ELEMENTS // m queries (a
 block of S of 512 KB), or d + 1 when that is more, so that a block of S
 holds no more values than B's prepared operand, which the search holds
