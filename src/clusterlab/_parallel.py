@@ -28,6 +28,11 @@ thread before it forks, so the parent and every child run their items on
 one thread each, and restores the parent's count when the map ends, also
 when an item raises. The library is found once per process, on the first
 fork (:func:`_openblas`). With any other BLAS, or none, this is a no-op.
+
+One layer of maps. No item of a map in this package calls :func:`fork_map`:
+a caller whose work is itself a map, as ``pipeline.analyze`` runs Hopkins'
+searches, lists that map's items among its own. So every map forks from the
+process that called it, and no process runs two maps' items at once.
 """
 
 import functools
@@ -39,11 +44,6 @@ import warnings
 #: at most this many tickets, one byte each: one write that an empty pipe
 #: always holds (POSIX guarantees PIPE_BUF >= 512 bytes)
 _TICKETS = 256
-
-#: True inside fork_map, in the parent and in every child, so that a nested
-#: call runs inline instead of forking again
-_active = False
-
 
 def _cpus() -> int:
     """The CPUs this process may run on; 1 where the platform cannot say."""
@@ -59,14 +59,13 @@ def fork_map(fn, items, cost=None) -> list:
     ``cost(item)``, when given, orders the claims: the largest items go
     first, so that no process starts a long item last. The map stays in
     this one process when there is one usable CPU or one item, when the
-    platform has no ``os.fork``, when another Python thread is alive, and
-    inside a worker. Any item no process delivered is computed here, after
-    the join, in item order.
+    platform has no ``os.fork``, and when another Python thread is alive.
+    Any item no process delivered is computed here, after the join, in
+    item order. No item of a map in this package maps in turn.
     """
     items, done = list(items), {}
     children = min(_cpus(), len(items)) - 1
-    if (children > 0 and hasattr(os, "fork") and threading.active_count() == 1
-            and not _active):
+    if children > 0 and hasattr(os, "fork") and threading.active_count() == 1:
         order = list(range(len(items)))
         if cost is not None:
             order.sort(key=lambda i: -cost(items[i]))  # stable: ties keep item order
@@ -105,7 +104,6 @@ def _openblas():
 def _fork_join(fn, items, order, children, done):
     """Fill ``done`` with ``{index: result}`` of what the parent and up to
     ``children`` forked processes compute; it may stay short of every item."""
-    global _active
     import signal  # only a run that forks needs it
 
     n, t = len(order), min(len(order), _TICKETS)
@@ -117,7 +115,7 @@ def _fork_join(fn, items, order, children, done):
     blas = _openblas()
     threads = blas[0]() if blas else None
     pipes = {}  # child pid -> the read end of its result pipe
-    parent, _active = os.getpid(), True
+    parent = os.getpid()
     try:
         if blas:
             blas[1](1)  # before the forks: each child starts with one thread too
@@ -160,7 +158,6 @@ def _fork_join(fn, items, order, children, done):
     finally:
         if os.getpid() != parent:  # a child interrupted before it reached _child
             os._exit(0)
-        _active = False
         if blas:
             blas[1](threads)
         for pid, reader in pipes.items():

@@ -284,12 +284,11 @@ def _screened_nearest(A: _Rows, B: _Rows, exclude=None):
     return idx, _d2_to_picks(A.raw, B.raw, idx)
 
 
-def _nearest(A: _Rows, B: _Rows, exclude=None, out=None):
+def _nearest(A: _Rows, B: _Rows, exclude=None):
     """Index of the nearest row of ``B`` to every row of ``A`` under squared
     Euclidean distance, ties to the lowest index. When ``B`` holds g groups
     of rows, each group is searched on its own and the result is the
-    (g, len(A)) array of indices within the groups. ``out``, when given, an
-    intp array of the result's shape, receives the indices and is returned.
+    (g, len(A)) array of indices within the groups.
 
     ``exclude[i]``, when given, removes row ``exclude[i]`` of ``B`` (one
     group) from the search for row i; ``B`` must then have at least two
@@ -339,14 +338,13 @@ def _nearest(A: _Rows, B: _Rows, exclude=None, out=None):
     from 4*M; on rows that ``_checks.check_domain`` accepts, no value here
     overflows.
     """
-    if B.raw.ndim == 2:
-        return _nearest(A, _grouped(B), exclude, None if out is None else out[None])[0]
-    idx = np.empty((B.raw.shape[0], A.raw.shape[0]), dtype=np.intp) if out is None else out
+    plain, B = B.raw.ndim == 2, _grouped(B)
+    idx = np.empty((B.raw.shape[0], A.raw.shape[0]), dtype=np.intp)
     for part, pick, cand in _screen(A, B, exclude):
         if np.count_nonzero(cand) != pick.size:  # else each pick is its row's only candidate
             _decide(pick, cand, A.raw[part], B.raw)
         idx[:, part] = pick
-    return idx
+    return idx[0] if plain else idx
 
 
 def _grouped(B: _Rows) -> _Rows:

@@ -37,23 +37,22 @@ def _objective(X, labels, centers) -> float:
 
 def _starts(X, k, init, rngs):
     """The k starting centers of each restart in a group, one per ``rng``,
-    (g, k, d), with each point's nearest of them (ties to the lower index)
-    and its exact squared distance to it, both (g, n): the first
-    assignment, which k-means++ has on hand once it has drawn its seeds.
-    Random init returns ``(centers, None, None)``.
+    (g, k, d), with each point's nearest of them (ties to the lower index),
+    (g, n): the first assignment, which k-means++ has on hand once it has
+    drawn its seeds. Random init returns ``(centers, None)``.
 
     k-means++ draws each restart's seeds from its own ``rng``, exactly as
     ``rng.choice`` draws them for a restart on its own, in one inverse-CDF
     step for the whole group (see :func:`_draw`), and computes the exact
     distances of every point to the group's new seeds in one call of
     :func:`distances._to_columns`, which reads the points in place through
-    the view ``X.T``. Beside d2, labels and the seed distances, (g, n) each,
-    it holds that call's registers, at most two blocks of
+    the view ``X.T``. Beside labels, d2 and the seed distances, (g, n)
+    each, it holds that call's registers, at most two blocks of
     ``_SCREEN_ELEMENTS`` up to d = 128."""
     (n, d), g = X.shape, len(rngs)
     if init == INIT_RANDOM:
         picks = [np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs]
-        return X[np.array(picks)], None, None
+        return X[np.array(picks)], None
     # k-means++: first center uniform, then D^2 sampling
     centers = np.empty((g, k, d), dtype=np.float64)
     centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
@@ -65,7 +64,7 @@ def _starts(X, k, init, rngs):
         _to_columns(centers[:, j], X.T, dj)
         np.putmask(labels, dj < d2, j)
         np.minimum(d2, dj, out=d2)
-    return centers, labels, d2
+    return centers, labels
 
 
 def _draw(d2, rngs, cdf):
@@ -149,25 +148,20 @@ def _restarts(rows, mean, k, init, seeds, max_iter, tol):
     on its final labels and centers. Returns each restart's ``(objective,
     labels, centers, n_iter, converged)``, in the order of ``seeds``."""
     X = rows.raw
-    centers, labels, point_d2 = _starts(X, k, init, [np.random.default_rng(s) for s in seeds])
+    centers, labels = _starts(X, k, init, [np.random.default_rng(s) for s in seeds])
     columns = np.tile(X.T, min(_block_rows(X.size), len(seeds))) if len(seeds) > 1 else X.T
     running = np.arange(len(seeds))  # the restarts still iterating
     offsets = k * running[:, None]  # restart r's clusters are bins r*k to r*k + k - 1
-    # every iteration's labels and bins go to two buffers, the first being
-    # k-means++' labels: fresh (g, n) arrays each iteration fragment the
-    # heap, which raised the peak RSS of a process running many fits
-    found = np.empty((len(seeds), X.shape[0]), dtype=np.intp) if labels is None else labels
-    bins = np.empty_like(found)
     done = [None] * len(seeds)
     for n_iter in range(1, max_iter + 1):
         g = running.size
         if labels is None:  # else k-means++ seeding made the first assignment
-            labels = _nearest(rows, _rows(centers, mean), None, found[:g])
-        keys = np.add(labels, offsets[:g], out=bins[:g])
+            labels = _nearest(rows, _rows(centers, mean))
+        keys = labels + offsets[:g]
         counts = np.bincount(keys.ravel(), minlength=g * k).reshape(g, k)
         if counts.min() == 0:
             for r in np.flatnonzero(counts.min(axis=1) == 0):
-                d2 = _d2_to_picks(X, centers[r], labels[r]) if point_d2 is None else point_d2[r]
+                d2 = _d2_to_picks(X, centers[r], labels[r])
                 labels[r], counts[r] = _repair_empty(labels[r], d2, k)
                 keys[r] = labels[r] + offsets[r]
         new_centers = _means(X, keys, counts, columns)
@@ -182,7 +176,7 @@ def _restarts(rows, mean, k, init, seeds, max_iter, tol):
             running, new_centers = running[~leaving], new_centers[~leaving]
             if not running.size:
                 return done
-        centers, labels, point_d2 = new_centers, None, None
+        centers, labels = new_centers, None
 
 
 class KMeans(BaseEstimator):
@@ -215,8 +209,10 @@ class KMeans(BaseEstimator):
     labels and centers, for the objective that ranks it; its iterations run
     it only where the screen leaves a point undecided. k-means++ seeding
     computes each point's exact distance to every seed, so it hands the
-    first iteration its assignment, and the repair of an empty cluster
-    computes the distances it needs. ``fit`` and ``predict`` (the new rows
+    first iteration its assignment; the repair of an empty cluster computes
+    the distances it needs, with the bits the seeding had. Each iteration's
+    labels and bins are fresh arrays: no state passes between steps but
+    the centres. ``fit`` and ``predict`` (the new rows
     and the centers together) raise :class:`AnalysisError` on rows outside
     ``_checks.check_domain``, where no squared distance or sum of them
     overflows.

@@ -7,11 +7,13 @@ stages or plots need. A run computes its pairwise distance matrix at most
 once, on first use, so stages that need none (Hopkins, K-means without a
 silhouette) never allocate O(n^2).
 
-analyze is one stage graph: the distance matrix and the 2-D projection are
-built first and shared; Hopkins, each fit at k with its plots, and each
-point of the sweep (``validation.sweep_point``, as ``sweep_k`` computes it)
-are then the items of one ``_parallel.fork_map``; the report and the
-sweep's plot come last.
+analyze is one stage graph: the distance matrix, the 2-D projection and
+Hopkins' plan are made first and shared; Hopkins' searches
+(``tendency.hopkins_searches``, as ``hopkins_statistic`` runs them), each
+fit at k with its plots, and each point of the sweep
+(``validation.sweep_point``, as ``sweep_k`` computes it) are then the items
+of one ``_parallel.fork_map``, none of which maps in turn; the report and
+the sweep's plot come last.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .report import (
     sweep_section,
 )
 from .svgplot import scatter_svg, silhouette_svg, sweep_svg
-from .tendency import default_sample_size, hopkins_statistic
+from .tendency import default_sample_size, hopkins_searches, hopkins_statistic
 from .validation import check_k_range, silhouette_report, sweep_k, sweep_point, sweep_result
 
 
@@ -165,14 +167,13 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
     written: ({file name: bytes}, the stdout summary). ``source`` holds the
     input settings that the report's config echoes.
 
-    The map's items are Hopkins, K-means at k with its scatter, PAM at k
-    with its scatter and silhouette plot, and the sweep's points, listed in
-    the serial order, so an item that fails everywhere raises the serial
-    path's error. The stages are claimed first and the sweep's points after
-    them, the largest k first, so the processes finish together on the
-    short points: a stage's cost grows with the table (Hopkins' with
-    trials * m * n * d, PAM's with n^2 * k) and no item waits alone at the
-    end. Hopkins' own map runs inline in its item."""
+    The map's items are Hopkins' searches, K-means at k with its scatter,
+    PAM at k with its scatter and silhouette plot, and the sweep's points,
+    listed in the serial order, so an item that fails everywhere raises the
+    serial path's error. The searches and the two fits are claimed first
+    and the sweep's points after them, the largest k first, so the
+    processes finish together on the short points: a fit's cost grows with
+    the table (PAM's with n^2 * k) and no item waits alone at the end."""
     o, data = run.opts, run.data
     m = o.m if o.m is not None else default_sample_size(data.n)
     _check_analyze(o, data.n, data.d, m)
@@ -180,16 +181,16 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
     pca = PCA2D().fit(data.features)
     coords = pca.transform(data.features)
     axis_variance = tuple(float(v) for v in pca.explained_variance_ratio_)
+    search, searches, finish = hopkins_searches(data.features, o.m, o.trials, run.seed,
+                                                o.hopkins_power)
     point = partial(sweep_point, X=data.features, dist=run.dist, algorithm="kmeans",
                     seed=run.seed, n_init=o.restarts, max_iter=o.max_iter, tol=o.tol)
 
     def stage(item):
-        """A sweep point, or a stage's ({report section name: section},
-        {file name: bytes}, its line of the summary)."""
-        if item == "hopkins":
-            section, h = tendency(run)
-            return ({"hopkins": section}, {},
-                    f"hopkins H = {h.h:.4f} (m={h.m}, trials={h.trials})\n")
+        """A Hopkins search, a sweep point, or a fit's ({report section
+        name: section}, {file name: bytes}, its line of the summary)."""
+        if isinstance(item, tuple):  # ("hopkins", one of Hopkins' searches)
+            return search(item[1])
         if item == "kmeans":
             section, km, _ = kmeans(run, score=True)
             files = _scatter("scatter_kmeans", f"K-means clusters (k={o.k})", coords,
@@ -211,11 +212,12 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
         return point(item)
 
     ks = range(o.k_min, o.k_max + 1)
-    # the stages first, then the points from the largest k down: the last
-    # claims are the shortest points, whatever a stage costs
-    results = fork_map(stage, ["hopkins", "kmeans", "pam", *ks],
+    # Hopkins and the fits first, then the points from the largest k down:
+    # the last claims are the shortest points, whatever a fit costs
+    results = fork_map(stage, [*(("hopkins", s) for s in searches), "kmeans", "pam", *ks],
                        cost=lambda item: item if isinstance(item, int) else math.inf)
-    stages, sw = results[:3], sweep_result(ks, results[3:])
+    h, fits = finish(results[:len(searches)]), results[-len(ks) - 2:-len(ks)]
+    sw = sweep_result(ks, results[-len(ks):])
 
     config = {
         **source,
@@ -233,7 +235,7 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
         "sweep_k_min": o.k_min,
         "sweep_k_max": o.k_max,
         # a constant that no option sets, and not the run's process count:
-        # the stages and the sweep's points run in one forked process per
+        # the items of analyze's map run in one forked process per
         # usable CPU (see _parallel.fork_map). The key keeps its bytes for
         # byte-identical reports until the next versioned change of the
         # report format drops it.
@@ -243,13 +245,14 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
         config=config,
         dataset=dataset_section(data),
         preprocessing=preprocessing_section(prep),
-        **{name: section for sections, _, _ in stages for name, section in sections.items()},
+        hopkins=hopkins_section(h),
+        **{name: section for sections, _, _ in fits for name, section in sections.items()},
         sweep=sweep_section(sw, "kmeans"),
     )
     files = {"report.json": emit_report(report, "json"),
              "report.md": emit_report(report, "markdown")}
-    for _, stage_files, _ in stages:
-        files.update(stage_files)
+    for _, fit_files, _ in fits:
+        files.update(fit_files)
     files["sweep.svg"] = sweep_svg(sw, title="K-means sweep").encode("utf-8")
     files["sweep.csv"] = _csv(
         "k,avg_silhouette,wss",
@@ -258,7 +261,8 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
 
     summary = (
         f"rows: {prep.rows_before} -> {prep.rows_after} ({prep.rows_dropped} dropped)\n"
-        + "".join(line for _, _, line in stages)
+        f"hopkins H = {h.h:.4f} (m={h.m}, trials={h.trials})\n"
+        + "".join(line for _, _, line in fits)
         + f"sweep best k = {sw.best_k} (silhouette {max(sw.avg_silhouette):.4f})\n"
     )
     return files, summary

@@ -7,7 +7,9 @@ as "highly clustered".
 
 All trials run as one batch of nearest-neighbour searches: each trial's
 synthetic points once, and each distinct sampled row once, however many
-trials sample it.
+trials sample it. :func:`hopkins_searches` plans the batch, and
+:func:`hopkins_statistic` runs it as the items of one ``_parallel.fork_map``;
+``pipeline.analyze`` runs the same items in its own map.
 """
 
 from __future__ import annotations
@@ -70,16 +72,30 @@ def hopkins_statistic(
     count at distance 0. Rows outside ``_checks.check_domain`` at this
     ``power`` raise :class:`AnalysisError`.
 
-    Every trial's sample is drawn first. The searches then run as
-    ``_parallel.fork_map`` items, which forked processes may share, one per
-    usable CPU: groups of consecutive whole trials, each item drawing and
-    searching its trials' synthetic points, and chunks of the distinct
-    sampled rows, each row searched once however many trials sample it. An
-    item holds about a quarter of one CPU's share of the queries, and at
-    least one trial's m. A row's nearest neighbour does not depend on the
-    other rows of its search, and the data's prepared rows are made once and
-    shared, so every value is the same bit for bit whatever the process
-    count and the items.
+    The searches of :func:`hopkins_searches` run as the items of one
+    ``_parallel.fork_map``, which forked processes may share, one per usable
+    CPU.
+    """
+    search, items, finish = hopkins_searches(X, m, trials, seed, power)
+    return finish(_parallel.fork_map(search, items))
+
+
+def hopkins_searches(X, m, trials, seed, power):
+    """The plan of :func:`hopkins_statistic`, whose arguments it checks:
+    ``(search, items, finish)``, where ``finish([search(item) for item in
+    items])`` is its result, in whichever processes the items run.
+    ``pipeline.analyze`` runs the items among its own.
+
+    Every trial's sample is drawn here. The items are groups of consecutive
+    whole trials, each drawing and searching its trials' synthetic points,
+    and chunks of the distinct sampled rows, each row searched once however
+    many trials sample it. An item holds about a quarter of one CPU's share
+    of the queries, and at least one trial's m. A row's nearest neighbour
+    does not depend on the other rows of its search, and the data's
+    prepared rows are made once and shared, so every value is the same bit
+    for bit whatever the process count and the items. When all points are
+    identical there are no items, and ``finish([])`` is the degenerate
+    result.
     """
     if m is not None:
         m = as_integer(m, "m")
@@ -102,10 +118,8 @@ def hopkins_statistic(
     lo, hi = check_domain(X, power=power)
     if np.all(lo == hi):
         # all points identical: every real nearest-neighbor distance is 0
-        return HopkinsResult(
-            h=1.0, m=m, trials=trials, per_trial=(1.0,) * trials,
-            seed=seed, degenerate=True,
-        )
+        return None, [], lambda found: HopkinsResult(
+            h=1.0, m=m, trials=trials, per_trial=(1.0,) * trials, seed=seed, degenerate=True)
 
     center = X.mean(axis=0)
     rows = _rows(X, center)
@@ -134,18 +148,21 @@ def hopkins_statistic(
     group = share // m  # whole trials per item, at least one
     groups = [range(t, min(t + group, trials)) for t in range(0, trials, group)]
     chunks = np.array_split(union, math.ceil(union.size / share))  # none empty
-    found = _parallel.fork_map(search, groups + chunks)
-    u = np.sqrt(np.concatenate(found[:len(groups)])).reshape(trials, m)
-    w = np.sqrt(np.concatenate(found[len(groups):])[np.searchsorted(union, samples)])
-    per_trial = []
-    for u_t, w_t in zip(u, w):
-        su = float(np.sum(u_t**power))
-        sw = float(np.sum(w_t**power))
-        per_trial.append(1.0 if su + sw == 0.0 else su / (su + sw))
-    return HopkinsResult(
-        h=float(np.mean(per_trial)),
-        m=int(m),
-        trials=int(trials),
-        per_trial=tuple(per_trial),
-        seed=seed,
-    )
+
+    def finish(found):
+        u = np.sqrt(np.concatenate(found[:len(groups)])).reshape(trials, m)
+        w = np.sqrt(np.concatenate(found[len(groups):])[np.searchsorted(union, samples)])
+        per_trial = []
+        for u_t, w_t in zip(u, w):
+            su = float(np.sum(u_t**power))
+            sw = float(np.sum(w_t**power))
+            per_trial.append(1.0 if su + sw == 0.0 else su / (su + sw))
+        return HopkinsResult(
+            h=float(np.mean(per_trial)),
+            m=int(m),
+            trials=int(trials),
+            per_trial=tuple(per_trial),
+            seed=seed,
+        )
+
+    return search, groups + chunks, finish

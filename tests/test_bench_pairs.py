@@ -130,3 +130,19 @@ def test_json_holds_every_run_and_the_summaries(tmp_path, monkeypatch, capsys):
     (row,) = workload["summary"]
     assert (row["metric"], row["won"], row["pairs"]) == ("job_s", 2, 2)
     assert row["parent"] == [2.25, 2.5, 2.75]
+    assert record["code_lines"] == {"parent": 0, "change": 0}  # no src/clusterlab here
+
+
+def test_json_records_each_checkouts_code_lines(tmp_path, monkeypatch, capsys):
+    for side, body in (("parent", "x = 1\ny = 2\n"), ("change", '"""doc"""\n\n# note\nx = 1\n')):
+        package = tmp_path / side / "src" / "clusterlab"
+        package.mkdir(parents=True)
+        (package / "m.py").write_text(body)
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "job_s", "better": "lower"}]}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: {
+        "correct": True, "metrics": {"job_s": {"value": 1.0}}})
+    path = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                             "w", "--pairs", "1", "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["code_lines"] == {"parent": 2, "change": 1}

@@ -12,13 +12,18 @@ distance matrix is O(n^2), runs at n <= 2,000.
   ``sweep_k`` give the same results, with those centre coordinates negated.
   Hopkins draws its synthetic points from the low corner of the bounding
   box, which a flip moves, so it is left out.
+- The silhouette of fixed labels is a ratio of mean distances: scaling the
+  features by 2^j, or flipping one feature's sign, leaves every width, the
+  overall mean and the cluster means the same bits, under every metric.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlab import KMeans, KMedoids, Metric, hopkins_statistic, sweep_k
+from clusterlab import (KMeans, KMedoids, Metric, hopkins_statistic, pairwise_distances,
+                        silhouette_report, sweep_k)
 from test_kmeans import grid
 
 #: the exponents j of the scales 2^j
@@ -128,3 +133,35 @@ def test_sweep_ignores_a_sign_flip(data, n, algorithm, metric, seed):
     assert runs[1].ks == runs[0].ks and runs[1].best_k == runs[0].best_k
     assert bits(runs[1].avg_silhouette) == bits(runs[0].avg_silhouette)
     assert bits(runs[1].wss) == bits(runs[0].wss)
+
+
+def silhouettes(X, labels, metric):
+    return silhouette_report(pairwise_distances(X, metric), labels)
+
+
+def assert_same_silhouettes(got, base):
+    assert bits(got.widths) == bits(base.widths)
+    assert bits(got.overall) == bits(base.overall)
+    assert bits(got.cluster_means) == bits(base.cluster_means)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@settings(max_examples=5, deadline=None)
+@given(st.data(), st.integers(7, 600), st.integers(2, 6), st.integers(0, 2**16))
+def test_silhouettes_scale_by_powers_of_two(metric, data, n, k, seed):
+    X = data.draw(tables(n))
+    labels = kmeans(X, k, seed).labels_
+    base = silhouettes(X, labels, metric)
+    for j in EXPONENTS:
+        assert_same_silhouettes(silhouettes(X * 2.0**j, labels, metric), base)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@settings(max_examples=5, deadline=None)
+@given(st.data(), st.integers(7, 600), st.integers(2, 6), st.integers(0, 2**16))
+def test_silhouettes_ignore_a_sign_flip(metric, data, n, k, seed):
+    X = data.draw(tables(n))
+    labels = kmeans(X, k, seed).labels_
+    flipped = X.copy()
+    flipped[:, data.draw(st.integers(0, X.shape[1] - 1))] *= -1.0
+    assert_same_silhouettes(silhouettes(flipped, labels, metric), silhouettes(X, labels, metric))

@@ -1,6 +1,6 @@
 """The fork-join map behind the k-sweep and Hopkins' trials: results never
-depend on the process count, failures fall back to the serial path, and no
-child or descriptor outlives a call."""
+depend on the process count, failures fall back to the serial path, no
+child or descriptor outlives a call, and no item of a map maps in turn."""
 
 import _thread
 import errno
@@ -16,7 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
-from clusterlab import KMeans, _parallel, dataset, hopkins_statistic, sweep_k, tendency, validation
+from clusterlab import (KMeans, _parallel, dataset, hopkins_statistic, pipeline, sweep_k, tendency,
+                        validation)
 from clusterlab._parallel import fork_map
 from clusterlab.cli import main
 from clusterlab.distances import Metric
@@ -211,15 +212,23 @@ class TestFailures:
     def test_failure_in_the_parents_claim_only(self, monkeypatch, forks):
         # the parent stops at its first item; the child and the serial pass do the rest
         with_cpus(monkeypatch, 2)
-        failed = []
+        failed, claiming, work = [], [], _parallel._work
+
+        def marked_work(*args):
+            claiming.append(True)
+            try:
+                return work(*args)
+            finally:
+                claiming.pop()
 
         def failing_in_the_parents_claim(i):
-            if os.getpid() == PARENT and _parallel._active:
+            if os.getpid() == PARENT and claiming:
                 failed.append(i)
                 raise RuntimeError("only in the parent's claim")
             time.sleep(0.01)
             return i * i
 
+        monkeypatch.setattr(_parallel, "_work", marked_work)
         assert fork_map(failing_in_the_parents_claim, range(8)) == [i * i for i in range(8)]
         assert len(failed) == 1 and len(forks) == 1
 
@@ -414,12 +423,6 @@ class TestInline:
         assert not thread.is_alive()
         assert forks == []
 
-    def test_inside_a_worker(self, monkeypatch, forks):
-        with_cpus(monkeypatch, 2)
-        assert fork_map(lambda i: fork_map(abs, range(-i, i)), range(3)) == [
-            [], [1, 0], [2, 1, 0, 1]]
-        assert len(forks) == 1  # the nested calls forked nothing
-
     @pytest.mark.parametrize("cpus, items", [(1, 5), (4, 1), (4, 0)])
     def test_one_cpu_or_one_item(self, monkeypatch, forks, cpus, items):
         with_cpus(monkeypatch, cpus)
@@ -427,31 +430,83 @@ class TestInline:
         assert forks == []
 
 
+def test_no_item_of_a_map_maps(monkeypatch, synth_csv, tmp_path, capsys):
+    """Every ``fn`` that fork_map receives is wrapped, and a fork_map call
+    that starts inside one is logged, in whichever process it starts. Each
+    command that maps runs at 1, 2 and 12 processes, on a table of more than
+    two parse items and written in several blocks; none nests a map, and
+    stdout and every file are the same at each count."""
+    real, nested, inside = _parallel.fork_map, tmp_path / "nested", []
+
+    def checked_fork_map(fn, items, cost=None):
+        if inside:
+            with open(nested, "a") as log:
+                log.write(f"{os.getpid()}\n")
+
+        def item(x):
+            inside.append(x)
+            try:
+                return fn(x)
+            finally:
+                inside.pop()
+
+        return real(item, items, cost)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("clusterlab")]:
+        if getattr(module, "fork_map", None) is real:
+            monkeypatch.setattr(module, "fork_map", checked_fork_map)
+    monkeypatch.setattr(dataset, "_PARSE_CHUNK", len(synth_csv) // 5)
+    monkeypatch.setattr(dataset, "_FORMAT_BLOCK", 100)
+    table, arff = tmp_path / "table.csv", tmp_path / "table.arff"
+    table.write_bytes(synth_csv)
+    arff.write_bytes(dataset.write_arff(dataset.parse_csv(synth_csv)))
+    commands = {
+        "analyze": ("analyze", table, "--seed", "3", "--trials", "8", "--restarts", "4",
+                    "--k-max", "6"),
+        "pam-sweep": ("sweep", table, "--seed", "3", "--algorithm", "pam", "--k-max", "6"),
+        "tendency": ("tendency", table, "--seed", "3", "--trials", "8"),
+        "export-arff": ("preprocess", table, "--export", "arff"),
+        "inspect": ("inspect", arff, "--json"),
+    }
+    for name, argv in commands.items():
+        seen = []
+        for cpus in (1, 2, 12):
+            with_cpus(monkeypatch, cpus)
+            out = tmp_path / f"{name}-{cpus}"
+            argv_out = [*map(str, argv)] + (["--out", str(out)] if name != "inspect" else [])
+            code = main(argv_out)
+            assert not nested.exists(), f"{name} at {cpus}: a map inside an item"
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+            seen.append((code, capsys.readouterr().out.replace(str(out), "OUT"), files))
+        assert seen[0][0] == 0
+        assert seen[0] == seen[1] == seen[2]
+
+
 class TestAnalyzeStageGraph:
-    """``analyze`` runs its stages and the sweep's points as the items of one
-    map: one fork-join per run, Hopkins' own map inline in its item, and
-    the serial path's error when several items fail."""
+    """``analyze`` runs Hopkins' searches, its fits at k and the sweep's
+    points as the items of one map: one fork-join per run, no map of
+    Hopkins' own, and the serial path's error when several items fail."""
 
     ARGV = ("--seed", "3", "--trials", "6", "--restarts", "3", "--k-max", "6")
 
     @staticmethod
     def logged(monkeypatch, log, module, name):
-        """Append a line ``<pid> <_active>`` to ``log`` at every call of
+        """Append a line ``<pid>`` to ``log`` at every call of
         ``module.name``, in whichever process makes it."""
         real = getattr(module, name)
 
         def logging(*args, **kwargs):
             with open(log, "a") as out:
-                out.write(f"{os.getpid()} {_parallel._active}\n")
+                out.write(f"{os.getpid()}\n")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, logging)
 
-    def test_one_fork_join_with_hopkins_inline(self, monkeypatch, forks, synth_csv_path,
-                                               tmp_path, capsys):
-        joins, hopkins_maps = tmp_path / "joins", tmp_path / "hopkins-maps"
+    def test_one_fork_join_and_no_hopkins_map(self, monkeypatch, forks, synth_csv_path,
+                                              tmp_path, capsys):
+        joins, maps = tmp_path / "joins", tmp_path / "maps"
         self.logged(monkeypatch, joins, _parallel, "_fork_join")
-        self.logged(monkeypatch, hopkins_maps, tendency._parallel, "fork_map")
+        self.logged(monkeypatch, maps, tendency._parallel, "fork_map")  # Hopkins' own map
         outputs = []
         for cpus in (2, 1):
             with_cpus(monkeypatch, cpus)
@@ -460,17 +515,32 @@ class TestAnalyzeStageGraph:
             outputs.append((capsys.readouterr().out.replace(str(out), "OUT"),
                             {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
             if cpus == 2:
-                assert joins.read_text() == f"{PARENT} False\n"
-                (hopkins,) = hopkins_maps.read_text().splitlines()
-                pid, active = hopkins.split()
-                assert int(pid) in {PARENT, *forks} and active == "True"
+                assert joins.read_text() == f"{PARENT}\n"
                 assert len(forks) == 1
+        assert not maps.exists()
         assert outputs[0] == outputs[1]
+
+    def test_each_hopkins_search_is_an_item(self, monkeypatch, synth_csv_path, tmp_path):
+        planned, mapped = [], []
+        plan, real = pipeline.hopkins_searches, pipeline.fork_map
+        monkeypatch.setattr(pipeline, "hopkins_searches",
+                            lambda *args: planned.append(plan(*args)) or planned[-1])
+        monkeypatch.setattr(pipeline, "fork_map", lambda fn, items, cost=None: (
+            mapped.append(items) or real(fn, items, cost)))
+        with_cpus(monkeypatch, 2)
+        assert main(["analyze", str(synth_csv_path), "--out", str(tmp_path / "out"),
+                     *self.ARGV]) == 0
+        ((_, searches, _),), (items,) = planned, mapped
+        assert len(searches) > 1
+        head, rest = items[:len(searches)], items[len(searches):]
+        assert all(kind == "hopkins" and item is search
+                   for (kind, item), search in zip(head, searches))
+        assert rest == ["kmeans", "pam", *range(2, 7)]
 
     def test_hopkins_and_a_sweep_point_failing_raise_hopkins_error(self, monkeypatch, capsys,
                                                                      synth_csv_path, tmp_path):
         # the forked map claims the sweep's k = 6 before k = 3; serially
-        # Hopkins runs first, then k = 3
+        # Hopkins' searches run first, then k = 3
         fit = KMeans.fit
 
         def failing_fit(self, X, y=None):
@@ -478,14 +548,14 @@ class TestAnalyzeStageGraph:
                 raise ValueError(f"no fit at k={self.n_clusters}")
             return fit(self, X, y)
 
-        def failing_hopkins(*args, **kwargs):
+        def failing_search(*args, **kwargs):
             raise ValueError("no hopkins")
 
         monkeypatch.setattr(KMeans, "fit", failing_fit)
         seen = []
         for cpus in (1, 2, 1, 2):
             if len(seen) == 2:
-                monkeypatch.setattr("clusterlab.pipeline.hopkins_statistic", failing_hopkins)
+                monkeypatch.setattr(tendency, "_screened_nearest", failing_search)
             with_cpus(monkeypatch, cpus)
             code = main(["analyze", str(synth_csv_path), "--out", str(tmp_path / "out"),
                          *self.ARGV])

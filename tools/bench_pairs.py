@@ -14,8 +14,9 @@ the parent's interquartile range (IQR), and in how many pairs the change
 read better. A tie counts for neither side. Which direction is better comes
 from ``better`` in the parent's ``BENCHMARK.json``; so do the metric names.
 ``--json PATH`` also writes every run (its pair, side, metrics, ``correct``
-and the object of its ``env:`` line) and each workload's summary rows to
-PATH, once every run has given a result.
+and the object of its ``env:`` line), each workload's summary rows and each
+checkout's code-line total of ``src/clusterlab``, as ``tools/code_lines.py``
+counts it, to PATH, once every run has given a result.
 
 It exits 1 when a run's last line of output is not a result (it stops
 there) or when a run reads ``correct: false`` (it finishes every workload's
@@ -107,6 +108,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
     return result and {**result, "env": parse_env(proc.stdout)}
 
 
+def code_line_total(checkout: Path) -> int:
+    """The total that ``tools/code_lines.py`` prints for the checkout's
+    ``src/clusterlab``."""
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("code_lines.py")),
+                           str(checkout / "src" / "clusterlab")],
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout.split()[-2])
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
@@ -147,6 +157,8 @@ def main(argv: list[str]) -> int:
         print(f"\n{workload}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s")
         print(format_summary(rows) + "\n", flush=True)
     if args.json:
+        record["code_lines"] = {side: code_line_total(getattr(args, side))
+                                for side in ("parent", "change")}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if all_correct else 1
 
