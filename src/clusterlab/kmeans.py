@@ -211,11 +211,10 @@ class KMeans(BaseEstimator):
     computes each point's exact distance to every seed, so it hands the
     first iteration its assignment; the repair of an empty cluster computes
     the distances it needs, with the bits the seeding had. Each iteration's
-    labels and bins are fresh arrays: no state passes between steps but
-    the centres. ``fit`` and ``predict`` (the new rows
-    and the centers together) raise :class:`AnalysisError` on rows outside
-    ``_checks.check_domain``, where no squared distance or sum of them
-    overflows.
+    labels and bins are fresh arrays: no state passes between steps but the
+    centres. ``fit`` and ``predict`` (the new rows and the centers together)
+    raise :class:`AnalysisError` on rows outside ``_checks.check_domain``,
+    where no squared distance or sum of them overflows.
 
     Attributes after fit: ``labels_``, ``cluster_centers_``, ``inertia_``
     (the within-cluster sum of squares), ``n_iter_``, ``converged_``,
