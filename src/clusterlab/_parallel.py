@@ -45,6 +45,7 @@ import warnings
 #: always holds (POSIX guarantees PIPE_BUF >= 512 bytes)
 _TICKETS = 256
 
+
 def _cpus() -> int:
     """The CPUs this process may run on; 1 where the platform cannot say."""
     try:
@@ -61,7 +62,8 @@ def fork_map(fn, items, cost=None) -> list:
     this one process when there is one usable CPU or one item, when the
     platform has no ``os.fork``, and when another Python thread is alive.
     Any item no process delivered is computed here, after the join, in
-    item order. No item of a map in this package maps in turn.
+    item order. A call inside an item would fork again; no item in this
+    package makes one.
     """
     items, done = list(items), {}
     children = min(_cpus(), len(items)) - 1

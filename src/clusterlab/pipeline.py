@@ -216,8 +216,8 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
     # the last claims are the shortest points, whatever a fit costs
     results = fork_map(stage, [*(("hopkins", s) for s in searches), "kmeans", "pam", *ks],
                        cost=lambda item: item if isinstance(item, int) else math.inf)
-    h, fits = finish(results[:len(searches)]), results[-len(ks) - 2:-len(ks)]
-    sw = sweep_result(ks, results[-len(ks):])
+    n = len(searches)
+    h, fits, sw = finish(results[:n]), results[n:n + 2], sweep_result(ks, results[n + 2:])
 
     config = {
         **source,
