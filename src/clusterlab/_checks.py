@@ -26,21 +26,22 @@ def as_feature_matrix(X, name="X", allow_empty=False):
     return arr
 
 
-def check_domain(*parts, power=2):
-    """Refuse, with :class:`AnalysisError`, rows on which a squared-distance
-    path could overflow float64: the one statement of the package's float64
+def check_domain(*parts, power=2, manhattan=False):
+    """Refuse, with :class:`AnalysisError`, rows on which a distance path
+    could overflow float64: the one statement of the package's float64
     domain. ``parts`` are (n_i, d) arrays of finite values, all the rows a
     path reads; ``power`` is the highest power of a distance it forms (see
-    below). Returns the per-feature minima and maxima of the rows, all that
-    the check reads of them.
+    below), and ``manhattan`` bounds Manhattan distances in place of
+    squared ones. Returns the per-feature minima and maxima of the rows, all
+    that the check reads of them.
 
-    Let n be the number of rows, A_k the largest |value| of feature k and D
-    the diagonal of the rows' bounding box, each side widened by
-    n*eps*A_k: D^2 = sum_k (max_k - min_k + 2*n*eps*A_k)^2. Every point a
+    Let n be the number of rows, A_k the largest |value| of feature k, and
+    w_k = max_k - min_k + 2*n*eps*A_k the side k of the rows' bounding box,
+    widened. D is the box's diagonal, D^2 = sum_k w_k^2. Every point a
     path forms lies in that box: rows, means of rows (K-means' centres, a
     screen's common centre), whose rounding the widening covers, and
     Hopkins' synthetic points. On accepted rows, then, the largest values
-    each path forms are these:
+    each squared path forms are these:
       - an exact squared distance, each of its partial sums and a row's
         shifted norm |x - c|^2 in a screen's operand: at most D^2;
       - the screen of ``distances._nearest``: M = max|a'|^2 + max|b'|^2 is
@@ -59,17 +60,32 @@ def check_domain(*parts, power=2):
     Accepted: 4*(n + 4)*max(D^2, D^power) is below the largest float64.
     That keeps every value above below half of it, which leaves room for
     their rounding, and it accepts 30 rows reading 0 or 1e153, whose n*D^2
-    is 3e307. Manhattan distances square nothing and are not bounded here.
+    is 3e307.
+
+    Manhattan paths form no mean and square nothing. Let D1 = sum_k w_k.
+    A coordinate difference is at most w_k, so a Manhattan distance and
+    each of its partial sums are at most D1. The paths sum distances over
+    the n rows: PAM's costs and the silhouette's sums, at most n*D1, and
+    PAM's screen, which adds two of them, at most 2*n*D1. Accepted:
+    4*(n + 4)*D1 is below the largest float64, which keeps these below half
+    of it as well. Of 30 rows of 3 features reading multiples of 1e154 or
+    of 1e306 from 0 to 9 times that, it accepts the first, whose n*D^2 the
+    squared bound refuses, and refuses the second, whose D1 is up to 2.7e307.
     """
     lo = np.min([part.min(axis=0) for part in parts], axis=0)
     hi = np.max([part.max(axis=0) for part in parts], axis=0)
     n = sum(len(part) for part in parts)
     with np.errstate(over="ignore"):  # an overflow here is a refusal
-        d2 = np.square(hi - lo + 2 * n * _EPS * np.maximum(hi, -lo)).sum()
-        accepted = 4 * (n + 4) * max(d2, d2 ** (power / 2)) < _FLOAT64_MAX
+        widths = hi - lo + 2 * n * _EPS * np.maximum(hi, -lo)
+        if manhattan:
+            accepted = 4 * (n + 4) * widths.sum() < _FLOAT64_MAX
+        else:
+            d2 = np.square(widths).sum()
+            accepted = 4 * (n + 4) * max(d2, d2 ** (power / 2)) < _FLOAT64_MAX
     if not accepted:
-        raise AnalysisError("the features are too large for float64: their squared distances "
-                            "or the sums of those could overflow; normalise the data")
+        kind = "Manhattan distances" if manhattan else "squared distances"
+        raise AnalysisError(f"the features are too large for float64: their {kind} or the sums "
+                            "of those could overflow; normalise the data")
     return lo, hi
 
 

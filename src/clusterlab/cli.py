@@ -19,8 +19,8 @@ import tempfile
 from pathlib import Path
 
 from . import __version__, pipeline
-from .dataset import (CsvFormat, RawTable, _export_table, format_table, parse_arff, parse_csv,
-                      preprocess, write_arff)
+from .dataset import (CsvFormat, RawTable, _arff_chunks, _export_table, format_table, parse_arff,
+                      parse_csv, preprocess)
 from .distances import Metric
 from .exceptions import ClusterlabError, InputError
 from .kmeans import INIT_KMEANS_PP, INIT_RANDOM
@@ -142,10 +142,12 @@ def _input_format(args) -> str:
 
 
 def _load_table(args) -> RawTable:
-    data = Path(args.input).read_bytes()
+    """The input table. The parser reads the file, so that its bytes die
+    once they are decoded."""
+    path = Path(args.input)
     if _input_format(args) == "arff":
-        return parse_arff(data)
-    return parse_csv(data, CsvFormat(has_header=args.header,
+        return parse_arff(path)
+    return parse_csv(path, CsvFormat(has_header=args.header,
                                      delimiter=args.delimiter,
                                      missing=args.missing))
 
@@ -184,7 +186,11 @@ def _write_files(out: str, files: dict) -> None:
     target is a directory, each staged file replaces its namesake; files the
     run does not write are left alone. On any failure the stage is removed,
     and so is the topmost directory the run made, so an existing ``out``
-    keeps its old files."""
+    keeps its old files.
+
+    ``files`` maps each name to its bytes or to a list of chunks of bytes,
+    as :func:`.dataset.format_table` returns them. The chunks are written
+    one after another into the staged file and never joined."""
     out_dir = Path(out)
     made = next((p for p in [*reversed(out_dir.parents), out_dir] if not p.exists()), None)
     stage = None
@@ -192,7 +198,8 @@ def _write_files(out: str, files: dict) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(prefix=".clusterlab-", dir=out_dir))
         for name, data in files.items():
-            (stage / name).write_bytes(data)
+            with (stage / name).open("wb") as file:
+                file.writelines([data] if isinstance(data, bytes) else data)
         for target in (out_dir / name for name in files):
             if target.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
@@ -239,8 +246,9 @@ def cmd_preprocess(args) -> int:
     payload = canonical_json(preprocessing_section(prep))
     if args.out:
         out_table = _export_table(data)
+        del data  # the table written holds all that is written of it
         if args.export == "arff":
-            files = {"preprocessed.arff": write_arff(out_table, relation_name="preprocessed")}
+            files = {"preprocessed.arff": _arff_chunks(out_table, "preprocessed")}
         else:
             header = io.StringIO()  # the \r\n end quotes a name holding \r or \n, cut off here
             csv.writer(header, lineterminator="\r\n").writerow(out_table.column_names)

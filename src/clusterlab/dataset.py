@@ -182,6 +182,9 @@ class PreprocessReport:
 # -- the data-row grammar -----------------------------------------------------
 
 def _read_text(source) -> str:
+    """The text of ``source``: a str as it is, else its bytes decoded as
+    UTF-8. A ``Path`` or a file is read here, so that its bytes live only
+    until they are decoded, and the caller holds the text alone."""
     if isinstance(source, Path):
         source = source.read_bytes()
     elif not isinstance(source, (str, bytes)):
@@ -453,17 +456,20 @@ def _declare_attribute(name, decl, names, nominal, line_no):
 _FORMAT_BLOCK = 4096
 
 
-def format_table(head: list[str], cells: np.ndarray, missing: str = "nan") -> bytes:
-    """``head``, then a line per row of ``cells``: each float by ``repr``,
-    which reads back to the same float64, comma-separated, and NaN as
-    ``missing`` (``repr`` spells no other float with "nan"). Rows are
-    formatted in blocks, the items of :func:`._parallel.fork_map`, so that
-    one block per process holds Python floats at a time."""
+def format_table(head: list[str], cells: np.ndarray, missing: str = "nan") -> list[bytes]:
+    """``head``, then a line per row of ``cells``, as chunks of bytes for a
+    file to be written from: the head's lines, then one chunk per block of
+    rows. Each float is written by ``repr``, which reads back to the same
+    float64, comma-separated, and NaN as ``missing`` (``repr`` spells no
+    other float with "nan"). The blocks are the items of
+    :func:`._parallel.fork_map`, so that one block per process holds Python
+    floats at a time. The chunks are not joined: a writer writes them one
+    after another, and the file's bytes are never held whole."""
     row = ",".join(["%r"] * cells.shape[1]) + "\n"  # %r is repr
     blocks = [cells[start:start + _FORMAT_BLOCK] for start in range(0, len(cells), _FORMAT_BLOCK)]
     lines = fork_map(lambda block: (row * len(block) % tuple(block.ravel().tolist()))
                      .replace("nan", missing).encode(), blocks)
-    return b"".join(["".join(line + "\n" for line in head).encode(), *lines])
+    return ["".join(line + "\n" for line in head).encode(), *lines]
 
 
 def write_arff(table: RawTable, relation_name: str = "data") -> bytes:
@@ -474,6 +480,11 @@ def write_arff(table: RawTable, relation_name: str = "data") -> bytes:
     ``str.splitlines`` line boundary, or needs quotes and holds both quote
     characters.
     """
+    return b"".join(_arff_chunks(table, relation_name))
+
+
+def _arff_chunks(table: RawTable, relation_name: str) -> list[bytes]:
+    """The bytes of :func:`write_arff`, as :func:`format_table`'s chunks."""
     head = [f"@relation {_quote_name(relation_name)}"]
     head += [f"@attribute {_quote_name(name)} numeric" for name in table.column_names]
     return format_table(head + ["@data"], table.cells, missing="?")
@@ -546,7 +557,9 @@ def build_dataset(
     keep = [i for i in range(table.n_cols) if i not in drop_idx]
     if not keep:
         raise InputError("the table has no feature column besides its id and class columns")
-    features = table.cells[:, keep].copy()
+    # one C-ordered copy: ``cells[:, keep]`` is F-ordered, and the order of
+    # the features sets the bits of every later sum down their columns
+    features = np.take(table.cells, keep, axis=1)
     feature_names = tuple(table.column_names[i] for i in keep)
 
     norm_params = {}
@@ -595,12 +608,13 @@ def _row_ids(values) -> tuple:
 
 def _decode_labels(values: np.ndarray, row_ids) -> tuple[str, ...]:
     """The class names of a column coded as the source data codes them:
-    2 = benign, 4 = malignant. A bad value is named with its row id."""
+    2 = benign, 4 = malignant. A bad value is named with its row id. Every
+    row holds one of the two names' str objects, not a str of its own."""
     benign = values == 2.0
     bad = np.flatnonzero(~benign & (values != 4.0))
     if bad.size:
         raise InvalidClassValueError(float(values[bad[0]]), row=row_ids[bad[0]])
-    return tuple(np.where(benign, BENIGN, MALIGNANT).tolist())
+    return tuple(np.array([MALIGNANT, BENIGN], dtype=object)[benign.view(np.int8)].tolist())
 
 
 def _export_table(data: Dataset) -> RawTable:

@@ -565,13 +565,12 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
     the block's (b, n - s) entries, and so each of the kernel's registers,
     about half a block (``_SCREEN_ELEMENTS / 2`` values). Raises
     :class:`AnalysisError`, before allocating, when the matrix would not
-    fit in memory (see the module docstring), and for the two squared
-    metrics when the features lie outside ``_checks.check_domain``.
+    fit in memory (see the module docstring), and when the features lie
+    outside ``_checks.check_domain`` for the metric.
     """
     metric = Metric.coerce(metric)
     X = as_feature_matrix(X)
-    if metric is not Metric.MANHATTAN:
-        check_domain(X)
+    check_domain(X, manhattan=metric is Metric.MANHATTAN)
     n, d = X.shape
     need, (have, limit) = 8 * n * n + 8 * max(_SCREEN_ELEMENTS, n * d), memory_budget()
     if need > have:

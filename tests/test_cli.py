@@ -5,13 +5,14 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clusterlab import parse_arff, validate_report_dict
+from clusterlab import _parallel, dataset, parse_arff, validate_report_dict
 from clusterlab.cli import main
 
 ARTIFACTS = [
@@ -31,6 +32,18 @@ ARTIFACTS = [
 #: the one stderr line of a run on features outside the float64 domain
 OUT_OF_RANGE = ("analysis error: the features are too large for float64: their squared "
                 "distances or the sums of those could overflow; normalise the data")
+MANHATTAN_OUT_OF_RANGE = OUT_OF_RANGE.replace("squared", "Manhattan")
+
+_GRID = np.random.default_rng(6).integers(0, 10, (30, 3))
+#: tables of 30 x 3 rows whose distances or sums of them overflow float64,
+#: each with the metric it is run on: the squared metrics refuse the 1e154
+#: table (Manhattan accepts it), and Manhattan the two others
+OVERFLOWING = {
+    "1e154": (_GRID * 1e154, None),
+    "1e306-manhattan": (_GRID * 1e306, "manhattan"),
+    "1.7e308-manhattan": (np.column_stack([_GRID[:, 0], 1.7e308 * (-1.0) ** np.arange(30),
+                                           _GRID[:, 2]]), "manhattan"),
+}
 
 
 def run_cli(*argv):
@@ -264,21 +277,26 @@ class TestUsageAndErrors:
             assert run_cli("kmeans", f, "--no-normalize", "--k", "3", "--seed", "1") == 3
         assert capsys.readouterr().err.splitlines() == [OUT_OF_RANGE]
 
+    @pytest.mark.parametrize("table", OVERFLOWING)
     @pytest.mark.parametrize("argv", [
         ("tendency",), ("kmeans",), ("kmeans", "--init", "random"), ("pam",), ("silhouette",),
         ("sweep",), ("sweep", "--algorithm", "pam"), ("analyze",)])
-    def test_overflowing_table_exit_3_with_one_line(self, tmp_path, argv):
-        # every analysis subcommand refuses the table before any squared
-        # distance overflows: no warning, which -W error would turn into a
-        # traceback, and no output
-        X = np.random.default_rng(6).integers(0, 10, (30, 3)) * 1e154
+    def test_overflowing_table_exit_3_with_one_line(self, tmp_path, argv, table):
+        # every analysis subcommand refuses the table before any distance
+        # overflows: no warning, which -W error would turn into a traceback,
+        # and no output. A subcommand that forms no Manhattan distance
+        # refuses the Manhattan tables by their squared distances.
+        X, metric = OVERFLOWING[table]
         f, out = tmp_path / "huge.csv", tmp_path / "results"
         f.write_text("".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "clusterlab.cli", *argv,
                                str(f), "--no-normalize", "--id-column", "none",
-                               "--label-column", "none", "--seed", "1", "--out", str(out)],
+                               "--label-column", "none", "--seed", "1", "--out", str(out),
+                               *(("--metric", metric) if metric else ())],
                               capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr.splitlines(), proc.stdout) == (3, [OUT_OF_RANGE], "")
+        refusal = (MANHATTAN_OUT_OF_RANGE if metric and argv[0] not in ("tendency", "kmeans")
+                   else OUT_OF_RANGE)
+        assert (proc.returncode, proc.stderr.splitlines(), proc.stdout) == (3, [refusal], "")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["preprocess", "analyze"])
@@ -609,6 +627,24 @@ WRITING_RUNS = {
 }
 
 
+def _fail_a_write(monkeypatch, fail_at):
+    """Make the ``fail_at``-th file opened for writing fail, as a full disk
+    would, once part of it is written; returns the paths opened so far."""
+    calls, path_open = [], Path.open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            calls.append(path)
+            if len(calls) == fail_at:
+                with path_open(path, mode) as file:
+                    file.write(b"part")
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return path_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    return calls
+
+
 def _tree(root):
     """Every path below ``root``, each with its bytes (None for a directory)."""
     return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
@@ -635,15 +671,7 @@ class TestAtomicOut:
         if exists:
             _out_with_old_files(out, names)
         before, fail_at = _tree(tmp_path), min(3, len(names))  # the third file, or the last
-        calls, write_bytes = [], Path.write_bytes
-
-        def failing_write_bytes(path, data):
-            calls.append(path)
-            if len(calls) == fail_at:
-                raise OSError(errno.ENOSPC, "No space left on device", str(path))
-            return write_bytes(path, data)
-
-        monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
+        calls = _fail_a_write(monkeypatch, fail_at)
         assert run_cli(argv[0], str(synth_csv_path), *argv[1:], "--out", str(out)) == 2
         assert len(calls) == fail_at
         assert capsys.readouterr().err.splitlines() == [
@@ -665,12 +693,9 @@ class TestAtomicOut:
 
     def test_a_failed_write_removes_the_parents_the_run_made(self, synth_csv_path, tmp_path,
                                                              monkeypatch, capsys):
-        def no_space(path, data):
-            raise OSError(errno.ENOSPC, "No space left on device", str(path))
-
         (tmp_path / "keep.txt").write_bytes(b"mine")
         before = _tree(tmp_path)
-        monkeypatch.setattr(Path, "write_bytes", no_space)
+        _fail_a_write(monkeypatch, 1)
         assert run_cli("kmeans", str(synth_csv_path), "--seed", "1", "--restarts", "2",
                        "--out", str(tmp_path / "a" / "b" / "out")) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
@@ -772,3 +797,50 @@ def test_console_script_entry_point(synth_csv_path):
     )
     assert proc.returncode == 0
     assert "rows: 699" in proc.stdout
+
+
+def _traced_peak(run):
+    """Peak bytes traced by tracemalloc while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_round_trip_holds_each_text_and_table_once(tmp_path, monkeypatch, capsys):
+    """``preprocess --export arff``, then ``inspect`` of its ARFF, in one
+    process on a 20,000-row WBC-shaped table with a ``?`` in every 50th
+    row. ``arff`` is the ARFF's size, ``table`` the cells' bytes as parsed
+    and ``chunk`` a parse item's text, ``dataset._PARSE_CHUNK`` characters.
+
+    ``preprocess`` may hold ``arff + table + 2 chunks``: the ARFF's chunks,
+    all formatted before the first is written, and the table they are
+    formatted from, once each (the dataset is gone, and the chunks are
+    never joined); besides them, one block's Python floats, their tuple and
+    its text. Before that it holds the CSV's str (its bytes die as they are
+    decoded), the parse items' cells and their concatenation: less, since
+    the CSV writes a cell in at most 9 characters, a float64 takes 8 bytes
+    and ``repr`` writes a normalised feature in about 18.
+
+    ``inspect`` may hold ``2 arff + table + chunk``: the ARFF's bytes and
+    their str, while they are decoded; then the str, the parse items'
+    cells, their concatenation (two tables, less than one ``arff`` and one
+    ``table``) and an item's text, replaced and encoded for numpy."""
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
+    n, rng = 20_000, np.random.default_rng(5)
+    rows = [[str(1_000_000 + i), *(f"{v:.6f}" for v in rng.random(9) * 10), str(c)]
+            for i, c in enumerate(rng.choice([2, 4], n))]
+    for row in rows[::50]:
+        row[3] = "?"
+    source, out = tmp_path / "table.csv", tmp_path / "out"
+    source.write_text("".join(",".join(row) + "\n" for row in rows))
+    preprocessed = _traced_peak(lambda: run_cli("preprocess", str(source), "--export", "arff",
+                                                "--out", str(out)))
+    arff = out / "preprocessed.arff"
+    inspected = _traced_peak(lambda: run_cli("inspect", str(arff), "--json"))
+    assert json.loads(capsys.readouterr().out)["rows"] == n - n // 50
+    table, text, chunk = 8 * n * 11, arff.stat().st_size, dataset._PARSE_CHUNK
+    assert preprocessed <= text + table + 2 * chunk
+    assert inspected <= 2 * text + table + chunk

@@ -351,7 +351,9 @@ def test_format_table_writes_repr_of_every_cell(monkeypatch, cpus):
     expected = "h\n" + "".join(
         ",".join("?" if math.isnan(v) else repr(float(v)) for v in row) + "\n" for row in cells
     )
-    assert dataset.format_table(["h"], cells, missing="?") == expected.encode()
+    chunks = dataset.format_table(["h"], cells, missing="?")
+    assert len(chunks) == 4  # the head, then one chunk per block of rows
+    assert b"".join(chunks) == expected.encode()
 
 
 # -- numpy's reading against the per-cell readers --------------------------------

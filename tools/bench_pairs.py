@@ -10,11 +10,14 @@ the workloads run one after another. Each pair runs
 each, the parent first in even pairs (0, 2, ...) and the change first in odd
 ones. It prints every run's end-to-end metrics and its ``correct`` as they
 come, then, per workload, one row per metric: both medians and quartiles,
-the parent's interquartile range (IQR), and in how many pairs the change
-read better. A tie counts for neither side. Which direction is better comes
-from ``better`` in the parent's ``BENCHMARK.json``; so do the metric names.
+the parent's interquartile range (IQR), in how many pairs the change read
+better, and a verdict (see :func:`verdict`). A tie counts for neither side.
+Which direction is better comes from ``better`` in the parent's
+``BENCHMARK.json``, and each metric's relative bound from ``bound``; so do
+the metric names.
 ``--json PATH`` also writes every run (its pair, side, metrics, ``correct``
-and the object of its ``env:`` line), each workload's summary rows and each
+and the object of its ``env:`` line), each workload's summary rows with
+their verdicts and each
 checkout's code-line total of ``src/clusterlab``, as ``tools/code_lines.py``
 counts it, to PATH, once every run has given a result.
 
@@ -65,9 +68,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
+def verdict(p: list[float], c: list[float], direction: str, bound: float) -> str:
+    """What the pairs ``zip(p, c)`` of one metric say, ``bound`` being the
+    largest change allowed, relative to the parent's median:
+      - "gain": the change reads better in at least 9 of 10 pairs, and its
+        median is better than the parent's by more than the parent's IQR;
+      - "worse": the change's median is worse by more than the bound;
+      - "unresolved": the parent's IQR is wider than the bound, unless
+        every change run reads better than every parent run;
+      - "within bound" otherwise.
+    The first that holds is the verdict."""
+    sign = 1 if direction == "higher" else -1
+    (p1, pm, p3), cm = quartiles(p), quartiles(c)[1]
+    won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+    if 10 * won >= 9 * len(p) and sign * (cm - pm) > p3 - p1:
+        return "gain"
+    if sign * (cm - pm) < -bound * abs(pm):
+        return "worse"
+    if p3 - p1 > bound * abs(pm) and not min(sign * b for b in c) > max(sign * a for a in p):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
+              bounds: dict[str, float]) -> list[dict]:
     """One row per metric of ``better`` (name -> "lower" or "higher") over
-    the pairs ``zip(parent, change)``, each run a {metric: value} dict."""
+    the pairs ``zip(parent, change)``, each run a {metric: value} dict, with
+    its :func:`verdict` under the metric's relative bound in ``bounds``."""
     rows = []
     for name, direction in better.items():
         p = [run[name] for run in parent]
@@ -83,6 +110,8 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             "won": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
             "lost": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
             "pairs": len(p),
+            "bound": bounds[name],
+            "verdict": verdict(p, c, direction, bounds[name]),
         })
     return rows
 
@@ -90,13 +119,14 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
 def format_summary(rows: list[dict]) -> str:
     """The rows of :func:`summarize` as a markdown table."""
     lines = ["| metric | better | parent median [q1, q3] | change median [q1, q3] "
-             "| parent IQR | change better in |",
-             "|---|---|---|---|---|---|"]
+             "| parent IQR | change better in | verdict |",
+             "|---|---|---|---|---|---|---|"]
     for row in rows:
         (p1, p2, p3), (c1, c2, c3) = row["parent"], row["change"]
         lines.append(f"| {row['metric']} | {row['better']} | {p2:.4g} [{p1:.4g}, {p3:.4g}] "
                      f"| {c2:.4g} [{c1:.4g}, {c3:.4g}] | {row['parent_iqr']:.4g} "
-                     f"| {row['won']} of {row['pairs']} ({row['lost']} worse) |")
+                     f"| {row['won']} of {row['pairs']} ({row['lost']} worse) "
+                     f"| {row['verdict']} |")
     return "\n".join(lines)
 
 
@@ -131,6 +161,7 @@ def main(argv: list[str]) -> int:
     args = p.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = ([w["name"] for w in spec["workloads"]] if "all" in args.workload
                  else args.workload)
     all_correct = True
@@ -152,7 +183,7 @@ def main(argv: list[str]) -> int:
                 print(f"{workload} pair {pair} {side}: " + " ".join(
                     f"{name}={value:.6g}" for name, value in metrics.items())
                     + f" correct={json.dumps(result['correct'])}", flush=True)
-        rows = summarize(runs["parent"], runs["change"], better)
+        rows = summarize(runs["parent"], runs["change"], better, bounds)
         record["workloads"][workload] = {"runs": seen, "summary": rows}
         print(f"\n{workload}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s")
         print(format_summary(rows) + "\n", flush=True)
