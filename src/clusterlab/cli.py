@@ -246,7 +246,7 @@ def cmd_preprocess(args) -> int:
     payload = canonical_json(preprocessing_section(prep))
     if args.out:
         out_table = _export_table(data)
-        del data  # the table written holds all that is written of it
+        del data  # its features, ids and labels die before the table is formatted
         if args.export == "arff":
             files = {"preprocessed.arff": _arff_chunks(out_table, "preprocessed")}
         else:

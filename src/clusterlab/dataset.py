@@ -463,8 +463,8 @@ def format_table(head: list[str], cells: np.ndarray, missing: str = "nan") -> li
     float64, comma-separated, and NaN as ``missing`` (``repr`` spells no
     other float with "nan"). The blocks are the items of
     :func:`._parallel.fork_map`, so that one block per process holds Python
-    floats at a time. The chunks are not joined: a writer writes them one
-    after another, and the file's bytes are never held whole."""
+    floats at a time. The chunks are not joined, so a writer that writes
+    them one after another holds the file's bytes once."""
     row = ",".join(["%r"] * cells.shape[1]) + "\n"  # %r is repr
     blocks = [cells[start:start + _FORMAT_BLOCK] for start in range(0, len(cells), _FORMAT_BLOCK)]
     lines = fork_map(lambda block: (row * len(block) % tuple(block.ravel().tolist()))
@@ -532,6 +532,11 @@ def build_dataset(
     (x - min) / (max - min) using its observed extremes; constant columns
     map to 0.0, and a column whose max - min overflows float64 is refused
     with :class:`InputError`.
+
+    The features are one copy of the kept columns, in C order, as
+    ``np.take`` makes it: ``cells[:, keep]`` is in F order, and the order
+    sets the bits of every later sum down the columns, so it would need a
+    second copy to match.
     """
     if table.missing_mask().any():
         raise ValueError("table still has missing cells; drop or impute them first")
@@ -557,8 +562,6 @@ def build_dataset(
     keep = [i for i in range(table.n_cols) if i not in drop_idx]
     if not keep:
         raise InputError("the table has no feature column besides its id and class columns")
-    # one C-ordered copy: ``cells[:, keep]`` is F-ordered, and the order of
-    # the features sets the bits of every later sum down their columns
     features = np.take(table.cells, keep, axis=1)
     feature_names = tuple(table.column_names[i] for i in keep)
 

@@ -838,9 +838,9 @@ def test_the_round_trip_holds_each_text_and_table_once(tmp_path, monkeypatch, ca
     source.write_text("".join(",".join(row) + "\n" for row in rows))
     preprocessed = _traced_peak(lambda: run_cli("preprocess", str(source), "--export", "arff",
                                                 "--out", str(out)))
-    arff = out / "preprocessed.arff"
-    inspected = _traced_peak(lambda: run_cli("inspect", str(arff), "--json"))
+    written = out / "preprocessed.arff"
+    inspected = _traced_peak(lambda: run_cli("inspect", str(written), "--json"))
     assert json.loads(capsys.readouterr().out)["rows"] == n - n // 50
-    table, text, chunk = 8 * n * 11, arff.stat().st_size, dataset._PARSE_CHUNK
-    assert preprocessed <= text + table + 2 * chunk
-    assert inspected <= 2 * text + table + chunk
+    arff, table, chunk = written.stat().st_size, 8 * n * 11, dataset._PARSE_CHUNK
+    assert preprocessed <= arff + table + 2 * chunk
+    assert inspected <= 2 * arff + table + chunk
