@@ -271,11 +271,15 @@ def _item_cells(text, delimiter, marker, refused, comments, converters, whole):
     that follows a sign or lands inside a number cannot pass both the sign
     check and the count of non-finite cells against the count of markers;
     such an item is read by the ``converters`` instead, every cell whole.
+    A text without a carriage return, or without the marker, is not
+    counted for it, nor is an absent marker replaced.
     """
-    if any(ch in text for ch in refused) or text.count("\r") != text.count("\r\n"):
+    if any(ch in text for ch in refused) or (
+            "\r" in text and text.count("\r") != text.count("\r\n")):
         return None
-    markers = 0 if whole else text.count(marker)
+    markers = 0 if whole or marker not in text else text.count(marker)
     if not (whole or markers and (f"-{marker}" in text or f"+{marker}" in text)):
+        marker = marker if markers else ""  # nothing to replace
         cells = _loadtxt(text, delimiter, marker)
         if cells is None and (kept := _without_blanks(text, comments)) != text:
             cells = _loadtxt(kept, delimiter, marker)

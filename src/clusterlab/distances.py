@@ -63,11 +63,14 @@ cost less per query until S leaves the cache. Measured on 2 vCPUs with
 peak from 1.0 to 1.6 MB, where 10 raised it to 1.3 MB. For n from 683 to
 20,000 and d from 2 to 80 the rule stayed near the best fixed block,
 except at n = 20,000, d = 9, where 4 or 5 queries a block were about 20 %
-faster than its 10. The dense (n, n) matrix is the one O(n^2) allocation:
+faster than its 10. The dense (n, n) matrix and PAM's float32 copy of it
+(:attr:`DistanceMatrix.square32`, 4n² bytes) are the O(n^2) allocations:
 :func:`pairwise_distances` refuses n points of d features, with
 :class:`AnalysisError` and before it allocates anything, when the matrix's
 8n² bytes plus 8*max(_SCREEN_ELEMENTS, n*d) bytes for its build exceed
-:func:`memory_budget`, the least of the limits this process runs under.
+:func:`memory_budget`, the least of the limits this process runs under, and
+a run that fits PAM is refused the same way before any compute when 12n²
+bytes and the block do not fit (:func:`_check_memory`).
 """
 
 from __future__ import annotations
@@ -470,6 +473,29 @@ class DistanceMatrix:
         """The dense (n, n) array, 8*n*n bytes, shared by every caller."""
         return self._square
 
+    @functools.cached_property
+    def square32(self) -> tuple[np.ndarray, int] | None:
+        """``(F, e)``: F is the float32 copy of :meth:`square` that PAM
+        screens on, 4*n*n bytes, each entry ``D * 2**-e`` rounded once to
+        float32, where 2**e is the power of two that puts the largest
+        distance in [0.5, 1). Rounding is monotone, so a minimum of entries
+        of F is the rounded minimum of the same entries of D. None when
+        2*n times the largest distance is not finite (an infinite distance,
+        or sums of distances that could overflow) or n exceeds 2**20, where
+        ``kmedoids`` derives no bound: PAM's exact kernel then decides alone.
+        Built on first use, in row blocks, and held as long as the matrix."""
+        D, n = self._square, self.n
+        top = float(D.max()) if n else 0.0
+        if not np.isfinite(2.0 * n * top) or n > 2**20:
+            return None
+        e = int(np.frexp(top)[1])
+        F = np.empty((n, n), dtype=np.float32)
+        step = _block_rows(n)
+        for s in range(0, n, step):  # scaling by 2**-e is exact; the cast rounds once
+            np.ldexp(D[s:s + step], -e, out=F[s:s + step], casting="same_kind")
+        F.setflags(write=False)
+        return F, e
+
 
 def _summation_order(lo, hi):
     """The order in which numpy's ``sum`` over a contiguous last axis adds
@@ -550,6 +576,20 @@ def _to_columns(points, columns, out, magnitude=np.square):
                 magnitude(regs[r], out=regs[r])
 
 
+def _check_memory(n: int, d: int, pam: bool = False) -> None:
+    """Raise :class:`AnalysisError`, allocating nothing, unless the pairwise
+    distance matrix of n points of d features, 8*n*n bytes, and one block
+    of its build, 8*max(_SCREEN_ELEMENTS, n*d) bytes, fit in
+    :func:`memory_budget`; with ``pam``, the 4*n*n bytes of PAM's float32
+    copy (:attr:`DistanceMatrix.square32`) must fit beside them."""
+    need = (12 if pam else 8) * n * n + 8 * max(_SCREEN_ELEMENTS, n * d)
+    have, limit = memory_budget()
+    if need > have:
+        copy = " and PAM's float32 copy of it" if pam else ""
+        raise AnalysisError(f"{n} points need {need / 1e6:.1f} MB for their pairwise distance "
+                            f"matrix{copy}, more than the {have / 1e6:.1f} MB {limit}")
+
+
 def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
     """All pairwise distances.
 
@@ -572,10 +612,7 @@ def pairwise_distances(X, metric=Metric.EUCLIDEAN) -> DistanceMatrix:
     X = as_feature_matrix(X)
     check_domain(X, manhattan=metric is Metric.MANHATTAN)
     n, d = X.shape
-    need, (have, limit) = 8 * n * n + 8 * max(_SCREEN_ELEMENTS, n * d), memory_budget()
-    if need > have:
-        raise AnalysisError(f"{n} points need {need / 1e6:.1f} MB for their pairwise distance "
-                            f"matrix, more than the {have / 1e6:.1f} MB {limit}")
+    _check_memory(n, d)
     D = np.empty((n, n))
     magnitude = np.abs if metric is Metric.MANHATTAN else np.square
     columns = np.ascontiguousarray(X.T)

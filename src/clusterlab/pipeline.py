@@ -25,7 +25,7 @@ from functools import cached_property, partial
 from ._checks import resolve_seed
 from ._parallel import fork_map
 from .dataset import Dataset, PreprocessReport
-from .distances import DistanceMatrix, Metric, pairwise_distances
+from .distances import DistanceMatrix, Metric, _check_memory, pairwise_distances
 from .exceptions import AnalysisError
 from .kmeans import KMeans
 from .kmedoids import KMedoids
@@ -63,6 +63,14 @@ class Run:
         """The pairwise distance matrix, computed on first use."""
         return pairwise_distances(self.data.features, self.metric)
 
+    def pam_dist(self) -> DistanceMatrix:
+        """:attr:`dist` for a stage that runs PAM: when it is yet to be
+        computed, refused before any compute unless PAM's float32 copy of it
+        fits in memory beside it (``distances._check_memory``)."""
+        if "dist" not in self.__dict__:
+            _check_memory(self.data.n, self.data.d, pam=True)
+        return self.dist
+
 
 # -- stages --------------------------------------------------------------------
 
@@ -91,7 +99,7 @@ def pam(run: Run, score: bool):
     ``score``, else None)."""
     o = run.opts
     est = KMedoids(n_clusters=o.k, max_swap_iters=o.max_swap_iters,
-                   metric=run.metric).fit(run.dist)
+                   metric=run.metric).fit(run.pam_dist())
     sil = silhouette_report(run.dist, est.labels_) if score else None
     section = pam_section(est, row_ids=list(run.data.row_ids),
                           silhouette_overall=sil and sil.overall)
@@ -112,7 +120,8 @@ def sweep(run: Run, algorithm: str):
     check_k_range((o.k_min, o.k_max), run.data.n)
     result = sweep_k(run.data.features, k_range=(o.k_min, o.k_max),
                      algorithm=algorithm, metric=run.metric, seed=run.seed,
-                     n_init=o.restarts, dist=run.dist)
+                     n_init=o.restarts,
+                     dist=run.pam_dist() if algorithm == "pam" else run.dist)
     return sweep_section(result, algorithm), result
 
 
@@ -177,7 +186,7 @@ def analyze(run: Run, prep: PreprocessReport, source: dict):
     o, data = run.opts, run.data
     m = o.m if o.m is not None else default_sample_size(data.n)
     _check_analyze(o, data.n, data.d, m)
-    run.dist  # every later stage needs it: refuse a too-large input before any compute
+    run.pam_dist()  # every later stage needs it: refuse a too-large input before any compute
     pca = PCA2D().fit(data.features)
     coords = pca.transform(data.features)
     axis_variance = tuple(float(v) for v in pca.explained_variance_ratio_)

@@ -162,7 +162,7 @@ def sweep_k(
 
     ks = tuple(range(k_lo, k_hi + 1))
     # one BUILD for PAM: each k's is a prefix of k_hi's
-    order = _build(dist.square(), k_hi) if algorithm == "pam" else None
+    order = _build(dist, k_hi) if algorithm == "pam" else None
     point = functools.partial(sweep_point, X=X, dist=dist, algorithm=algorithm, seed=seed,
                               n_init=n_init, max_iter=max_iter, tol=tol,
                               max_swap_iters=max_swap_iters, order=order)
@@ -185,7 +185,7 @@ def sweep_point(k, *, X, dist, algorithm, seed, n_init, max_iter, tol, max_swap_
     else:
         est = KMedoids(
             n_clusters=k, max_swap_iters=max_swap_iters, metric=dist.metric
-        )._swap_from(dist.square(), order)
+        )._swap_from(dist, order)
     return silhouette_report(dist, est.labels_).overall, float(est.inertia_)
 
 

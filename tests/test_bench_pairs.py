@@ -134,6 +134,20 @@ def test_json_holds_every_run_and_the_summaries(tmp_path, monkeypatch, capsys):
     assert (row["metric"], row["won"], row["pairs"], row["verdict"]) == ("job_s", 2, 2, "gain")
     assert row["parent"] == [2.25, 2.5, 2.75]
     assert record["code_lines"] == {"parent": 0, "change": 0}  # no src/clusterlab here
+    core = bench_pairs.blas_core(tmp_path)
+    assert record["blas_core"] == {"parent": core, "change": core}
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell"])
+def test_the_blas_core_is_read_through_ctypes(tmp_path, monkeypatch, coretype):
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    native = bench_pairs.blas_core(tmp_path)
+    if native == "none":
+        pytest.skip("numpy loads no OpenBLAS that tells its core name")
+    assert native and " " not in native
+    if coretype:
+        monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+        assert bench_pairs.blas_core(tmp_path) == coretype
 
 
 def test_json_records_each_checkouts_code_lines(tmp_path, monkeypatch, capsys):

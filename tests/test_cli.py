@@ -46,6 +46,11 @@ OVERFLOWING = {
 }
 
 
+#: the analysis runs that fit PAM, and those that fit K-means alone
+PAM_RUNS = [("pam",), ("silhouette",), ("sweep", "--algorithm", "pam"), ("analyze",)]
+KMEANS_RUNS = [("silhouette", "--algorithm", "kmeans"), ("sweep",)]
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -231,9 +236,9 @@ class TestUsageAndErrors:
             "distances._cgroup_limits = lambda: []",
             "distances.physical_memory = lambda: 1 << 40")
         assert (proc.returncode, len(proc.stderr.splitlines())) == (3, 1)
-        assert re.fullmatch(r"analysis error: 15000 points need 1800\.4 MB for their pairwise "
-                            r"distance matrix, more than the \d+\.\d MB left under RLIMIT_AS\n",
-                            proc.stderr)
+        assert re.fullmatch(r"analysis error: 15000 points need 2700\.4 MB for their pairwise "
+                            r"distance matrix and PAM's float32 copy of it, more than the "
+                            r"\d+\.\d MB left under RLIMIT_AS\n", proc.stderr)
 
     def test_memory_error_backstop(self, tmp_path):
         # with the budget out of the way, numpy's own MemoryError is mapped
@@ -318,24 +323,39 @@ class TestUsageAndErrors:
         for command in ("pam", "analyze"):
             out = tmp_path / command
             assert run_cli(command, str(synth_csv_path), "--out", str(out)) == 3
-            assert "683 points need 4.0 MB" in capsys.readouterr().err
+            assert "683 points need 5.9 MB" in capsys.readouterr().err
             assert not out.exists()
         out = tmp_path / "tendency"
         assert run_cli("tendency", str(synth_csv_path), "--trials", "2",
                        "--out", str(out)) == 0
         assert (out / "tendency.json").is_file()
 
+    @pytest.mark.parametrize("argv", PAM_RUNS + KMEANS_RUNS)
     def test_memory_bound_is_the_dense_matrix_plus_one_block(self, synth_csv_path, tmp_path,
-                                                             monkeypatch, capsys):
-        # 8 * 683**2 + 8 * 32768 = 3,994,056 bytes; holding the condensed
-        # matrix as well would need 5,595,136
-        out = tmp_path / "pam"
-        monkeypatch.setattr("clusterlab.distances.physical_memory", lambda: 3_994_055)
-        assert run_cli("pam", str(synth_csv_path), "--out", str(out)) == 3
-        assert "683 points need 4.0 MB" in capsys.readouterr().err
-        monkeypatch.setattr("clusterlab.distances.physical_memory", lambda: 3_994_056)
-        assert run_cli("pam", str(synth_csv_path), "--out", str(out)) == 0
-        assert (out / "pam.json").is_file()
+                                                             monkeypatch, capsys, argv):
+        # 8 * 683**2 + 8 * 32768 = 3,994,056 bytes, and a run that fits PAM
+        # needs 4 * 683**2 = 1,865,956 more for the matrix's float32 copy.
+        # A PAM run is refused before its distances are computed.
+        pam = argv in PAM_RUNS
+        need, copy = (5_860_012, " and PAM's float32 copy of it") if pam else (3_994_056, "")
+        out = tmp_path / "out"
+        monkeypatch.setattr("clusterlab.distances.memory_budget",
+                            lambda: (need - 1, "of a test budget"))
+        with monkeypatch.context() as m:
+            if pam:
+                m.setattr("clusterlab.pipeline.pairwise_distances",
+                          lambda *args: pytest.fail("distances computed"))
+            assert run_cli(*argv[:1], str(synth_csv_path), *argv[1:], "--seed", "1",
+                           "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"analysis error: 683 points need {need / 1e6:.1f} MB for their pairwise distance "
+            f"matrix{copy}, more than the {(need - 1) / 1e6:.1f} MB of a test budget"]
+        assert not out.exists()
+        monkeypatch.setattr("clusterlab.distances.memory_budget",
+                            lambda: (need, "of a test budget"))
+        assert run_cli(*argv[:1], str(synth_csv_path), *argv[1:], "--seed", "1",
+                       "--out", str(out)) == 0
+        assert out.is_dir()
 
     def test_invalid_utf8_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

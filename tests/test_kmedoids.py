@@ -1,3 +1,7 @@
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -260,7 +264,9 @@ def assert_fit_matches_reference(X, metric, k, max_swap_iters=200):
 
 def assert_matches_reference(dist, k, max_swap_iters=200):
     """Medoids, inertia, swaps, convergence and labels of a fit equal the
-    reference BUILD and SWAP bit for bit."""
+    reference BUILD and SWAP bit for bit. Each SWAP iteration hands the
+    exact kernel at least one pair, and at most all k * (n - k) of them,
+    which it does without the float32 copy."""
     D = dist.square()
     medoids, cost, swaps, converged = reference_swap(
         D, reference_build(D, k), max_swap_iters)
@@ -272,6 +278,10 @@ def assert_matches_reference(dist, k, max_swap_iters=200):
     assert est.n_swaps_ == swaps
     assert est.converged_ == converged
     assert np.array_equal(est.labels_, labels)
+    iterations, pairs = swaps + (converged and k < dist.n), k * (dist.n - k)
+    assert iterations <= est.n_screened_pairs_ <= iterations * pairs
+    if dist.square32 is None:
+        assert est.n_screened_pairs_ == iterations * pairs
 
 
 FAMILIES = {
@@ -307,13 +317,13 @@ class TestScreenedPamMatchesReference:
             dist = pairwise_distances(X, metric)
         D = dist.square()
         k_hi = min(X.shape[0] - 1, 8)
-        order = kmedoids._build(D, k_hi)
+        order = kmedoids._build(dist, k_hi)
         with np.errstate(invalid="ignore"):  # widths of inf - inf
             result = sweep_k(X, (2, k_hi), algorithm="pam", metric=metric, dist=dist)
             for k, sil, wss in zip(result.ks, result.avg_silhouette, result.wss):
                 assert sorted(order[:k]) == reference_build(D, k)
                 est = KMedoids(n_clusters=k, metric=metric).fit(dist)
-                swept = KMedoids(n_clusters=k, metric=metric)._swap_from(D, order)
+                swept = KMedoids(n_clusters=k, metric=metric)._swap_from(dist, order)
                 for name in ("medoid_indices_", "labels_", "n_swaps_", "converged_"):
                     assert np.array_equal(getattr(swept, name), getattr(est, name))
                 assert np.float64(wss).tobytes() == np.float64(est.inertia_).tobytes()
@@ -352,6 +362,88 @@ class TestScreenedPamMatchesReference:
             assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
 
 
+# -- the float32 screens against an adversarial referee -------------------------
+
+def screen_bound(x, n):
+    """The derived error bound of a screen value whose exact value is x, a
+    sum of n or fewer terms in units of 2**-e: g(n)*x + 3*n*tau (see
+    ``kmedoids._build``)."""
+    u = 2.0**-24
+    return n * u / (1 - n * u) * x + 3 * n * kmedoids._TINY32
+
+
+class AdversarialScreens:
+    """Stands in for both screens: each of BUILD's row costs and of SWAP's
+    SV and SU entries is the exact sum (``math.fsum``) of its scaled float64
+    terms, moved by the full derived bound, up for the exact kernel's
+    winner and down for every other row, so that the screen's slack alone
+    keeps the winner among the pairs the exact kernel decides."""
+
+    def __init__(self, monkeypatch):
+        best_swap = kmedoids._best_swap
+
+        def recording(dist, medoids, valid):
+            self.valid = valid  # the candidates, which the sums are not told
+            return best_swap(dist, medoids, valid)
+
+        monkeypatch.setattr(kmedoids, "_best_swap", recording)
+        monkeypatch.setattr(kmedoids, "_approx_costs", self.approx_costs)
+        monkeypatch.setattr(kmedoids, "_cluster_sums", self.cluster_sums)
+
+    @staticmethod
+    def approx_costs(dist, bound, rows):
+        D, (_, e) = dist.square(), dist.square32
+        exact = np.array([math.fsum(np.ldexp(np.minimum(D[c], bound), -e)) for c in rows])
+        kernel = kmedoids._row_costs(D, kmedoids._tile(bound, rows.size), rows)
+        sign = np.full(rows.size, -1.0)
+        sign[np.argmin(kernel)] = 1.0
+        return exact + sign * screen_bound(exact, dist.n)
+
+    def cluster_sums(self, dist, owner, dn, ds, k):
+        D, (_, e), n = dist.square(), dist.square32, dist.n
+        sums = np.empty((2, n, k))
+        for half, bound in enumerate((dn, ds)):
+            terms = np.ldexp(np.minimum(D, bound), -e)  # row c, column o
+            for j in range(k):
+                sums[half, :, j] = [math.fsum(row) for row in terms[:, owner == j]]
+        best = None  # (exact cost, candidate), as _best_swap picks it
+        rows = np.flatnonzero(self.valid)
+        for pos in range(k):
+            tile = kmedoids._tile(np.where(owner == pos, ds, dn), rows.size)
+            costs = kmedoids._row_costs(D, tile, rows)
+            j = int(np.argmin(costs))
+            if best is None or costs[j] < best[0]:
+                best = (costs[j], rows[j])
+        sign = np.full((n, 1), -1.0)
+        sign[best[1]] = 1.0
+        return sums + sign * screen_bound(sums, n)
+
+
+REFEREED = {
+    **{family: lambda metric, f=f: pairwise_distances(f(), metric)
+       for family, f in FAMILIES.items()},
+    "duplicates-1d": lambda metric: pairwise_distances(grid(40, 1, 8, levels=2), metric),
+    "duplicates-2d": lambda metric: pairwise_distances(grid(45, 2, 9, levels=2), metric),
+    # the copy's power of two far outside float64's exponent range, both ways:
+    # distances about 1e-160 (squared ones subnormal) and about 1e154
+    "scaled-1e-160": lambda metric: pairwise_distances(grid(40, 3, 10, levels=3,
+                                                            scale=1e-160), metric),
+    "scaled-1e154": lambda metric: DistanceMatrix(
+        pairwise_distances(grid(40, 3, 10, levels=3), metric).square() * 1e154, metric),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFEREED))
+@pytest.mark.parametrize("metric", list(Metric))
+def test_screens_hold_against_an_adversarial_referee(monkeypatch, case, metric):
+    dist = REFEREED[case](metric)
+    assert dist.square32 is not None  # both screens run
+    AdversarialScreens(monkeypatch)
+    for k in (1, 2, 3, 5):
+        for max_swap_iters in (1, 200):
+            assert_matches_reference(dist, k, max_swap_iters)
+
+
 def traced_peak(run):
     """Peak bytes traced by tracemalloc while ``run()`` runs."""
     tracemalloc.start()
@@ -363,20 +455,22 @@ def traced_peak(run):
 
 
 def test_pam_path_holds_a_few_blocks():
-    """The distance build, BUILD and the SWAP screen walk blocks of rows: at
-    n = 1500 (an 18 MB matrix, 69 blocks of 256 KB) each holds at most six
-    blocks, its O(n k) per-point arrays included, beside the matrix it reads
-    or returns; none holds an n x n or n x (n - k) temporary."""
+    """The distance build, its float32 copy, BUILD and the SWAP screen walk
+    blocks of rows: at n = 1500 (an 18 MB matrix, 69 blocks of 256 KB) each
+    holds at most six blocks, its O(n k) per-point arrays included, beside
+    the matrices it reads or returns; none holds an n x n or n x (n - k)
+    temporary."""
     n, k = 1500, 10
     X = grid(n, 9, 41)
     few = 6 * 8 * distances._SCREEN_ELEMENTS
     assert traced_peak(lambda: pairwise_distances(X)) - 8 * n * n <= few
-    D = pairwise_distances(X).square()
-    assert traced_peak(lambda: kmedoids._build(D, k)) <= few
-    medoids = sorted(kmedoids._build(D, k))
+    dist = pairwise_distances(X)
+    assert traced_peak(lambda: dist.square32) - 4 * n * n <= few
+    assert traced_peak(lambda: kmedoids._build(dist, k)) <= few
+    medoids = sorted(kmedoids._build(dist, k))
     valid = np.ones(n, dtype=bool)
     valid[medoids] = False
-    assert traced_peak(lambda: kmedoids._best_swap(D, medoids, valid)) <= few
+    assert traced_peak(lambda: kmedoids._best_swap(dist, medoids, valid)) <= few
 
 
 @st.composite
@@ -394,3 +488,48 @@ def pam_cases(draw):
 def test_screened_pam_matches_reference(case, max_swap_iters):
     X, metric, k = case
     assert_fit_matches_reference(X, metric, k, max_swap_iters)
+
+
+# -- PAM does not depend on the BLAS kernel --------------------------------------
+
+#: runs the CLI on argv, then prints the loaded OpenBLAS's core name (read
+#: through ctypes; "none" without one), the exit code and its stdout's sha256
+CORE_AND_DIGEST = """
+import contextlib, ctypes, hashlib, io, sys
+from clusterlab.cli import main
+core = "none"
+for line in open("/proc/self/maps"):
+    path = line.split(maxsplit=5)[-1].strip()
+    if "openblas" in path.rsplit("/", 1)[-1]:
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            core = get().decode()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(core, code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_pam_sweep_does_not_depend_on_the_blas_kernel(synth_csv_path, coretype):
+    # the float32 GEMM of SWAP's screen rounds differently on each kernel;
+    # the exact kernel's decisions, and so every byte, must not
+    def run(**env):
+        proc = subprocess.run(
+            [sys.executable, "-c", CORE_AND_DIGEST, "sweep", str(synth_csv_path),
+             "--algorithm", "pam", "--k-max", "6", "--seed", "1"],
+            env={k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"} | env,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        core, code, digest = proc.stdout.split()
+        assert code == "0"
+        return core, digest
+
+    native_core, native = run()
+    core, digest = run(OPENBLAS_CORETYPE=coretype)
+    if core == native_core:
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} changed no core: both runs used "
+                    f"{native_core}")
+    assert digest == native

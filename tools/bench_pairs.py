@@ -17,9 +17,10 @@ Which direction is better comes from ``better`` in the parent's
 the metric names.
 ``--json PATH`` also writes every run (its pair, side, metrics, ``correct``
 and the object of its ``env:`` line), each workload's summary rows with
-their verdicts and each
-checkout's code-line total of ``src/clusterlab``, as ``tools/code_lines.py``
-counts it, to PATH, once every run has given a result.
+their verdicts, each checkout's code-line total of ``src/clusterlab``, as
+``tools/code_lines.py`` counts it, and the core name of the OpenBLAS that
+numpy loads in each checkout (:func:`blas_core`) to PATH, once every run has
+given a result.
 
 It exits 1 when a run's last line of output is not a result (it stops
 there) or when a run reads ``correct: false`` (it finishes every workload's
@@ -147,6 +148,34 @@ def code_line_total(checkout: Path) -> int:
     return int(proc.stdout.split()[-2])
 
 
+#: prints the core name of the OpenBLAS that numpy loads, read through
+#: ctypes, or "none" when it loads no OpenBLAS that tells it
+CORE_NAME = """
+import ctypes
+import numpy
+core = "none"
+for line in open("/proc/self/maps"):
+    path = line.split(maxsplit=5)[-1].strip()
+    if "openblas" in path.rsplit("/", 1)[-1]:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                core = get().decode()
+print(core)
+"""
+
+
+def blas_core(checkout: Path) -> str:
+    """The OpenBLAS core name (``SkylakeX``, ``Haswell``, ...) that a fresh
+    interpreter started in ``checkout`` reads, as the benchmark's runs
+    there would; ``OPENBLAS_CORETYPE`` can set it."""
+    proc = subprocess.run([sys.executable, "-c", CORE_NAME], cwd=checkout,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
@@ -190,6 +219,8 @@ def main(argv: list[str]) -> int:
     if args.json:
         record["code_lines"] = {side: code_line_total(getattr(args, side))
                                 for side in ("parent", "change")}
+        record["blas_core"] = {side: blas_core(getattr(args, side))
+                               for side in ("parent", "change")}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if all_correct else 1
 
