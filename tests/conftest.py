@@ -1,3 +1,4 @@
+import importlib.util
 import os
 from pathlib import Path
 
@@ -7,6 +8,14 @@ from clusterlab import CsvFormat, parse_csv, preprocess
 from synthwbc import synthetic_wbc_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    """The module of ``tools/<name>.py``; ``tools`` is no package."""
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 #: where the genuine Wisconsin breast-cancer file is looked up; the
 #: acceptance tests that reproduce published numbers need it (see

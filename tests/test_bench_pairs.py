@@ -1,14 +1,10 @@
-import importlib.util
 import json
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import load_tool
 
-_spec = importlib.util.spec_from_file_location("bench_pairs",
-                                               REPO_ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+bench_pairs = load_tool("bench_pairs")
 
 BETTER = {"job_s": "lower", "ok_ratio": "higher"}
 BOUNDS = {"job_s": 0.25, "ok_ratio": 0.01}

@@ -1,11 +1,8 @@
-import importlib.util
 import textwrap
 
-from conftest import REPO_ROOT
+from conftest import load_tool
 
-_spec = importlib.util.spec_from_file_location("code_lines", REPO_ROOT / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+code_lines = load_tool("code_lines")
 
 #: 5 code lines: the import, the def, the two lines of the continued call
 #: and the return; the docstrings, the comment and the blank line hold none

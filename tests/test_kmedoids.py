@@ -1,5 +1,5 @@
+import hashlib
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from clusterlab import (DistanceMatrix, KMedoids, Metric, distance, distances, kmedoids,
                         pairwise_distances, pam_cost, silhouette_report, sweep_k)
 from clusterlab.exceptions import AnalysisError, InvalidMedoidError, TooFewPointsError
+from conftest import REPO_ROOT, load_tool
+
+bench_pairs = load_tool("bench_pairs")
 
 
 def exhaustive_best_medoids(D, k):
@@ -424,8 +427,9 @@ REFEREED = {
        for family, f in FAMILIES.items()},
     "duplicates-1d": lambda metric: pairwise_distances(grid(40, 1, 8, levels=2), metric),
     "duplicates-2d": lambda metric: pairwise_distances(grid(45, 2, 9, levels=2), metric),
-    # the copy's power of two far outside float64's exponent range, both ways:
-    # distances about 1e-160 (squared ones subnormal) and about 1e154
+    # the copy's power of two far from 1 both ways: distances of about 1e-160
+    # (squared ones subnormal, scaled by more than float64's largest value)
+    # and of about 1e154
     "scaled-1e-160": lambda metric: pairwise_distances(grid(40, 3, 10, levels=3,
                                                             scale=1e-160), metric),
     "scaled-1e154": lambda metric: DistanceMatrix(
@@ -492,43 +496,23 @@ def test_screened_pam_matches_reference(case, max_swap_iters):
 
 # -- PAM does not depend on the BLAS kernel --------------------------------------
 
-#: runs the CLI on argv, then prints the loaded OpenBLAS's core name (read
-#: through ctypes; "none" without one), the exit code and its stdout's sha256
-CORE_AND_DIGEST = """
-import contextlib, ctypes, hashlib, io, sys
-from clusterlab.cli import main
-core = "none"
-for line in open("/proc/self/maps"):
-    path = line.split(maxsplit=5)[-1].strip()
-    if "openblas" in path.rsplit("/", 1)[-1]:
-        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            core = get().decode()
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = main(sys.argv[1:])
-print(core, code, hashlib.sha256(out.getvalue().encode()).hexdigest())
-"""
-
-
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_pam_sweep_does_not_depend_on_the_blas_kernel(synth_csv_path, coretype):
+def test_pam_sweep_does_not_depend_on_the_blas_kernel(synth_csv_path, monkeypatch, coretype):
     # the float32 GEMM of SWAP's screen rounds differently on each kernel;
     # the exact kernel's decisions, and so every byte, must not
-    def run(**env):
-        proc = subprocess.run(
-            [sys.executable, "-c", CORE_AND_DIGEST, "sweep", str(synth_csv_path),
-             "--algorithm", "pam", "--k-max", "6", "--seed", "1"],
-            env={k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"} | env,
-            capture_output=True, text=True, timeout=300)
+    def run():
+        """The OpenBLAS core name a fresh interpreter reads (through ctypes),
+        and the sha256 of the sweep's stdout."""
+        proc = subprocess.run([sys.executable, "-m", "clusterlab.cli", "sweep",
+                               str(synth_csv_path), "--algorithm", "pam", "--k-max", "6",
+                               "--seed", "1"], capture_output=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        core, code, digest = proc.stdout.split()
-        assert code == "0"
-        return core, digest
+        return bench_pairs.blas_core(REPO_ROOT), hashlib.sha256(proc.stdout).hexdigest()
 
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
     native_core, native = run()
-    core, digest = run(OPENBLAS_CORETYPE=coretype)
+    monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+    core, digest = run()
     if core == native_core:
         pytest.skip(f"OPENBLAS_CORETYPE={coretype} changed no core: both runs used "
                     f"{native_core}")
