@@ -174,6 +174,24 @@ class TestPairwise:
             with pytest.raises(AnalysisError, match="683 points need 4.0 MB"):
                 call()
 
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e154])
+    def test_float32_copy_rounds_each_scaled_distance_once(self, scale):
+        # the power of two puts the largest distance in [0.5, 1); scaling by
+        # it is exact, so each entry is rounded once, to the nearest float32
+        D = pairwise_distances(np.random.default_rng(3).random((40, 3))).square() * scale
+        F, e = DistanceMatrix(D).square32
+        assert 0.5 <= np.ldexp(D.max(), -e) < 1
+        assert F.dtype == np.float32 and not F.flags.writeable
+        assert F.tobytes() == np.array([[np.float32(math.ldexp(v, -e)) for v in row]
+                                        for row in D.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("far", [np.inf, 1e308])
+    def test_no_float32_copy_when_sums_of_distances_could_overflow(self, far):
+        # an infinite distance, or 2n times the largest one past float64:
+        # PAM's exact kernel then costs every choice
+        assert DistanceMatrix([[0.0, far], [far, 0.0]]).square32 is None
+        assert DistanceMatrix([[0.0, 1.0], [1.0, 0.0]]).square32 is not None
+
 
 
 class TestMemoryBudget:
